@@ -23,7 +23,6 @@ from .exact import (
     SizeLimitError,
     branch_and_bound,
     brute_force,
-    residual_bound,
 )
 from .heuristics import greedy_label, local_search, starting_heuristic
 from .instances import (
@@ -49,7 +48,6 @@ from .lagrangian import (
     LagrangianResult,
     Multipliers,
     SubgradientParams,
-    lagrangian_value,
     run_subgradient,
     solve_d_subproblem,
     solve_x_subproblem,

@@ -1,7 +1,25 @@
 """Command-line front end: instance generation, solving, bounding,
 labeling checks, and CSV benchmarking.
 
-Exit codes: 0 success, 2 usage or input error, 3 size refusal, 4 invalid
+    gen    write one generated instance
+    solve  auto (the special solver on a path, cycle or perfect n-ary
+           tree, else bnb), greedy, lagrangian, bnb, special, oracle
+           (brute force, at most 12 nodes)
+    bound  dual-simple, dual-extended, lagrangian
+    check  validate a labeling file and print its value
+    bench  any of greedy, dual-simple, dual-extended, lagrangian, bnb on
+           every file of a suite directory, one CSV row per file and method
+
+``--time-limit`` (seconds; ``solve`` and ``bench``) bounds ``bnb``,
+``lagrangian`` and the ``bnb`` fall-back of ``auto``; every other method,
+and ``bound``, runs to completion.  ``bench`` runs one call after another
+in this process: there is no thread pool and no ``SLAB_THREADS``
+variable.  A bench row's status is ``ok``, ``timeout`` (the time limit
+stopped the method) or ``error`` (the file or the method failed; stderr
+gets ``error: <file> <method>: <reason>``).
+
+Exit codes: 0 success, 2 usage or input error (including unreadable,
+malformed or non-ASCII instance files), 3 size refusal, 4 invalid
 labeling.  JSON output is the stable machine interface; node ids and
 labels are 1-indexed everywhere the tool reads or writes.
 """
@@ -11,12 +29,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import Graph, sl_value
+from .core import Graph, Labeling, sl_value
 from .dual_ascent import dual_ascent_extended, dual_ascent_simple
 from .exact import SizeLimitError, branch_and_bound, brute_force
 from .heuristics import starting_heuristic
@@ -55,7 +73,112 @@ _GEN_PARAMS = {
     "bipartite": ("n1", "n2", "prob", "seed"),
 }
 
+_GEN_OPTIONS = ("nodes", "edges", "rows", "cols", "arity", "depth", "backbone",
+                "p1", "p2", "n1", "n2", "prob", "seed")
+
 BENCH_METHODS = ("greedy", "dual-simple", "dual-extended", "lagrangian", "bnb")
+
+_CSV_FIELDS = ("name", "nodes", "edges", "method", "lb", "ub", "gap_percent", "time_ms", "status")
+
+
+class _InputError(Exception):
+    """An input the command cannot use; ``main`` reports it with exit code 2."""
+
+
+@dataclass
+class _Result:
+    """What one method reports.  ``lb``/``ub`` are None when the method
+    gives no such bound; ``details`` holds method-specific report fields."""
+
+    lb: int | None = None
+    ub: int | None = None
+    labeling: Labeling | None = None
+    proven: bool = False
+    timed_out: bool = False
+    details: dict = field(default_factory=dict)
+
+
+def _greedy(g: Graph, time_limit: float | None) -> _Result:
+    labeling, value = starting_heuristic(g, 0)
+    return _Result(ub=value, labeling=labeling)
+
+
+def _dual_simple(g: Graph, time_limit: float | None) -> _Result:
+    return _Result(lb=dual_ascent_simple(g)[1])
+
+
+def _dual_extended(g: Graph, time_limit: float | None) -> _Result:
+    _, bound, trace = dual_ascent_extended(g)
+    return _Result(lb=bound, details={
+        "net_changes": [step.net_change for step in trace],
+        "alpha_values": [step.alpha_value for step in trace],
+    })
+
+
+def _lagrangian(g: Graph, time_limit: float | None) -> _Result:
+    res = run_subgradient(g, SubgradientParams(), time_limit=time_limit)
+    lb, ub = res.lower_bound, res.incumbent_value
+    return _Result(lb, ub, res.best_labeling, proven=lb == ub,
+                   timed_out=res.stop_reason == "time",
+                   details={"iterations": res.iterations, "incumbent": ub,
+                            "stop_reason": res.stop_reason})
+
+
+def _bnb(g: Graph, time_limit: float | None) -> _Result:
+    res = branch_and_bound(g, time_limit=time_limit)
+    proven = res.stats.proven_optimal
+    return _Result(res.lower_bound, res.upper_bound, res.labeling, proven, not proven)
+
+
+def _oracle(g: Graph, time_limit: float | None) -> _Result:
+    value, labeling = brute_force(g)
+    return _Result(value, value, labeling, proven=True)
+
+
+def _special(g: Graph, time_limit: float | None) -> _Result:
+    structure = detect_structure(g)
+    if structure.kind is StructureKind.PATH:
+        labeling = solve_path(g)
+    elif structure.kind is StructureKind.CYCLE:
+        labeling = solve_cycle(g)
+    elif structure.kind is StructureKind.PERFECT_NARY:
+        labeling = label_perfect_nary(g, structure)
+    else:
+        raise _InputError("instance is not a path, cycle or perfect n-ary tree")
+    value = sl_value(g, labeling)
+    return _Result(value, value, labeling, proven=True,
+                   details={"method": f"special:{structure.kind.value}"})
+
+
+def _auto(g: Graph, time_limit: float | None) -> _Result:
+    try:
+        return _special(g, time_limit)
+    except _InputError:
+        result = _bnb(g, time_limit)
+        result.details["method"] = "bnb"
+        return result
+
+
+# Every method of every subcommand; argparse restricts each subcommand to
+# its own subset.  A method may set details["method"] to the name ``solve``
+# should report (``auto`` and ``special`` name the solver they used).
+_METHODS = {
+    "auto": _auto,
+    "greedy": _greedy,
+    "lagrangian": _lagrangian,
+    "bnb": _bnb,
+    "special": _special,
+    "oracle": _oracle,
+    "dual-simple": _dual_simple,
+    "dual-extended": _dual_extended,
+}
+
+
+def _run(method: str, g: Graph, time_limit: float | None) -> tuple[_Result, float]:
+    """The method's result and its wall time in milliseconds."""
+    started = time.perf_counter()
+    result = _METHODS[method](g, time_limit)
+    return result, round((time.perf_counter() - started) * 1000.0, 3)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,39 +191,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--kind", required=True, choices=KINDS)
-    gen.add_argument("--nodes", type=int)
-    gen.add_argument("--edges", type=int)
-    gen.add_argument("--rows", type=int)
-    gen.add_argument("--cols", type=int)
-    gen.add_argument("--arity", type=int)
-    gen.add_argument("--depth", type=int)
-    gen.add_argument("--backbone", type=int)
-    gen.add_argument("--p1", type=float)
-    gen.add_argument("--p2", type=float)
-    gen.add_argument("--n1", type=int)
-    gen.add_argument("--n2", type=int)
-    gen.add_argument("--prob", type=float)
-    gen.add_argument("--seed", type=int)
+    for name in _GEN_OPTIONS:
+        gen.add_argument(f"--{name}", type=float if name in ("p1", "p2", "prob") else int)
     gen.add_argument("-o", "--output", required=True)
 
     solve = sub.add_parser("solve", help="solve an instance")
     solve.add_argument("instance")
-    solve.add_argument(
-        "--method",
-        default="auto",
-        choices=("auto", "greedy", "lagrangian", "bnb", "special", "oracle"),
-    )
+    solve.add_argument("--method", default="auto", choices=(
+        "auto", "greedy", "lagrangian", "bnb", "special", "oracle"))
     solve.add_argument("--time-limit", type=float, default=60.0)
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--labeling-out", help="write the labeling to this file")
 
     bound = sub.add_parser("bound", help="compute a lower bound")
     bound.add_argument("instance")
-    bound.add_argument(
-        "--method",
-        default="dual-extended",
-        choices=("dual-simple", "dual-extended", "lagrangian"),
-    )
+    bound.add_argument("--method", default="dual-extended", choices=(
+        "dual-simple", "dual-extended", "lagrangian"))
     bound.add_argument("--json", action="store_true")
 
     check = sub.add_parser("check", help="validate a labeling file")
@@ -122,10 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _gen_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -> InstanceSpec:
     wanted = _GEN_PARAMS[args.kind]
     given = {
-        name: getattr(args, name)
-        for name in ("nodes", "edges", "rows", "cols", "arity", "depth",
-                     "backbone", "p1", "p2", "n1", "n2", "prob", "seed")
-        if getattr(args, name) is not None
+        name: getattr(args, name) for name in _GEN_OPTIONS if getattr(args, name) is not None
     }
     for name in wanted:
         if name not in given and name != "seed":
@@ -139,9 +242,15 @@ def _gen_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -> In
     return InstanceSpec(kind=args.kind, params=params, seed=seed)
 
 
-def _load_instance(path: str) -> Graph:
-    text = Path(path).read_text(encoding="ascii")
-    return read_instance(text)
+def _load(path: str | Path, parse, *args):
+    """Parse an ASCII instance or labeling file; every way reading or
+    parsing it can fail raises _InputError."""
+    try:
+        return parse(Path(path).read_text(encoding="ascii"), *args)
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+    except (OSError, InstanceFormatError) as exc:
+        raise _InputError(str(exc)) from None
 
 
 def _gap_percent(lb: int | None, ub: int | None) -> float | None:
@@ -152,23 +261,17 @@ def _gap_percent(lb: int | None, ub: int | None) -> float | None:
     return 100.0 * (ub - lb) / ub
 
 
+def _report_head(args: argparse.Namespace, g: Graph, method: str) -> dict:
+    return {"instance": Path(args.instance).stem, "nodes": g.n, "edges": g.m, "method": method}
+
+
 def _emit_report(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, sort_keys=True))
         return
-    for key in (
-        "instance",
-        "nodes",
-        "edges",
-        "method",
-        "primal_value",
-        "dual_bound",
-        "gap_percent",
-        "proven",
-        "time_ms",
-    ):
-        if key in report:
-            print(f"{key}: {report[key]}")
+    for key, val in report.items():
+        if key != "labeling":
+            print(f"{key}: {val}")
 
 
 def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -176,265 +279,120 @@ def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         g = spec.generate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _InputError(str(exc)) from None
     Path(args.output).write_text(write_instance(g), encoding="ascii")
     print(f"{g.n} nodes, {g.m} edges -> {args.output}")
     return EXIT_OK
 
 
-def _solve_special(g: Graph) -> tuple[str, object] | None:
-    structure = detect_structure(g)
-    if structure.kind is StructureKind.PATH:
-        return "special:path", solve_path(g)
-    if structure.kind is StructureKind.CYCLE:
-        return "special:cycle", solve_cycle(g)
-    if structure.kind is StructureKind.PERFECT_NARY:
-        return "special:nary", label_perfect_nary(g, structure)
-    return None
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        g = _load_instance(args.instance)
-    except (OSError, InstanceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    started = time.perf_counter()
-    labeling = None
-    dual_bound = None
-    proven = False
-    method = args.method
-
-    if method in ("auto", "special"):
-        special = _solve_special(g)
-        if special is not None:
-            method, labeling = special
-            value = sl_value(g, labeling)
-            dual_bound = value
-            proven = True
-        elif args.method == "special":
-            print("error: instance is not a path, cycle or perfect n-ary tree",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        else:
-            method = "bnb"
-
-    if labeling is None:
-        if method == "greedy":
-            labeling, value = starting_heuristic(g, 0)
-        elif method == "lagrangian":
-            result = run_subgradient(g, SubgradientParams())
-            labeling = result.best_labeling
-            value = result.incumbent_value
-            dual_bound = result.lower_bound
-            proven = result.lower_bound == result.incumbent_value
-        elif method == "bnb":
-            res = branch_and_bound(g, time_limit=args.time_limit)
-            labeling = res.labeling
-            value = res.upper_bound
-            dual_bound = res.lower_bound
-            proven = res.stats.proven_optimal
-        elif method == "oracle":
-            try:
-                value, labeling = brute_force(g)
-            except SizeLimitError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_SIZE
-            dual_bound = value
-            proven = True
-        else:  # pragma: no cover - argparse restricts choices
-            raise AssertionError(method)
-
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
+def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    g = _load(args.instance, read_instance)
+    res, elapsed_ms = _run(args.method, g, args.time_limit)
     report = {
-        "instance": Path(args.instance).stem,
-        "nodes": g.n,
-        "edges": g.m,
-        "method": method,
-        "primal_value": value,
-        "dual_bound": dual_bound,
-        "gap_percent": _gap_percent(dual_bound, value),
-        "proven": proven,
-        "time_ms": round(elapsed_ms, 3),
-        "labeling": list(labeling.labels),
+        **_report_head(args, g, res.details.get("method", args.method)),
+        "primal_value": res.ub,
+        "dual_bound": res.lb,
+        "gap_percent": _gap_percent(res.lb, res.ub),
+        "proven": res.proven,
+        "time_ms": elapsed_ms,
+        "labeling": list(res.labeling.labels),
     }
     if args.labeling_out:
-        Path(args.labeling_out).write_text(write_labeling(labeling), encoding="ascii")
+        Path(args.labeling_out).write_text(write_labeling(res.labeling), encoding="ascii")
     _emit_report(report, args.json)
     return EXIT_OK
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    try:
-        g = _load_instance(args.instance)
-    except (OSError, InstanceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    started = time.perf_counter()
-    details: dict = {}
-    if args.method == "dual-simple":
-        _, bound = dual_ascent_simple(g)
-    elif args.method == "dual-extended":
-        _, bound, trace = dual_ascent_extended(g)
-        details["net_changes"] = [step.net_change for step in trace]
-        details["alpha_values"] = [step.alpha_value for step in trace]
-    else:
-        result = run_subgradient(g, SubgradientParams())
-        bound = result.lower_bound
-        details["iterations"] = result.iterations
-        details["incumbent"] = result.incumbent_value
-        details["stop_reason"] = result.stop_reason
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    report = {
-        "instance": Path(args.instance).stem,
-        "nodes": g.n,
-        "edges": g.m,
-        "method": args.method,
-        "lower_bound": bound,
-        "time_ms": round(elapsed_ms, 3),
-        **details,
-    }
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for key, val in report.items():
-            print(f"{key}: {val}")
+def _cmd_bound(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    g = _load(args.instance, read_instance)
+    res, elapsed_ms = _run(args.method, g, None)
+    report = {**_report_head(args, g, args.method), "lower_bound": res.lb,
+              "time_ms": elapsed_ms, **res.details}
+    _emit_report(report, args.json)
     return EXIT_OK
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    g = _load(args.instance, read_instance)
     try:
-        g = _load_instance(args.instance)
-    except (OSError, InstanceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        text = Path(args.labeling).read_text(encoding="ascii")
-        phi = read_labeling(text, g.n)
-    except (OSError, InstanceFormatError) as exc:
+        phi = _load(args.labeling, read_labeling, g.n)
+    except _InputError as exc:
         print(f"invalid: {exc}")
         return EXIT_INVALID_LABELING
     print(f"valid, value {sl_value(g, phi)}")
     return EXIT_OK
 
 
-def _bench_row(name: str, g: Graph, method: str, time_limit: float) -> dict:
-    started = time.perf_counter()
-    lb: int | None = None
-    ub: int | None = None
-    status = "ok"
+def _bench_rows(path: Path, methods: list[str], time_limit: float) -> list[dict]:
+    """One CSV row per method.  A row whose instance or method fails has
+    status ``error``, and the reason goes to stderr."""
     try:
-        if method == "greedy":
-            _, ub = starting_heuristic(g, 0)
-        elif method == "dual-simple":
-            _, lb = dual_ascent_simple(g)
-        elif method == "dual-extended":
-            _, lb, _ = dual_ascent_extended(g)
-        elif method == "lagrangian":
-            result = run_subgradient(g, SubgradientParams())
-            lb, ub = result.lower_bound, result.incumbent_value
-        elif method == "bnb":
-            res = branch_and_bound(g, time_limit=time_limit)
-            lb, ub = res.lower_bound, res.upper_bound
-            if not res.stats.proven_optimal:
-                status = "timeout"
-        else:
-            raise ValueError(f"unknown method {method}")
-    except Exception:
-        status = "error"
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    gap = _gap_percent(lb, ub)
-    return {
-        "name": name,
-        "nodes": g.n,
-        "edges": g.m,
-        "method": method,
-        "lb": "" if lb is None else lb,
-        "ub": "" if ub is None else ub,
-        "gap_percent": "" if gap is None else f"{gap:.4f}",
-        "time_ms": round(elapsed_ms, 3),
-        "status": status,
-    }
+        g = _load(path, read_instance)
+    except _InputError as exc:
+        g, error = None, exc
+    rows = []
+    for m in methods:
+        res, time_ms = None, 0
+        if g is not None:
+            try:
+                res, time_ms = _run(m, g, time_limit)
+            except Exception as exc:
+                error = exc
+        if res is None:
+            print(f"error: {path.name} {m}: {error}", file=sys.stderr)
+        lb, ub = (None, None) if res is None else (res.lb, res.ub)
+        gap = _gap_percent(lb, ub)
+        rows.append({
+            "name": path.stem,
+            "nodes": "" if g is None else g.n,
+            "edges": "" if g is None else g.m,
+            "method": m,
+            "lb": "" if lb is None else lb,
+            "ub": "" if ub is None else ub,
+            "gap_percent": "" if gap is None else f"{gap:.4f}",
+            "time_ms": time_ms,
+            "status": "error" if res is None else "timeout" if res.timed_out else "ok",
+        })
+    return rows
 
 
 def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     suite = Path(args.suite)
     if not suite.is_dir():
-        print(f"error: {suite} is not a directory", file=sys.stderr)
-        return EXIT_USAGE
+        raise _InputError(f"{suite} is not a directory")
     files = sorted(p for p in suite.iterdir() if p.is_file())
     if not files:
-        print(f"error: no instance files in {suite}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _InputError(f"no instance files in {suite}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in BENCH_METHODS:
             parser.error(f"unknown bench method {m!r}")
 
-    def run_one(path: Path) -> list[dict]:
-        name = path.stem
-        try:
-            g = read_instance(path.read_text(encoding="ascii"))
-        except (OSError, InstanceFormatError, UnicodeDecodeError):
-            return [
-                {
-                    "name": name,
-                    "nodes": "",
-                    "edges": "",
-                    "method": m,
-                    "lb": "",
-                    "ub": "",
-                    "gap_percent": "",
-                    "time_ms": 0,
-                    "status": "error",
-                }
-                for m in methods
-            ]
-        return [_bench_row(name, g, m, args.time_limit) for m in methods]
-
-    threads = max(1, int(os.environ.get("SLAB_THREADS", "1")))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_file = list(pool.map(run_one, files))
-    else:
-        per_file = [run_one(path) for path in files]
-
-    rows = [row for rows_for_file in per_file for row in rows_for_file]
+    rows = [row for path in files for row in _bench_rows(path, methods, args.time_limit)]
     rows.sort(key=lambda r: (r["name"], methods.index(r["method"])))
     with open(args.out, "w", newline="", encoding="ascii") as handle:
-        writer = csv.DictWriter(
-            handle,
-            fieldnames=[
-                "name", "nodes", "edges", "method", "lb", "ub",
-                "gap_percent", "time_ms", "status",
-            ],
-            lineterminator="\n",
-        )
+        writer = csv.DictWriter(handle, fieldnames=_CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     print(f"{len(rows)} rows -> {args.out}")
     return EXIT_OK
 
 
+_COMMANDS = {"gen": _cmd_gen, "solve": _cmd_solve, "bound": _cmd_bound,
+             "check": _cmd_check, "bench": _cmd_bench}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args, parser)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "bound":
-        return _cmd_bound(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "bench":
-        return _cmd_bench(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE  # pragma: no cover
+    try:
+        return _COMMANDS[args.command](args, parser)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SizeLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SIZE
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,6 @@ class Labeling:
 
     def node_of(self, label: int) -> int:
         return self.inverse[label - 1]
-
-
-def labeling_from_sequence(labels: Sequence[int]) -> Labeling:
-    return Labeling(labels=tuple(labels))
 
 
 def sl_value(g: Graph, phi: Labeling) -> int:

@@ -4,11 +4,12 @@ Both variants greedily build an integral feasible solution of the LP dual
 of the label-assignment formulation; by weak duality its objective is a
 lower bound on the optimal labeling value.  The dual has one multiplier
 per label (alpha, stored as a nonnegative magnitude that enters the
-objective negatively), one per node (beta, always 0 here), one per edge
-(gamma) and one per (edge, label) pair (delta >= 0), subject to
+objective negatively), one per edge (gamma) and one per (edge, label)
+pair (delta >= 0); the per-node multipliers of the full dual are fixed
+at 0 and left out.  The constraints are
 
-    -alpha_k + beta_i + sum over edges e at node i of delta_e^k  <=  0
-    gamma_e - delta_e^k                                          <=  k
+    -alpha_k + sum over edges e at node i of delta_e^k  <=  0
+    gamma_e - delta_e^k                                 <=  k
 
 Delta is stored compactly: each edge records the last ascent step K_e in
 which it participated, and delta_e^k = max(0, K_e - k + 1).
@@ -27,7 +28,6 @@ class DualSolution:
 
     n_labels: int
     alpha: tuple[int, ...]
-    beta: tuple[int, ...]
     gamma: tuple[int, ...]
     edge_last_step: tuple[int, ...]
 
@@ -35,7 +35,7 @@ class DualSolution:
         return max(0, self.edge_last_step[edge] - k + 1)
 
     def objective(self) -> int:
-        return sum(self.gamma) + sum(self.beta) - sum(self.alpha)
+        return sum(self.gamma) - sum(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ def _zero_solution(g: Graph) -> DualSolution:
     return DualSolution(
         n_labels=g.n,
         alpha=(0,) * g.n,
-        beta=(0,) * g.n,
         gamma=(),
         edge_last_step=(),
     )
@@ -84,7 +83,6 @@ def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
     solution = DualSolution(
         n_labels=g.n,
         alpha=tuple(alpha),
-        beta=(0,) * g.n,
         gamma=(1 + steps,) * m,
         edge_last_step=(steps,) * m,
     )
@@ -173,7 +171,6 @@ def dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]
     solution = DualSolution(
         n_labels=g.n,
         alpha=tuple(alpha),
-        beta=(0,) * g.n,
         gamma=tuple(1 + last_step[e] for e in range(m)),
         edge_last_step=tuple(last_step),
     )
@@ -189,7 +186,6 @@ def check_dual_feasible(g: Graph, d: DualSolution) -> tuple[bool, int]:
     if (
         d.n_labels != g.n
         or len(d.alpha) != g.n
-        or len(d.beta) != g.n
         or len(d.gamma) != g.m
         or len(d.edge_last_step) != g.m
     ):
@@ -200,7 +196,7 @@ def check_dual_feasible(g: Graph, d: DualSolution) -> tuple[bool, int]:
             total = sum(
                 max(0, d.edge_last_step[e] - k + 1) for _, e in g.adjacency[i]
             )
-            if -d.alpha[k - 1] + d.beta[i] + total > 0:
+            if -d.alpha[k - 1] + total > 0:
                 feasible = False
         for e in range(g.m):
             if d.gamma[e] - max(0, d.edge_last_step[e] - k + 1) > k:

@@ -105,8 +105,6 @@ class SearchStats:
     explored: int = 0
     pruned_by_bound: int = 0
     time_seconds: float = 0.0
-    lower_bound: int = 0
-    upper_bound: int = 0
     proven_optimal: bool = False
 
 
@@ -135,33 +133,6 @@ class _ResidualBounder:
             self.cache.clear()
         self.cache[residual] = bound
         return bound
-
-
-def residual_bound(g: Graph, node: BnBNode) -> int:
-    """fixed cost + depth * residual edge count + dual-ascent bound on the
-    residual graph.
-
-    Valid because every residual edge contributes at least depth plus its
-    contribution in the label-shifted problem on the residual graph, which
-    the dual ascent bounds from below.
-    """
-    bounder = _ResidualBounder(g)
-    return (
-        node.fixed_cost
-        + node.depth * len(node.residual)
-        + bounder.dual_bound(node.residual)
-    )
-
-
-def make_root(g: Graph) -> BnBNode:
-    residual = frozenset(range(g.m))
-    bounder = _ResidualBounder(g)
-    return BnBNode(
-        partial=(),
-        fixed_cost=0,
-        residual=residual,
-        lb=bounder.dual_bound(residual),
-    )
 
 
 @dataclass
@@ -205,7 +176,6 @@ def branch_and_bound(
         phi = _complete_labeling(g, ())
         stats.proven_optimal = True
         stats.time_seconds = time.perf_counter() - start
-        stats.lower_bound = stats.upper_bound = 0
         return BnBResult(0, 0, phi, stats)
 
     best_labeling, incumbent = starting_heuristic(g, incumbent_seed)
@@ -278,8 +248,6 @@ def branch_and_bound(
         lower = min(incumbent, heap[0][0])
     else:
         lower = incumbent
-    stats.lower_bound = lower
-    stats.upper_bound = incumbent
     stats.proven_optimal = lower >= incumbent
     stats.time_seconds = time.perf_counter() - start
     return BnBResult(lower, incumbent, best_labeling, stats)

@@ -15,6 +15,7 @@ assignment costs stay integral and bounds stay exact.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,13 +28,6 @@ from .heuristics import local_search, starting_heuristic
 SCALE = 1 << 20
 
 Triangle = tuple[tuple[int, int, int], tuple[int, int, int]]
-
-
-def _to_scaled(value) -> int:
-    scaled = Fraction(value) * SCALE
-    if scaled.denominator != 1:
-        raise ValueError(f"{value} is not representable with denominator {SCALE}")
-    return int(scaled)
 
 
 @dataclass
@@ -63,27 +57,6 @@ class Multipliers:
             for k in range(1, last + 1):
                 mult.delta[e][k] = (last - k + 1) * SCALE
         return mult
-
-    def set_delta(self, edge: int, k: int, value) -> None:
-        scaled = _to_scaled(value)
-        if scaled < 0:
-            raise ValueError("multipliers must be nonnegative")
-        if scaled:
-            self.delta[edge][k] = scaled
-        else:
-            self.delta[edge].pop(k, None)
-
-    def get_delta(self, edge: int, k: int) -> Fraction:
-        return Fraction(self.delta[edge].get(k, 0), SCALE)
-
-    def set_lambda(self, triangle: int, t: int, value) -> None:
-        scaled = _to_scaled(value)
-        if scaled < 0:
-            raise ValueError("multipliers must be nonnegative")
-        if scaled:
-            self.lam[(triangle, t)] = scaled
-        else:
-            self.lam.pop((triangle, t), None)
 
     def lambda_sum_scaled(self) -> int:
         return sum(self.lam.values())
@@ -170,14 +143,6 @@ def solve_d_subproblem(g: Graph, m: Multipliers) -> tuple[list[int], Fraction]:
     return choices, Fraction(scaled, SCALE)
 
 
-def lagrangian_value(g: Graph, m: Multipliers) -> Fraction:
-    """Exact relaxation value for the given multipliers: a lower bound on
-    the optimal labeling value."""
-    _, x_scaled = _solve_x_scaled(g, m)
-    _, d_scaled = _solve_d_scaled(g, m)
-    return Fraction(d_scaled - x_scaled - m.lambda_sum_scaled(), SCALE)
-
-
 @dataclass(frozen=True)
 class SubgradientParams:
     beta_init: float = 2.0
@@ -214,15 +179,22 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def run_subgradient(g: Graph, params: SubgradientParams | None = None) -> LagrangianResult:
+def run_subgradient(
+    g: Graph,
+    params: SubgradientParams | None = None,
+    time_limit: float | None = None,
+) -> LagrangianResult:
     """Subgradient optimization of the relaxation.
 
     Edge multipliers start from the extended dual ascent, triangle
     multipliers from zero; the incumbent starts from the greedy-plus-local-
     search heuristic and every assignment solution is improved by local
-    search.  Stops on the iteration limit, a closed gap, a vanishing step
-    size, or a vanishing subgradient.
+    search.  The step is the Polyak rule beta * (incumbent - z) / ||g||^2.
+    Stops on the iteration limit, a closed gap, a vanishing step size, a
+    vanishing subgradient, or (checked after each iteration, so at least
+    one runs) ``time_limit`` seconds; every stop leaves a valid bracket.
     """
+    start = time.perf_counter()
     params = params or SubgradientParams()
     if g.m == 0:
         phi = Labeling(labels=tuple(range(1, g.n + 1)))
@@ -279,7 +251,7 @@ def run_subgradient(g: Graph, params: SubgradientParams | None = None) -> Lagran
         elif gnorm < params.stop_gnorm:
             stop = "gnorm"
         else:
-            mu = beta * (incumbent - z_r) / gnorm
+            mu = beta * (incumbent - z_r) / norm2
             if mu < params.stop_mu:
                 stop = "mu"
 
@@ -293,6 +265,9 @@ def run_subgradient(g: Graph, params: SubgradientParams | None = None) -> Lagran
                 step_size=mu,
             )
         )
+        if stop is None and time_limit is not None:
+            if time.perf_counter() - start >= time_limit:
+                stop = "time"
         if stop is not None:
             stop_reason = stop
             break

@@ -1,0 +1,294 @@
+"""End-to-end tests of the command-line front end, run in-process through
+``slabel.cli.main``: generation, solving, bounding, checking, benchmarking,
+their JSON and CSV shapes, and the documented exit codes."""
+
+import csv
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from slabel.cli import main
+from slabel.core import sl_value
+from slabel.instances import gen_gnm, read_instance, read_labeling, write_instance
+
+REPO = Path(__file__).resolve().parent.parent
+
+SOLVE_KEYS = {
+    "instance", "nodes", "edges", "method", "primal_value", "dual_bound",
+    "gap_percent", "proven", "time_ms", "labeling",
+}
+BOUND_KEYS = {"instance", "nodes", "edges", "method", "lower_bound", "time_ms"}
+BENCH_HEADER = [
+    "name", "nodes", "edges", "method", "lb", "ub", "gap_percent", "time_ms", "status",
+]
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def gen(capsys, path, *params):
+    code, _, _ = run(capsys, "gen", *params, "-o", path)
+    assert code == 0
+    return path
+
+
+@pytest.fixture
+def gnm_file(tmp_path, capsys):
+    return gen(capsys, tmp_path / "gnm.sl", "--kind", "gnm", "--nodes", 9,
+               "--edges", 16, "--seed", 3)
+
+
+@pytest.fixture
+def non_ascii_file(tmp_path):
+    path = tmp_path / "accent.sl"
+    path.write_bytes("c café\np sl 2 1\ne 1 2\n".encode("utf-8"))
+    return path
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize(
+        "method, params, reported",
+        [
+            ("auto", ("--kind", "gnm", "--nodes", 9, "--edges", 16, "--seed", 3), "bnb"),
+            ("auto", ("--kind", "cycle", "--nodes", 9), "special:cycle"),
+            ("greedy", ("--kind", "tree", "--nodes", 12, "--seed", 1), "greedy"),
+            ("bnb", ("--kind", "gnm", "--nodes", 9, "--edges", 16, "--seed", 3), "bnb"),
+            ("special", ("--kind", "path", "--nodes", 10), "special:path"),
+            ("special", ("--kind", "nary", "--arity", 2, "--depth", 3), "special:nary"),
+            ("oracle", ("--kind", "grid", "--rows", 3, "--cols", 3), "oracle"),
+        ],
+    )
+    def test_gen_solve_check(self, tmp_path, capsys, method, params, reported):
+        inst = gen(capsys, tmp_path / "inst.sl", *params)
+        out_lab = tmp_path / "inst.lab"
+        code, out, _ = run(capsys, "solve", inst, "--method", method, "--json",
+                           "--labeling-out", out_lab)
+        assert code == 0
+        report = json.loads(out)
+        assert report["method"] == reported
+        g = read_instance(inst.read_text(encoding="ascii"))
+        phi = read_labeling(out_lab.read_text(encoding="ascii"), g.n)
+        assert list(phi.labels) == report["labeling"]
+        assert sl_value(g, phi) == report["primal_value"]
+        if report["dual_bound"] is not None:
+            assert report["dual_bound"] <= report["primal_value"]
+        code, out, _ = run(capsys, "check", inst, out_lab)
+        assert code == 0
+        assert out.strip() == f"valid, value {report['primal_value']}"
+
+    def test_methods_agree_on_optimum(self, gnm_file, capsys):
+        values = {}
+        for method in ("bnb", "oracle"):
+            code, out, _ = run(capsys, "solve", gnm_file, "--method", method, "--json")
+            assert code == 0
+            report = json.loads(out)
+            assert report["proven"]
+            values[method] = report["primal_value"]
+        assert values["bnb"] == values["oracle"]
+
+    def test_plain_text_report(self, gnm_file, capsys):
+        code, out, _ = run(capsys, "solve", gnm_file, "--method", "greedy")
+        assert code == 0
+        keys = [line.split(":", 1)[0] for line in out.splitlines()]
+        assert keys == ["instance", "nodes", "edges", "method", "primal_value",
+                        "dual_bound", "gap_percent", "proven", "time_ms"]
+
+
+class TestJsonKeys:
+    @pytest.mark.parametrize("method", ["auto", "greedy", "lagrangian", "bnb", "oracle"])
+    def test_solve_keys(self, gnm_file, capsys, method):
+        code, out, _ = run(capsys, "solve", gnm_file, "--method", method, "--json")
+        assert code == 0
+        assert set(json.loads(out)) == SOLVE_KEYS
+
+    @pytest.mark.parametrize(
+        "method, extra",
+        [
+            ("dual-simple", set()),
+            ("dual-extended", {"net_changes", "alpha_values"}),
+            ("lagrangian", {"iterations", "incumbent", "stop_reason"}),
+        ],
+    )
+    def test_bound_keys(self, gnm_file, capsys, method, extra):
+        code, out, _ = run(capsys, "bound", gnm_file, "--method", method, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == BOUND_KEYS | extra
+        assert report["method"] == method
+
+    def test_greedy_has_no_dual_bound(self, gnm_file, capsys):
+        _, out, _ = run(capsys, "solve", gnm_file, "--method", "greedy", "--json")
+        report = json.loads(out)
+        assert report["dual_bound"] is None and report["gap_percent"] is None
+        assert report["proven"] is False
+
+    def test_solve_lagrangian_bracket_under_time_limit(self, gnm_file, capsys):
+        code, out, _ = run(capsys, "solve", gnm_file, "--method", "lagrangian",
+                           "--time-limit", 0, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["dual_bound"] <= report["primal_value"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["solve", "bound"])
+    def test_missing_instance(self, tmp_path, capsys, command):
+        code, _, err = run(capsys, command, tmp_path / "absent.sl")
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["solve", "bound"])
+    def test_malformed_instance(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.sl"
+        path.write_text("p sl 3 1\ne 1 1\n", encoding="ascii")
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert "self-loop" in err
+
+    @pytest.mark.parametrize("command", ["solve", "bound"])
+    def test_non_ascii_instance(self, non_ascii_file, capsys, command):
+        code, _, err = run(capsys, command, non_ascii_file)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_non_ascii_instance_in_check(self, non_ascii_file, tmp_path, capsys):
+        lab = tmp_path / "two.lab"
+        lab.write_text("1 1\n2 2\n", encoding="ascii")
+        code, _, err = run(capsys, "check", non_ascii_file, lab)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_special_on_general_graph(self, gnm_file, capsys):
+        code, _, err = run(capsys, "solve", gnm_file, "--method", "special")
+        assert code == 2
+        assert "not a path, cycle or perfect n-ary tree" in err
+
+    def test_gen_missing_parameter(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "gnm", "--nodes", "5", "-o", str(tmp_path / "x.sl")])
+        assert exc.value.code == 2
+
+    def test_gen_invalid_parameter(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gen", "--kind", "gnm", "--nodes", 3, "--edges", 9,
+                           "-o", tmp_path / "x.sl")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_oracle_size_refusal(self, tmp_path, capsys):
+        inst = gen(capsys, tmp_path / "big.sl", "--kind", "path", "--nodes", 13)
+        code, _, err = run(capsys, "solve", inst, "--method", "oracle")
+        assert code == 3
+        assert "brute-force limit" in err
+
+    def test_invalid_labeling(self, gnm_file, tmp_path, capsys):
+        lab = tmp_path / "dup.lab"
+        lab.write_text("".join(f"{v} 1\n" for v in range(1, 10)), encoding="ascii")
+        code, out, _ = run(capsys, "check", gnm_file, lab)
+        assert code == 4
+        assert out.startswith("invalid:")
+
+    def test_missing_labeling(self, gnm_file, tmp_path, capsys):
+        code, out, _ = run(capsys, "check", gnm_file, tmp_path / "absent.lab")
+        assert code == 4
+        assert out.startswith("invalid:")
+
+    def test_non_ascii_labeling(self, gnm_file, tmp_path, capsys):
+        lab = tmp_path / "accent.lab"
+        text = "c é\n" + "".join(f"{v} {v}\n" for v in range(1, 10))
+        lab.write_bytes(text.encode("utf-8"))
+        code, out, _ = run(capsys, "check", gnm_file, lab)
+        assert code == 4
+        assert out.startswith("invalid:")
+
+    def test_bench_missing_suite(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "bench", "--suite", tmp_path / "none",
+                         "--out", tmp_path / "out.csv")
+        assert code == 2
+
+    def test_bench_empty_suite(self, tmp_path, capsys):
+        suite = tmp_path / "empty"
+        suite.mkdir()
+        code, _, _ = run(capsys, "bench", "--suite", suite, "--out", tmp_path / "out.csv")
+        assert code == 2
+
+    def test_bench_unknown_method(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "a.sl").write_text(write_instance(gen_gnm(5, 6, 1)), encoding="ascii")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--suite", str(suite), "--out", str(tmp_path / "o.csv"),
+                  "--methods", "greedy,nope"])
+        assert exc.value.code == 2
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="ascii") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        return header, [dict(zip(header, row)) for row in reader]
+
+
+class TestBench:
+    @pytest.fixture
+    def suite(self, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "b-small.sl").write_text(write_instance(gen_gnm(7, 10, 2)), encoding="ascii")
+        (suite / "a-hard.sl").write_text(write_instance(gen_gnm(12, 30, 5)), encoding="ascii")
+        (suite / "c-bad.sl").write_text("p sl 2 1\n", encoding="ascii")
+        (suite / "d-accent.sl").write_bytes("c é\np sl 2 1\ne 1 2\n".encode("utf-8"))
+        return suite
+
+    def test_rows_and_statuses(self, suite, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run(capsys, "bench", "--suite", suite, "--out", out,
+                                "--methods", "greedy,dual-extended,bnb")
+        assert code == 0
+        assert stdout.strip() == f"12 rows -> {out}"
+        header, rows = read_csv(out)
+        assert header == BENCH_HEADER
+        assert [(r["name"], r["method"]) for r in rows] == [
+            (name, method)
+            for name in ("a-hard", "b-small", "c-bad", "d-accent")
+            for method in ("greedy", "dual-extended", "bnb")
+        ]
+        by_key = {(r["name"], r["method"]): r for r in rows}
+        small = by_key[("b-small", "bnb")]
+        assert small["status"] == "ok" and small["lb"] == small["ub"]
+        assert small["gap_percent"] == "0.0000"
+        assert by_key[("b-small", "greedy")]["lb"] == ""
+        assert by_key[("b-small", "dual-extended")]["ub"] == ""
+        for name in ("c-bad", "d-accent"):
+            for method in ("greedy", "dual-extended", "bnb"):
+                row = by_key[(name, method)]
+                assert row["status"] == "error"
+                assert row["nodes"] == row["lb"] == row["ub"] == ""
+                assert f"error: {name}.sl {method}: " in err
+
+    def test_timeouts(self, suite, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "bench", "--suite", suite, "--out", out,
+                         "--methods", "bnb,lagrangian", "--time-limit", 0)
+        assert code == 0
+        _, rows = read_csv(out)
+        by_key = {(r["name"], r["method"]): r for r in rows}
+        for method in ("bnb", "lagrangian"):
+            row = by_key[("a-hard", method)]
+            assert row["status"] == "timeout"
+            assert int(row["lb"]) <= int(row["ub"])
+
+
+def test_benchmark_self_test():
+    """The benchmark harness reads CLI output and library names; its
+    self-test fails if any of them goes missing."""
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "run.py"), "--self-test"],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -108,7 +108,6 @@ class TestFeasibility:
         sol = DualSolution(
             n_labels=g.n,
             alpha=(0,) * g.n,
-            beta=(0,) * g.n,
             gamma=(1,) * g.m,
             edge_last_step=(0,) * g.m,
         )
@@ -123,7 +122,6 @@ class TestFeasibility:
         bumped = DualSolution(
             n_labels=sol.n_labels,
             alpha=sol.alpha,
-            beta=sol.beta,
             gamma=tuple(gamma),
             edge_last_step=sol.edge_last_step,
         )
