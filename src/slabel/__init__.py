@@ -17,7 +17,6 @@ from .dual_ascent import (
     dual_ascent_simple,
 )
 from .exact import (
-    BnBNode,
     BnBResult,
     SearchStats,
     SizeLimitError,

@@ -18,6 +18,9 @@ variable.  A bench row's status is ``ok``, ``timeout`` (the time limit
 stopped the method) or ``error`` (the file or the method failed; stderr
 gets ``error: <file> <method>: <reason>``).
 
+A B&B run of ``solve`` (``bnb``, or ``auto`` falling back to it) adds
+the ``search`` counters of ``exact.SearchStats`` to its report.
+
 Exit codes: 0 success, 2 usage or input error (including unreadable,
 malformed or non-ASCII instance files), 3 size refusal, 4 invalid
 labeling.  JSON output is the stable machine interface; node ids and
@@ -126,8 +129,11 @@ def _lagrangian(g: Graph, time_limit: float | None) -> _Result:
 
 def _bnb(g: Graph, time_limit: float | None) -> _Result:
     res = branch_and_bound(g, time_limit=time_limit)
-    proven = res.stats.proven_optimal
-    return _Result(res.lower_bound, res.upper_bound, res.labeling, proven, not proven)
+    s = res.stats
+    search = {"explored": s.explored, "pruned": s.pruned_by_bound, "bound_calls": s.bound_calls,
+              "cache_hits": s.cache_hits, "open_bound": s.open_bound}
+    return _Result(res.lower_bound, res.upper_bound, res.labeling, s.proven_optimal,
+                   not s.proven_optimal, details={"search": search})
 
 
 def _oracle(g: Graph, time_limit: float | None) -> _Result:
@@ -297,6 +303,8 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "time_ms": elapsed_ms,
         "labeling": list(res.labeling.labels),
     }
+    if "search" in res.details:
+        report["search"] = res.details["search"]
     if args.labeling_out:
         Path(args.labeling_out).write_text(write_labeling(res.labeling), encoding="ascii")
     _emit_report(report, args.json)

@@ -89,91 +89,96 @@ def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
     return solution, z
 
 
-def _enforce_degree_cap(
-    g: Graph, flags: list[bool], degrees: list[int], cap: int
-) -> tuple[list[bool], list[int]]:
-    """Deactivate edges until every active degree is <= cap.
-
-    Nodes are visited in order of their degree at entry (descending, ties
-    by index); at each node the active incident edges are dropped in order
-    of the other endpoint's current degree (descending, ties by edge index).
-    """
-    flags = flags.copy()
-    deg = degrees.copy()
-    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
-    for v in order:
-        if deg[v] <= cap:
-            continue
-        incident = [(x, e) for x, e in g.adjacency[v] if flags[e]]
-        incident.sort(key=lambda t: (-deg[t[0]], t[1]))
-        for x, e in incident:
-            if deg[v] <= cap:
-                break
-            flags[e] = False
-            deg[v] -= 1
-            deg[x] -= 1
-    return flags, deg
-
-
 def dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]:
     """Ascent that may pay less than the maximum degree per step by
     deactivating edges; deactivated edges stop earning in later steps.
 
-    Each step tries every per-label amount up to the current maximum
-    active degree, keeps the one with the largest positive net change
-    (smallest amount on ties), and commits its surviving active set.
+    Each step keeps the per-label amount alpha (1 up to the maximum active
+    degree) with the largest positive net change, surviving active edges
+    minus step * alpha, the smallest alpha on ties, and commits its active
+    set.  Trying alpha visits the nodes in order of their degree at the
+    start of the step (descending, ties by index), up to the first one of
+    degree <= alpha; a node whose current degree d still exceeds alpha
+    drops its first d - alpha active edges in order of the other
+    endpoint's current degree (descending, ties by edge index).
+
+    Alpha runs downwards and a trial wins with a positive net change at
+    least the best so far, so cheap trials set the best early and ties
+    keep the smallest alpha.  Two exact skips: alpha is passed over when
+    floor(sum over v of min(deg_v, alpha) / 2) - step * alpha cannot win
+    (after the cap no degree exceeds alpha), and a trial stops once it
+    has dropped more edges than a winner may.  Each trial is undone from
+    its removal log.
     """
     m = g.m
     if m == 0:
         return _zero_solution(g), 0, []
+    adjacency, edges = g.adjacency, g.edges
     flags = [True] * m
-    degrees = [len(adj) for adj in g.adjacency]
+    deg = [len(adj) for adj in adjacency]
+    active = m
+    # An edge dropped when step s commits was last active in step s - 1.
     last_step = [0] * m
-    step_alphas: list[int] = []
     trace: list[AscentStep] = []
     z = m
     for step in range(1, g.n + 1):
-        delta_active = max(degrees)
-        if delta_active == 0:
-            break
+        # Only nodes of degree > alpha >= 1 are ever visited.
+        ranked = sorted([(-d, v) for v, d in enumerate(deg) if d > 1])
+        order = [v for _, v in ranked]
+        entry = [-d for d, _ in ranked]
         best_net = 0
-        best: tuple[int, list[bool], list[int], int] | None = None
-        for alpha_bar in range(1, delta_active + 1):
-            cand_flags, cand_deg = _enforce_degree_cap(g, flags, degrees, alpha_bar)
-            count = sum(cand_flags)
-            net = count - step * alpha_bar
-            if net > best_net:
-                best_net = net
-                best = (alpha_bar, cand_flags, cand_deg, count)
+        best: tuple[int, list[int]] | None = None
+        capped = 2 * active  # sum over v of min(deg_v, alpha)
+        above = 0  # entry[:above] are > alpha (nodes of degree <= 1 never are)
+        for alpha in range(max(deg), 0, -1):
+            need = max(best_net, 1)
+            # The most edges a trial may remove and still net `need`.
+            budget = active - step * alpha - need
+            if capped // 2 - step * alpha >= need:
+                removed: list[int] = []
+                for v, d in zip(order, entry):
+                    if d <= alpha or len(removed) > budget:
+                        break
+                    excess = deg[v] - alpha
+                    if excess <= 0:
+                        continue
+                    incident = sorted([(-deg[x], e, x) for x, e in adjacency[v] if flags[e]])
+                    for _, e, x in incident[:excess]:
+                        flags[e] = False
+                        deg[x] -= 1
+                        removed.append(e)
+                    deg[v] = alpha
+                if len(removed) <= budget:
+                    best_net = active - len(removed) - step * alpha
+                    best = (alpha, removed)
+                for e in removed:
+                    flags[e] = True
+                    u, v = edges[e]
+                    deg[u] += 1
+                    deg[v] += 1
+            while above < len(entry) and entry[above] >= alpha:
+                above += 1
+            capped -= above
         if best is None:
             break
-        alpha_bar, flags, degrees, count = best
-        step_alphas.append(alpha_bar)
+        alpha, removed = best
+        for e in removed:
+            flags[e] = False
+            last_step[e] = step - 1
+            u, v = edges[e]
+            deg[u] -= 1
+            deg[v] -= 1
+        active -= len(removed)
         z += best_net
-        for e in range(m):
-            if flags[e]:
-                last_step[e] = step
-        trace.append(
-            AscentStep(
-                step=step,
-                alpha_value=alpha_bar,
-                active_edges=count,
-                net_change=best_net,
-                objective=z,
-            )
-        )
-    steps = len(step_alphas)
+        trace.append(AscentStep(step, alpha, active, best_net, z))
+    steps = len(trace)
+    last = tuple(steps if flags[e] else last_step[e] for e in range(m))
     alpha = [0] * g.n
     suffix = 0
     for k in range(steps, 0, -1):
-        suffix += step_alphas[k - 1]
+        suffix += trace[k - 1].alpha_value
         alpha[k - 1] = suffix
-    solution = DualSolution(
-        n_labels=g.n,
-        alpha=tuple(alpha),
-        gamma=tuple(1 + last_step[e] for e in range(m)),
-        edge_last_step=tuple(last_step),
-    )
+    solution = DualSolution(g.n, tuple(alpha), tuple(1 + k for k in last), last)
     return solution, z, trace
 
 

@@ -84,51 +84,46 @@ def brute_force(g: Graph, node_limit: int = 12) -> tuple[int, Labeling]:
     return best_value, Labeling(labels=tuple(best_labels))
 
 
-@dataclass(frozen=True)
-class BnBNode:
-    """Search node: nodes carrying labels 1..k (in label order), the cost
-    already fixed by labeled endpoints, the residual edge set, and a
-    lower bound on any completion."""
-
-    partial: tuple[int, ...]
-    fixed_cost: int
-    residual: frozenset[int]
-    lb: int
-
-    @property
-    def depth(self) -> int:
-        return len(self.partial)
-
-
 @dataclass
 class SearchStats:
+    """Counters of one search: ``bound_calls`` dual-ascent runs,
+    ``cache_hits`` residual bounds found in the cache, and ``open_bound``
+    the smallest bound left open when a limit stopped the search."""
+
     explored: int = 0
     pruned_by_bound: int = 0
-    time_seconds: float = 0.0
+    bound_calls: int = 0
+    cache_hits: int = 0
+    open_bound: int | None = None
     proven_optimal: bool = False
 
 
 class _ResidualBounder:
-    """Dual-ascent bounds on residual graphs, memoized by edge set."""
+    """Dual-ascent bounds on residual graphs, memoized by edge bitmask
+    (bit e set while edge e is residual).  A subgraph lists its edges in
+    ascending index order and renumbers their endpoints in ascending
+    order, so a bound depends on the edge set alone."""
 
-    def __init__(self, g: Graph, cache_limit: int = 400_000) -> None:
+    def __init__(self, g: Graph, stats: SearchStats, cache_limit: int = 400_000) -> None:
         self.g = g
-        self.cache: dict[frozenset[int], int] = {}
+        self.stats = stats
+        self.cache: dict[int, int] = {}
         self.cache_limit = cache_limit
 
-    def dual_bound(self, residual: frozenset[int]) -> int:
+    def dual_bound(self, residual: int) -> int:
         if not residual:
             return 0
         cached = self.cache.get(residual)
         if cached is not None:
+            self.stats.cache_hits += 1
             return cached
-        g = self.g
-        nodes = sorted({v for e in residual for v in g.edges[e]})
+        edges = self.g.edges
+        chosen = [edges[e] for e, bit in enumerate(reversed(bin(residual)[2:])) if bit == "1"]
+        nodes = sorted({v for edge in chosen for v in edge})
         index = {v: i for i, v in enumerate(nodes)}
-        sub = build_graph(
-            len(nodes), [(index[g.edges[e][0]], index[g.edges[e][1]]) for e in residual]
-        )
+        sub = build_graph(len(nodes), [(index[u], index[v]) for u, v in chosen])
         _, bound, _ = dual_ascent_extended(sub)
+        self.stats.bound_calls += 1
         if len(self.cache) >= self.cache_limit:
             self.cache.clear()
         self.cache[residual] = bound
@@ -169,85 +164,66 @@ def branch_and_bound(
     whenever any exist, since moving the next label from a residual-
     isolated vertex onto a residual-non-isolated one never increases the
     objective.  Hitting a limit yields a valid bracket instead of a proof.
+
+    A residual edge set is an int bitmask over edge indices, and
+    ``incident[v]`` masks the edges at v: labeling v leaves the residual
+    ``residual & ~incident[v]`` and fixes ``(residual & incident[v])
+    .bit_count()`` edges at the new label.  Bounds come from
+    ``dual_ascent_extended`` on each residual subgraph, looked up in this
+    module so that a wrapper installed here sees every call.
     """
+    if g.m == 0:
+        return BnBResult(0, 0, _complete_labeling(g, ()), SearchStats(proven_optimal=True))
     start = time.perf_counter()
     stats = SearchStats()
-    if g.m == 0:
-        phi = _complete_labeling(g, ())
-        stats.proven_optimal = True
-        stats.time_seconds = time.perf_counter() - start
-        return BnBResult(0, 0, phi, stats)
-
     best_labeling, incumbent = starting_heuristic(g, incumbent_seed)
-    bounder = _ResidualBounder(g)
-    root_residual = frozenset(range(g.m))
-    root = BnBNode(
-        partial=(),
-        fixed_cost=0,
-        residual=root_residual,
-        lb=bounder.dual_bound(root_residual),
-    )
+    bounder = _ResidualBounder(g, stats)
+    incident = [0] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
+    root_residual = (1 << g.m) - 1
+    # (lb, -depth, insertion counter, labeled nodes in label order, fixed cost, residual)
+    heap = [(bounder.dual_bound(root_residual), 0, 0, (), 0, root_residual)]
     counter = 0
-    heap: list[tuple[int, int, int, BnBNode]] = [(root.lb, 0, counter, root)]
-    hit_limit = False
-    pops = 0
 
+    # A limit breaks out with nodes left open; otherwise the heap runs empty.
     while heap:
         if node_limit is not None and stats.explored >= node_limit:
-            hit_limit = True
             break
-        if time_limit is not None and pops % 64 == 0:
-            if time.perf_counter() - start > time_limit:
-                hit_limit = True
-                break
-        pops += 1
-        lb, _, _, node = heapq.heappop(heap)
+        if time_limit is not None and time.perf_counter() - start > time_limit:
+            break
+        lb, neg_depth, _, partial, fixed_cost, residual = heapq.heappop(heap)
         if lb >= incumbent:
             stats.pruned_by_bound += 1
             continue
         stats.explored += 1
-        depth = node.depth
-        if not node.residual:
-            if node.fixed_cost < incumbent:
-                incumbent = node.fixed_cost
-                best_labeling = _complete_labeling(g, node.partial)
+        if not residual:
+            if fixed_cost < incumbent:
+                incumbent = fixed_cost
+                best_labeling = _complete_labeling(g, partial)
             continue
 
-        residual_degree = [0] * g.n
-        for e in node.residual:
-            u, v = g.edges[e]
-            residual_degree[u] += 1
-            residual_degree[v] += 1
-        labeled = set(node.partial)
-        label = depth + 1
+        # Labeled nodes have no residual edges, so they are never candidates.
+        label = 1 - neg_depth
         for v in range(g.n):
-            if v in labeled or residual_degree[v] == 0:
+            gained = (residual & incident[v]).bit_count()
+            if not gained:
                 continue
-            child_residual = frozenset(
-                e for e in node.residual if v not in g.edges[e]
-            )
-            child_fixed = node.fixed_cost + label * residual_degree[v]
-            child_lb = (
-                child_fixed
-                + label * len(child_residual)
-                + bounder.dual_bound(child_residual)
-            )
+            child_residual = residual & ~incident[v]
+            child_fixed = fixed_cost + label * gained
+            child_lb = (child_fixed + label * child_residual.bit_count()
+                        + bounder.dual_bound(child_residual))
             if child_lb >= incumbent:
                 stats.pruned_by_bound += 1
                 continue
             counter += 1
-            child = BnBNode(
-                partial=node.partial + (v,),
-                fixed_cost=child_fixed,
-                residual=child_residual,
-                lb=child_lb,
+            heapq.heappush(
+                heap,
+                (child_lb, neg_depth - 1, counter, partial + (v,), child_fixed, child_residual),
             )
-            heapq.heappush(heap, (child_lb, -child.depth, counter, child))
 
-    if hit_limit and heap:
-        lower = min(incumbent, heap[0][0])
-    else:
-        lower = incumbent
+    stats.open_bound = heap[0][0] if heap else None
+    lower = incumbent if stats.open_bound is None else min(incumbent, stats.open_bound)
     stats.proven_optimal = lower >= incumbent
-    stats.time_seconds = time.perf_counter() - start
     return BnBResult(lower, incumbent, best_labeling, stats)

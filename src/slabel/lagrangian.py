@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .assignment import hungarian_min
 from .core import Graph, Labeling, enumerate_triangles, sl_value
-from .dual_ascent import dual_ascent_extended
+from .dual_ascent import DualSolution, dual_ascent_extended
 from .heuristics import local_search, starting_heuristic
 
 SCALE = 1 << 20
@@ -48,9 +48,11 @@ class Multipliers:
         return cls(n=g.n, delta=[{} for _ in range(g.m)], triangles=tris)
 
     @classmethod
-    def from_dual_ascent(cls, g: Graph, with_triangles: bool = False) -> "Multipliers":
-        """Initialize the edge multipliers from the extended dual ascent."""
-        dual, _, _ = dual_ascent_extended(g)
+    def from_dual_ascent(cls, g: Graph, with_triangles: bool = False,
+                         dual: DualSolution | None = None) -> "Multipliers":
+        """Initialize the edge multipliers from the extended dual ascent
+        (``dual`` when given)."""
+        dual = dual if dual is not None else dual_ascent_extended(g)[0]
         mult = cls.zeros(g, with_triangles)
         for e in range(g.m):
             last = dual.edge_last_step[e]
@@ -191,8 +193,10 @@ def run_subgradient(
     search heuristic and every assignment solution is improved by local
     search.  The step is the Polyak rule beta * (incumbent - z) / ||g||^2.
     Stops on the iteration limit, a closed gap, a vanishing step size, a
-    vanishing subgradient, or (checked after each iteration, so at least
-    one runs) ``time_limit`` seconds; every stop leaves a valid bracket.
+    vanishing subgradient, or ``time_limit`` seconds, checked once the
+    set-up is done and after each iteration; every stop leaves a valid
+    bracket.  A deadline that passes during the set-up stops before the
+    first iteration, with the warm-start dual-ascent value as the bound.
     """
     start = time.perf_counter()
     params = params or SubgradientParams()
@@ -207,7 +211,8 @@ def run_subgradient(
             stop_reason="edgeless",
         )
 
-    mult = Multipliers.from_dual_ascent(g, with_triangles=params.use_triangles)
+    dual, warm_start, _ = dual_ascent_extended(g)
+    mult = Multipliers.from_dual_ascent(g, with_triangles=params.use_triangles, dual=dual)
     if mult.triangles and len(mult.triangles) * (g.n - 1) > params.triangle_cap:
         warnings.warn(
             f"{len(mult.triangles)} triangles exceed the multiplier cap; "
@@ -217,6 +222,8 @@ def run_subgradient(
         mult = Multipliers(n=g.n, delta=mult.delta)
 
     best_labeling, incumbent = starting_heuristic(g, 0)
+    if time_limit is not None and time.perf_counter() - start >= time_limit:
+        return LagrangianResult(warm_start, incumbent, best_labeling, 0, [], "time")
     lower_bound = 0
     beta = params.beta_init
     non_improving = 0

@@ -20,6 +20,7 @@ SOLVE_KEYS = {
     "instance", "nodes", "edges", "method", "primal_value", "dual_bound",
     "gap_percent", "proven", "time_ms", "labeling",
 }
+SEARCH_KEYS = {"explored", "pruned", "bound_calls", "cache_hits", "open_bound"}
 BOUND_KEYS = {"instance", "nodes", "edges", "method", "lower_bound", "time_ms"}
 BENCH_HEADER = [
     "name", "nodes", "edges", "method", "lb", "ub", "gap_percent", "time_ms", "status",
@@ -105,7 +106,26 @@ class TestJsonKeys:
     def test_solve_keys(self, gnm_file, capsys, method):
         code, out, _ = run(capsys, "solve", gnm_file, "--method", method, "--json")
         assert code == 0
-        assert set(json.loads(out)) == SOLVE_KEYS
+        report = json.loads(out)
+        if method in ("auto", "bnb"):  # auto falls back to B&B on this graph
+            assert set(report) == SOLVE_KEYS | {"search"}
+            search = report["search"]
+            assert set(search) == SEARCH_KEYS
+            assert search["bound_calls"] >= 1
+            assert search["open_bound"] is None
+        else:
+            assert set(report) == SOLVE_KEYS
+
+    def test_search_open_bound_under_time_limit(self, tmp_path, capsys):
+        inst = tmp_path / "hard.sl"
+        inst.write_text(write_instance(gen_gnm(24, 60, 11)), encoding="ascii")
+        code, out, _ = run(capsys, "solve", inst, "--method", "bnb", "--time-limit", 0,
+                           "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert not report["proven"]
+        assert report["dual_bound"] == min(report["search"]["open_bound"],
+                                           report["primal_value"])
 
     @pytest.mark.parametrize(
         "method, extra",

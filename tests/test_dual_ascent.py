@@ -1,9 +1,11 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slabel.core import Labeling, build_graph, sl_value
+from slabel.core import Graph, Labeling, build_graph, max_degree, sl_value
 from slabel.dual_ascent import (
+    AscentStep,
     DualSolution,
     check_dual_feasible,
     dual_ascent_extended,
@@ -12,11 +14,15 @@ from slabel.dual_ascent import (
 from slabel.exact import brute_force
 from slabel.instances import (
     SplitMix64,
+    gen_bipartite,
+    gen_caterpillar,
     gen_cycle,
     gen_gnm,
     gen_grid,
+    gen_lobster,
     gen_path,
     gen_perfect_nary,
+    gen_random_tree,
 )
 
 
@@ -206,3 +212,153 @@ class TestMaxDegreeRefutation:
         assert g.degree(4) == 4
         assert phi.label_of(4) == 7
         assert sl_value(g, phi) == 30 == brute_force(g)[0]
+
+
+# Reference kernel: the extended ascent as first written, which re-sorts
+# every node and every incident edge list for each trial amount.  The
+# production kernel must return exactly what it returns.
+
+
+def _zero_solution(g: Graph) -> DualSolution:
+    return DualSolution(
+        n_labels=g.n,
+        alpha=(0,) * g.n,
+        gamma=(),
+        edge_last_step=(),
+    )
+
+
+def _enforce_degree_cap(
+    g: Graph, flags: list[bool], degrees: list[int], cap: int
+) -> tuple[list[bool], list[int]]:
+    """Deactivate edges until every active degree is <= cap.
+
+    Nodes are visited in order of their degree at entry (descending, ties
+    by index); at each node the active incident edges are dropped in order
+    of the other endpoint's current degree (descending, ties by edge index).
+    """
+    flags = flags.copy()
+    deg = degrees.copy()
+    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
+    for v in order:
+        if deg[v] <= cap:
+            continue
+        incident = [(x, e) for x, e in g.adjacency[v] if flags[e]]
+        incident.sort(key=lambda t: (-deg[t[0]], t[1]))
+        for x, e in incident:
+            if deg[v] <= cap:
+                break
+            flags[e] = False
+            deg[v] -= 1
+            deg[x] -= 1
+    return flags, deg
+
+
+def reference_dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]:
+    """Ascent that may pay less than the maximum degree per step by
+    deactivating edges; deactivated edges stop earning in later steps.
+
+    Each step tries every per-label amount up to the current maximum
+    active degree, keeps the one with the largest positive net change
+    (smallest amount on ties), and commits its surviving active set.
+    """
+    m = g.m
+    if m == 0:
+        return _zero_solution(g), 0, []
+    flags = [True] * m
+    degrees = [len(adj) for adj in g.adjacency]
+    last_step = [0] * m
+    step_alphas: list[int] = []
+    trace: list[AscentStep] = []
+    z = m
+    for step in range(1, g.n + 1):
+        delta_active = max(degrees)
+        if delta_active == 0:
+            break
+        best_net = 0
+        best: tuple[int, list[bool], list[int], int] | None = None
+        for alpha_bar in range(1, delta_active + 1):
+            cand_flags, cand_deg = _enforce_degree_cap(g, flags, degrees, alpha_bar)
+            count = sum(cand_flags)
+            net = count - step * alpha_bar
+            if net > best_net:
+                best_net = net
+                best = (alpha_bar, cand_flags, cand_deg, count)
+        if best is None:
+            break
+        alpha_bar, flags, degrees, count = best
+        step_alphas.append(alpha_bar)
+        z += best_net
+        for e in range(m):
+            if flags[e]:
+                last_step[e] = step
+        trace.append(
+            AscentStep(
+                step=step,
+                alpha_value=alpha_bar,
+                active_edges=count,
+                net_change=best_net,
+                objective=z,
+            )
+        )
+    steps = len(step_alphas)
+    alpha = [0] * g.n
+    suffix = 0
+    for k in range(steps, 0, -1):
+        suffix += step_alphas[k - 1]
+        alpha[k - 1] = suffix
+    solution = DualSolution(
+        n_labels=g.n,
+        alpha=tuple(alpha),
+        gamma=tuple(1 + last_step[e] for e in range(m)),
+        edge_last_step=tuple(last_step),
+    )
+    return solution, z, trace
+
+
+@st.composite
+def shuffled_graphs(draw, max_nodes=12):
+    """Any simple graph on at most max_nodes nodes, its edges in any order
+    (edge indices drive the kernel's tie-breaks)."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    chosen = draw(st.permutations([pair for pair, k in zip(pairs, keep) if k]))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return build_graph(n, [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)])
+
+
+class TestAgainstReferenceKernel:
+    def test_every_graph_up_to_five_nodes(self):
+        checked = 0
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                assert dual_ascent_extended(g) == reference_dual_ascent_extended(g)
+                checked += 1
+        assert checked == 1 + 2 + 8 + 64 + 1024
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_graphs())
+    def test_random_graphs_up_to_twelve_nodes(self, g):
+        assert dual_ascent_extended(g) == reference_dual_ascent_extended(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen_gnm(40, 100, 3),
+            gen_gnm(30, 200, 8),
+            gen_random_tree(60, 4),
+            gen_caterpillar(25, 0.6, 2),
+            gen_lobster(20, 0.7, 0.5, 1),
+            gen_bipartite(20, 25, 0.15, 6),
+            gen_grid(6, 8),
+            gen_perfect_nary(3, 3),
+            gen_path(50),
+            gen_cycle(51),
+        ],
+        ids=lambda g: f"n{g.n}-m{g.m}-maxdeg{max_degree(g)}",
+    )
+    def test_generator_families(self, g):
+        assert dual_ascent_extended(g) == reference_dual_ascent_extended(g)

@@ -1,6 +1,6 @@
 from slabel.core import sl_value
 from slabel.dual_ascent import dual_ascent_extended
-from slabel.instances import gen_gnm, gen_path
+from slabel.instances import gen_gnm, gen_path, gen_random_tree
 from slabel.lagrangian import SubgradientParams, run_subgradient
 
 
@@ -20,13 +20,22 @@ class TestSubgradient:
         assert res.trace
         assert min(rec.relaxation_value for rec in res.trace) >= 0
 
-    def test_time_limit_zero_runs_one_iteration(self):
+    def test_time_limit_zero_runs_no_iteration(self):
         g = gen_gnm(12, 30, 5)
         res = run_subgradient(g, SubgradientParams(max_iter=50), time_limit=0)
-        assert res.iterations == 1 and len(res.trace) == 1
+        assert res.iterations == 0 and res.trace == []
         assert res.stop_reason == "time"
         assert res.lower_bound <= res.incumbent_value
         assert res.incumbent_value == sl_value(g, res.best_labeling)
+
+    def test_time_limit_zero_skips_iterations_on_large_tree(self):
+        # One iteration on this tree takes seconds; the deadline is checked
+        # after the set-up, so none runs and the bound is the warm start.
+        g = gen_random_tree(300, 1)
+        res = run_subgradient(g, time_limit=0)
+        assert res.iterations == 0 and res.stop_reason == "time"
+        assert res.lower_bound == dual_ascent_extended(g)[1]
+        assert res.lower_bound <= res.incumbent_value == sl_value(g, res.best_labeling)
 
     def test_no_time_limit_runs_to_iteration_limit(self):
         res = run_subgradient(gen_gnm(12, 30, 5), SubgradientParams(max_iter=5))
