@@ -51,7 +51,7 @@ from .lagrangian import (
     solve_d_subproblem,
     solve_x_subproblem,
 )
-from .assignment import hungarian_min, hungarian_min_with_potentials
+from .assignment import hungarian_min
 from .special_graphs import (
     Structure,
     StructureKind,

@@ -6,24 +6,25 @@ exactness is preserved for arbitrarily large (scaled) integer costs.
 
 from __future__ import annotations
 
+import time
 from typing import Sequence
 
 
-def hungarian_min_with_potentials(
-    costs: Sequence[Sequence[int]],
-) -> tuple[list[int], int, list[int], list[int]]:
-    """Minimum-cost perfect assignment plus the final dual potentials.
+def hungarian_min(
+    costs: Sequence[Sequence[int]], deadline: float | None = None
+) -> tuple[list[int], int] | None:
+    """Minimum-cost perfect assignment: perm[i] = column of row i, and the
+    minimal total cost.  Deterministic for equal inputs.
 
-    Returns (perm, total, u, v) where perm[i] is the column assigned to
-    row i, total is the minimal cost, and the potentials satisfy
-    u[i] + v[j] <= costs[i][j] with equality on matched pairs.
+    ``deadline`` is a ``time.perf_counter()`` value; the clock is read
+    before each row, and once the deadline has passed the result is None.
     """
     n = len(costs)
     for row in costs:
         if len(row) != n:
             raise ValueError("cost matrix must be square")
     if n == 0:
-        return [], 0, [], []
+        return [], 0
     big = max(abs(c) for row in costs for c in row) * (n + 1) + 1
 
     # 1-based arrays; p[j] is the row currently matched to column j.
@@ -32,6 +33,8 @@ def hungarian_min_with_potentials(
     p = [0] * (n + 1)
     way = [0] * (n + 1)
     for i in range(1, n + 1):
+        if deadline is not None and time.perf_counter() >= deadline:
+            return None
         p[0] = i
         j0 = 0
         minv = [big] * (n + 1)
@@ -68,12 +71,4 @@ def hungarian_min_with_potentials(
     perm = [0] * n
     for j in range(1, n + 1):
         perm[p[j] - 1] = j - 1
-    total = sum(costs[i][perm[i]] for i in range(n))
-    return perm, total, u[1:], v[1:]
-
-
-def hungarian_min(costs: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """Minimum-cost perfect assignment: perm[i] = column of row i, and the
-    minimal total cost.  Deterministic for equal inputs."""
-    perm, total, _, _ = hungarian_min_with_potentials(costs)
-    return perm, total
+    return perm, sum(costs[i][perm[i]] for i in range(n))

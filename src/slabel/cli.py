@@ -50,7 +50,7 @@ from .instances import (
     write_instance,
     write_labeling,
 )
-from .lagrangian import SubgradientParams, run_subgradient
+from .lagrangian import run_subgradient
 from .special_graphs import (
     StructureKind,
     detect_structure,
@@ -102,7 +102,7 @@ class _Result:
 
 
 def _greedy(g: Graph, time_limit: float | None) -> _Result:
-    labeling, value = starting_heuristic(g, 0)
+    labeling, value = starting_heuristic(g)
     return _Result(ub=value, labeling=labeling)
 
 
@@ -119,7 +119,7 @@ def _dual_extended(g: Graph, time_limit: float | None) -> _Result:
 
 
 def _lagrangian(g: Graph, time_limit: float | None) -> _Result:
-    res = run_subgradient(g, SubgradientParams(), time_limit=time_limit)
+    res = run_subgradient(g, time_limit=time_limit)
     lb, ub = res.lower_bound, res.incumbent_value
     return _Result(lb, ub, res.best_labeling, proven=lb == ub,
                    timed_out=res.stop_reason == "time",

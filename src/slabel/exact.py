@@ -98,17 +98,19 @@ class SearchStats:
     proven_optimal: bool = False
 
 
+CACHE_LIMIT = 400_000  # residual bounds kept before the cache is cleared
+
+
 class _ResidualBounder:
     """Dual-ascent bounds on residual graphs, memoized by edge bitmask
     (bit e set while edge e is residual).  A subgraph lists its edges in
     ascending index order and renumbers their endpoints in ascending
     order, so a bound depends on the edge set alone."""
 
-    def __init__(self, g: Graph, stats: SearchStats, cache_limit: int = 400_000) -> None:
+    def __init__(self, g: Graph, stats: SearchStats) -> None:
         self.g = g
         self.stats = stats
         self.cache: dict[int, int] = {}
-        self.cache_limit = cache_limit
 
     def dual_bound(self, residual: int) -> int:
         if not residual:
@@ -124,7 +126,7 @@ class _ResidualBounder:
         sub = build_graph(len(nodes), [(index[u], index[v]) for u, v in chosen])
         _, bound, _ = dual_ascent_extended(sub)
         self.stats.bound_calls += 1
-        if len(self.cache) >= self.cache_limit:
+        if len(self.cache) >= CACHE_LIMIT:
             self.cache.clear()
         self.cache[residual] = bound
         return bound
@@ -154,7 +156,6 @@ def branch_and_bound(
     g: Graph,
     time_limit: float | None = None,
     node_limit: int | None = None,
-    incumbent_seed: int = 0,
 ) -> BnBResult:
     """Best-first branch-and-bound (lowest bound first, deeper first on
     ties, then insertion order).
@@ -176,7 +177,7 @@ def branch_and_bound(
         return BnBResult(0, 0, _complete_labeling(g, ()), SearchStats(proven_optimal=True))
     start = time.perf_counter()
     stats = SearchStats()
-    best_labeling, incumbent = starting_heuristic(g, incumbent_seed)
+    best_labeling, incumbent = starting_heuristic(g)
     bounder = _ResidualBounder(g, stats)
     incident = [0] * g.n
     for e, (u, v) in enumerate(g.edges):

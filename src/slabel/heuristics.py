@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 from .core import Graph, Labeling, sl_value
-from .instances import SplitMix64
 
 
-def greedy_label(g: Graph, tie_seed: int = 0) -> tuple[Labeling, int]:
+def greedy_label(g: Graph) -> tuple[Labeling, int]:
     """Label a maximum-residual-degree node with the smallest unused label,
     remove it, repeat.
 
-    Ties are broken by lowest node index when tie_seed is 0, otherwise
-    uniformly via a SplitMix64 stream seeded with tie_seed.  Returns the
-    labeling and its objective value.
+    Ties go to the lowest node index.  Returns the labeling and its
+    objective value.
     """
-    rng = SplitMix64(tie_seed) if tie_seed != 0 else None
     residual_degree = [len(adj) for adj in g.adjacency]
     labeled = [False] * g.n
     labels = [0] * g.n
@@ -23,13 +20,6 @@ def greedy_label(g: Graph, tie_seed: int = 0) -> tuple[Labeling, int]:
         for v in range(g.n):
             if not labeled[v] and (best < 0 or residual_degree[v] > residual_degree[best]):
                 best = v
-        if rng is not None:
-            ties = [
-                v
-                for v in range(g.n)
-                if not labeled[v] and residual_degree[v] == residual_degree[best]
-            ]
-            best = ties[rng.below(len(ties))]
         labels[best] = k
         labeled[best] = True
         for x, _ in g.adjacency[best]:
@@ -92,7 +82,7 @@ def local_search(g: Graph, phi: Labeling) -> tuple[Labeling, int]:
     return result, value
 
 
-def starting_heuristic(g: Graph, tie_seed: int = 0) -> tuple[Labeling, int]:
+def starting_heuristic(g: Graph) -> tuple[Labeling, int]:
     """Greedy construction followed by local search."""
-    phi, _ = greedy_label(g, tie_seed)
+    phi, _ = greedy_label(g)
     return local_search(g, phi)

@@ -91,15 +91,6 @@ def gen_perfect_nary(arity: int, depth: int) -> Graph:
     return build_graph(total, edges)
 
 
-def nary_depths(arity: int, depth: int) -> list[int]:
-    """Depth of each BFS-ordered node of gen_perfect_nary(arity, depth)."""
-    depths = []
-    for level in range(depth + 1):
-        count = arity**level
-        depths.extend([level] * count)
-    return depths
-
-
 def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform-ish random graph with exactly m distinct edges.
 

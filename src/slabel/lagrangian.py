@@ -1,12 +1,13 @@
 """Lagrangian relaxation of the label-assignment formulation.
 
-The per-(edge, label) linking constraints (and optionally the triangle
-inequalities over the label prefixes 1..t) are moved into the objective
-with nonnegative multipliers.  For fixed multipliers the relaxation
-splits into a maximum assignment problem over the node-label variables
-and an independent smallest-coefficient pick per edge; a subgradient
-method maximizes the resulting lower bound while every assignment is
-recycled into a feasible labeling for the upper bound.
+The per-(edge, label) linking constraints and the triangle inequalities
+over the label prefixes 1..t (up to TRIANGLE_CAP multipliers) are moved
+into the objective with nonnegative multipliers.  For fixed multipliers
+the relaxation splits into a maximum assignment problem over the
+node-label variables and an independent smallest-coefficient pick per
+edge; a subgradient method maximizes the resulting lower bound while
+every assignment is recycled into a feasible labeling for the upper
+bound.
 
 Multipliers are held in fixed point with denominator 2**20 so that all
 assignment costs stay integral and bounds stay exact.
@@ -14,7 +15,6 @@ assignment costs stay integral and bounds stay exact.
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -26,6 +26,12 @@ from .dual_ascent import DualSolution, dual_ascent_extended
 from .heuristics import local_search, starting_heuristic
 
 SCALE = 1 << 20
+BETA_INIT = 2.0  # initial step factor of the Polyak rule
+TAU = 7  # non-improving iterations after which beta halves
+STOP_MU = 1e-5  # stop once the step size falls below this
+# Triangle multipliers are dropped, with a warning, when triangles * (n - 1)
+# prefix multipliers would exceed this many.
+TRIANGLE_CAP = 10**6
 
 Triangle = tuple[tuple[int, int, int], tuple[int, int, int]]
 
@@ -96,10 +102,15 @@ def _x_coefficients_scaled(g: Graph, m: Multipliers) -> list[list[int]]:
     return coeff
 
 
-def _solve_x_scaled(g: Graph, m: Multipliers) -> tuple[Labeling, int]:
+def _solve_x_scaled(
+    g: Graph, m: Multipliers, deadline: float | None = None
+) -> tuple[Labeling, int] | None:
     coeff = _x_coefficients_scaled(g, m)
     costs = [[-c for c in row] for row in coeff]
-    perm, total = hungarian_min(costs)
+    solved = hungarian_min(costs, deadline)
+    if solved is None:
+        return None
+    perm, total = solved
     labels = tuple(perm[i] + 1 for i in range(g.n))
     return Labeling(labels=labels), -total
 
@@ -147,14 +158,7 @@ def solve_d_subproblem(g: Graph, m: Multipliers) -> tuple[list[int], Fraction]:
 
 @dataclass(frozen=True)
 class SubgradientParams:
-    beta_init: float = 2.0
-    tau: int = 7
     max_iter: int = 500
-    stop_gap: float = 1.0
-    stop_mu: float = 1e-5
-    stop_gnorm: float = 1e-6
-    use_triangles: bool = True
-    triangle_cap: int = 10**6
 
 
 @dataclass(frozen=True)
@@ -192,13 +196,14 @@ def run_subgradient(
     multipliers from zero; the incumbent starts from the greedy-plus-local-
     search heuristic and every assignment solution is improved by local
     search.  The step is the Polyak rule beta * (incumbent - z) / ||g||^2.
-    Stops on the iteration limit, a closed gap, a vanishing step size, a
-    vanishing subgradient, or ``time_limit`` seconds, checked once the
-    set-up is done and after each iteration; every stop leaves a valid
-    bracket.  A deadline that passes during the set-up stops before the
-    first iteration, with the warm-start dual-ascent value as the bound.
+    Stops on the iteration limit, a closed gap, a zero subgradient, a step
+    size below STOP_MU, or ``time_limit`` seconds.  The assignment solver
+    reads the clock before each of its rows, so a passed deadline stops
+    the run inside an iteration; that iteration is dropped, and the bound
+    is the best of the finished iterations and the warm-start dual-ascent
+    value.  Every stop leaves a valid bracket.
     """
-    start = time.perf_counter()
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     params = params or SubgradientParams()
     if g.m == 0:
         phi = Labeling(labels=tuple(range(1, g.n + 1)))
@@ -212,8 +217,8 @@ def run_subgradient(
         )
 
     dual, warm_start, _ = dual_ascent_extended(g)
-    mult = Multipliers.from_dual_ascent(g, with_triangles=params.use_triangles, dual=dual)
-    if mult.triangles and len(mult.triangles) * (g.n - 1) > params.triangle_cap:
+    mult = Multipliers.from_dual_ascent(g, with_triangles=True, dual=dual)
+    if len(mult.triangles) * (g.n - 1) > TRIANGLE_CAP:
         warnings.warn(
             f"{len(mult.triangles)} triangles exceed the multiplier cap; "
             "triangle inequalities disabled",
@@ -221,19 +226,22 @@ def run_subgradient(
         )
         mult = Multipliers(n=g.n, delta=mult.delta)
 
-    best_labeling, incumbent = starting_heuristic(g, 0)
-    if time_limit is not None and time.perf_counter() - start >= time_limit:
-        return LagrangianResult(warm_start, incumbent, best_labeling, 0, [], "time")
+    best_labeling, incumbent = starting_heuristic(g)
     lower_bound = 0
-    beta = params.beta_init
+    beta = BETA_INIT
     non_improving = 0
     trace: list[IterationRecord] = []
     stop_reason = "iterations"
     iterations = 0
 
     for t in range(1, params.max_iter + 1):
+        x_solved = _solve_x_scaled(g, mult, deadline)
+        if x_solved is None:
+            stop_reason = "time"
+            lower_bound = max(lower_bound, warm_start)
+            break
         iterations = t
-        x_lab, x_scaled = _solve_x_scaled(g, mult)
+        x_lab, x_scaled = x_solved
         d_choice, d_scaled = _solve_d_scaled(g, mult)
         z_r_scaled = d_scaled - x_scaled - mult.lambda_sum_scaled()
         z_r = z_r_scaled / SCALE
@@ -249,17 +257,16 @@ def run_subgradient(
             best_labeling = ls_lab
 
         norm2, edge_updates, tri_updates = _subgradient(g, mult, x_lab, d_choice)
-        gnorm = math.sqrt(norm2)
 
         mu = 0.0
         stop = None
-        if incumbent - lower_bound < params.stop_gap:
+        if lower_bound >= incumbent:
             stop = "gap"
-        elif gnorm < params.stop_gnorm:
+        elif norm2 == 0:
             stop = "gnorm"
         else:
             mu = beta * (incumbent - z_r) / norm2
-            if mu < params.stop_mu:
+            if mu < STOP_MU:
                 stop = "mu"
 
         trace.append(
@@ -272,9 +279,6 @@ def run_subgradient(
                 step_size=mu,
             )
         )
-        if stop is None and time_limit is not None:
-            if time.perf_counter() - start >= time_limit:
-                stop = "time"
         if stop is not None:
             stop_reason = stop
             break
@@ -297,7 +301,7 @@ def run_subgradient(
             non_improving = 0
         else:
             non_improving += 1
-            if non_improving >= params.tau:
+            if non_improving >= TAU:
                 beta /= 2.0
                 non_improving = 0
 

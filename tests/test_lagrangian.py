@@ -1,5 +1,11 @@
+import time
+
+import pytest
+
+from slabel import lagrangian
 from slabel.core import sl_value
 from slabel.dual_ascent import dual_ascent_extended
+from slabel.exact import brute_force
 from slabel.instances import gen_gnm, gen_path, gen_random_tree
 from slabel.lagrangian import SubgradientParams, run_subgradient
 
@@ -36,6 +42,25 @@ class TestSubgradient:
         assert res.iterations == 0 and res.stop_reason == "time"
         assert res.lower_bound == dual_ascent_extended(g)[1]
         assert res.lower_bound <= res.incumbent_value == sl_value(g, res.best_labeling)
+
+    def test_deadline_stops_inside_an_iteration(self):
+        # One iteration on this tree takes seconds, so the deadline passes
+        # inside the assignment solver, which then gives up.
+        g = gen_random_tree(300, 1)
+        started = time.perf_counter()
+        res = run_subgradient(g, time_limit=0.5)
+        assert time.perf_counter() - started < 1.5
+        assert res.stop_reason == "time"
+        assert res.lower_bound >= dual_ascent_extended(g)[1]
+        assert res.lower_bound <= res.incumbent_value == sl_value(g, res.best_labeling)
+
+    def test_triangle_cap_falls_back_to_edge_multipliers(self, monkeypatch):
+        g = gen_gnm(12, 30, 5)
+        monkeypatch.setattr(lagrangian, "TRIANGLE_CAP", 0)
+        with pytest.warns(UserWarning, match="triangle"):
+            res = run_subgradient(g, SubgradientParams(max_iter=50))
+        assert res.lower_bound <= brute_force(g)[0] <= res.incumbent_value
+        assert res.incumbent_value == sl_value(g, res.best_labeling)
 
     def test_no_time_limit_runs_to_iteration_limit(self):
         res = run_subgradient(gen_gnm(12, 30, 5), SubgradientParams(max_iter=5))

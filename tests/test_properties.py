@@ -27,7 +27,7 @@ def graphs(draw, max_nodes=8):
 @given(graphs())
 def test_dual_ascent_brackets_optimum(g):
     opt, _ = brute_force(g)
-    phi, ub = starting_heuristic(g, 0)
+    phi, ub = starting_heuristic(g)
     assert ub == sl_value(g, phi)
     assert dual_ascent_simple(g)[1] <= opt <= ub
     assert dual_ascent_extended(g)[1] <= opt
