@@ -39,7 +39,6 @@ from .instances import (
     gen_random_tree,
     read_instance,
     read_labeling,
-    read_matrix_market_pattern,
     write_instance,
     write_labeling,
 )

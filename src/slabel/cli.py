@@ -42,6 +42,7 @@ from .dual_ascent import dual_ascent_extended, dual_ascent_simple
 from .exact import SizeLimitError, branch_and_bound, brute_force
 from .heuristics import starting_heuristic
 from .instances import (
+    GENERATORS,
     InstanceFormatError,
     InstanceSpec,
     KINDS,
@@ -64,20 +65,16 @@ EXIT_USAGE = 2
 EXIT_SIZE = 3
 EXIT_INVALID_LABELING = 4
 
-_GEN_PARAMS = {
-    "path": ("nodes",),
-    "cycle": ("nodes",),
-    "grid": ("rows", "cols"),
-    "nary": ("arity", "depth"),
-    "gnm": ("nodes", "edges", "seed"),
-    "tree": ("nodes", "seed"),
-    "caterpillar": ("backbone", "p1", "seed"),
-    "lobster": ("backbone", "p1", "p2", "seed"),
-    "bipartite": ("n1", "n2", "prob", "seed"),
+# The gen option of every generator parameter, "seed" last; only n, m and
+# p are spelled differently on the command line.
+_RENAMED = {"n": "nodes", "m": "edges", "p": "prob"}
+_GEN_OPTIONS = {
+    name: _RENAMED.get(name, name)
+    for name in sorted(
+        dict.fromkeys(name for _, names in GENERATORS.values() for name in names),
+        key=lambda name: name == "seed",
+    )
 }
-
-_GEN_OPTIONS = ("nodes", "edges", "rows", "cols", "arity", "depth", "backbone",
-                "p1", "p2", "n1", "n2", "prob", "seed")
 
 BENCH_METHODS = ("greedy", "dual-simple", "dual-extended", "lagrangian", "bnb")
 
@@ -197,8 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--kind", required=True, choices=KINDS)
-    for name in _GEN_OPTIONS:
-        gen.add_argument(f"--{name}", type=float if name in ("p1", "p2", "prob") else int)
+    for name, option in _GEN_OPTIONS.items():
+        gen.add_argument(f"--{option}", dest=name, metavar=option.upper(),
+                         type=float if name in ("p1", "p2", "p") else int)
     gen.add_argument("-o", "--output", required=True)
 
     solve = sub.add_parser("solve", help="solve an instance")
@@ -232,20 +230,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _gen_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -> InstanceSpec:
-    wanted = _GEN_PARAMS[args.kind]
-    given = {
-        name: getattr(args, name) for name in _GEN_OPTIONS if getattr(args, name) is not None
-    }
+    wanted = GENERATORS[args.kind][1]
+    given = {name: v for name in _GEN_OPTIONS if (v := getattr(args, name)) is not None}
     for name in wanted:
         if name not in given and name != "seed":
-            parser.error(f"--kind {args.kind} requires --{name}")
+            parser.error(f"--kind {args.kind} requires --{_GEN_OPTIONS[name]}")
     for name in given:
         if name not in wanted:
-            parser.error(f"--{name} does not apply to --kind {args.kind}")
+            parser.error(f"--{_GEN_OPTIONS[name]} does not apply to --kind {args.kind}")
     seed = given.pop("seed", 0)
-    rename = {"nodes": "n", "edges": "m", "prob": "p"}
-    params = {rename.get(k, k): v for k, v in given.items()}
-    return InstanceSpec(kind=args.kind, params=params, seed=seed)
+    return InstanceSpec(kind=args.kind, params=given, seed=seed)
 
 
 def _load(path: str | Path, parse, *args):

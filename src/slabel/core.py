@@ -8,7 +8,6 @@ label.  Nodes are 0-indexed internally; labels run from 1 to n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 
@@ -76,22 +75,9 @@ class Labeling:
                 raise ValueError(f"label {lab} used more than once")
             seen[lab] = True
 
-    @cached_property
-    def inverse(self) -> tuple[int, ...]:
-        inv = [0] * len(self.labels)
-        for v, lab in enumerate(self.labels):
-            inv[lab - 1] = v
-        return tuple(inv)
-
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def label_of(self, v: int) -> int:
-        return self.labels[v]
-
-    def node_of(self, label: int) -> int:
-        return self.inverse[label - 1]
 
 
 def sl_value(g: Graph, phi: Labeling) -> int:

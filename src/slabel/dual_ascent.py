@@ -31,9 +31,6 @@ class DualSolution:
     gamma: tuple[int, ...]
     edge_last_step: tuple[int, ...]
 
-    def delta(self, edge: int, k: int) -> int:
-        return max(0, self.edge_last_step[edge] - k + 1)
-
     def objective(self) -> int:
         return sum(self.gamma) - sum(self.alpha)
 

@@ -175,9 +175,9 @@ def branch_and_bound(
     """
     if g.m == 0:
         return BnBResult(0, 0, _complete_labeling(g, ()), SearchStats(proven_optimal=True))
-    start = time.perf_counter()
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     stats = SearchStats()
-    best_labeling, incumbent = starting_heuristic(g)
+    best_labeling, incumbent = starting_heuristic(g, deadline)
     bounder = _ResidualBounder(g, stats)
     incident = [0] * g.n
     for e, (u, v) in enumerate(g.edges):
@@ -192,7 +192,7 @@ def branch_and_bound(
     while heap:
         if node_limit is not None and stats.explored >= node_limit:
             break
-        if time_limit is not None and time.perf_counter() - start > time_limit:
+        if deadline is not None and time.perf_counter() > deadline:
             break
         lb, neg_depth, _, partial, fixed_cost, residual = heapq.heappop(heap)
         if lb >= incumbent:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 from .core import Graph, Labeling, sl_value
 
 
@@ -28,7 +30,7 @@ def greedy_label(g: Graph) -> tuple[Labeling, int]:
     return phi, sl_value(g, phi)
 
 
-def local_search(g: Graph, phi: Labeling) -> tuple[Labeling, int]:
+def local_search(g: Graph, phi: Labeling, deadline: float | None = None) -> tuple[Labeling, int]:
     """Improve a labeling by exchanging label pairs until locally optimal.
 
     One sweep visits labels k = 1..n; for the node i holding label k only
@@ -36,7 +38,7 @@ def local_search(g: Graph, phi: Labeling) -> tuple[Labeling, int]:
     where maxContribLabel is the largest contribution among i's incident
     edges.  The first strictly improving exchange (exact swap delta) is
     applied and the sweep moves on; sweeps repeat until one finds no
-    improvement.
+    improvement or would start after ``deadline`` (a ``perf_counter`` time).
     """
     labels = list(phi.labels)
     inverse = [0] * g.n
@@ -46,7 +48,7 @@ def local_search(g: Graph, phi: Labeling) -> tuple[Labeling, int]:
     value = sl_value(g, phi)
 
     improved = True
-    while improved:
+    while improved and (deadline is None or time.perf_counter() < deadline):
         improved = False
         for k in range(1, g.n + 1):
             i = inverse[k - 1]
@@ -82,7 +84,7 @@ def local_search(g: Graph, phi: Labeling) -> tuple[Labeling, int]:
     return result, value
 
 
-def starting_heuristic(g: Graph) -> tuple[Labeling, int]:
-    """Greedy construction followed by local search."""
+def starting_heuristic(g: Graph, deadline: float | None = None) -> tuple[Labeling, int]:
+    """Greedy construction followed by local search (up to ``deadline``)."""
     phi, _ = greedy_label(g)
-    return local_search(g, phi)
+    return local_search(g, phi, deadline)

@@ -1,5 +1,7 @@
 """Deterministic instance generation and instance/labeling file I/O.
 
+``GENERATORS`` is the catalogue of generator kinds: each kind's function
+and argument names, read by ``InstanceSpec.generate`` and ``slabel gen``.
 All randomness flows through SplitMix64 so that a given (parameters, seed)
 pair produces the same graph on every platform.  Random draws are consumed
 in the documented left-to-right order of each generator.
@@ -8,7 +10,7 @@ in the documented left-to-right order of each generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .core import Graph, Labeling, build_graph
 
@@ -163,20 +165,15 @@ def _backbone_length(rng: SplitMix64, expected: int) -> int:
 
 def gen_caterpillar(expected_backbone: int, p1: float, seed: int) -> Graph:
     """Backbone path of random capped-geometric length; each backbone node
-    independently gets one leaf with probability p1 (backbone order)."""
-    if expected_backbone < 1:
-        raise ValueError(f"expected backbone must be >= 1, got {expected_backbone}")
-    if not 0.0 <= p1 <= 1.0:
+    independently gets one leaf with probability p1 (backbone order).
+
+    This is a lobster with p2 = 0: its extra draws come after these and
+    never add an edge.
+    """
+    # The lobster checks the backbone first, and names both probabilities.
+    if expected_backbone >= 1 and not 0.0 <= p1 <= 1.0:
         raise ValueError(f"probability p1 must lie in [0, 1], got {p1}")
-    rng = SplitMix64(seed)
-    length = _backbone_length(rng, expected_backbone)
-    edges = [(i, i + 1) for i in range(length - 1)]
-    next_node = length
-    for i in range(length):
-        if rng.unit() < p1:
-            edges.append((i, next_node))
-            next_node += 1
-    return build_graph(next_node, edges)
+    return gen_lobster(expected_backbone, p1, 0.0, seed)
 
 
 def gen_lobster(expected_backbone: int, p1: float, p2: float, seed: int) -> Graph:
@@ -219,17 +216,21 @@ def gen_bipartite(n1: int, n2: int, p: float, seed: int) -> Graph:
     return build_graph(n1 + n2, edges)
 
 
-KINDS = (
-    "path",
-    "cycle",
-    "nary",
-    "grid",
-    "gnm",
-    "tree",
-    "caterpillar",
-    "lobster",
-    "bipartite",
-)
+# Every generator kind: its function and argument names.  "seed" is the
+# InstanceSpec seed; the other names are keys of InstanceSpec.params.
+GENERATORS: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
+    "path": (gen_path, ("n",)),
+    "cycle": (gen_cycle, ("n",)),
+    "nary": (gen_perfect_nary, ("arity", "depth")),
+    "grid": (gen_grid, ("rows", "cols")),
+    "gnm": (gen_gnm, ("n", "m", "seed")),
+    "tree": (gen_random_tree, ("n", "seed")),
+    "caterpillar": (gen_caterpillar, ("backbone", "p1", "seed")),
+    "lobster": (gen_lobster, ("backbone", "p1", "p2", "seed")),
+    "bipartite": (gen_bipartite, ("n1", "n2", "p", "seed")),
+}
+
+KINDS = tuple(GENERATORS)
 
 
 @dataclass(frozen=True)
@@ -241,30 +242,15 @@ class InstanceSpec:
     seed: int = 0
 
     def generate(self) -> Graph:
-        p = self.params
-        if self.kind == "path":
-            return gen_path(p["n"])
-        if self.kind == "cycle":
-            return gen_cycle(p["n"])
-        if self.kind == "nary":
-            return gen_perfect_nary(p["arity"], p["depth"])
-        if self.kind == "grid":
-            return gen_grid(p["rows"], p["cols"])
-        if self.kind == "gnm":
-            return gen_gnm(p["n"], p["m"], self.seed)
-        if self.kind == "tree":
-            return gen_random_tree(p["n"], self.seed)
-        if self.kind == "caterpillar":
-            return gen_caterpillar(p["backbone"], p["p1"], self.seed)
-        if self.kind == "lobster":
-            return gen_lobster(p["backbone"], p["p1"], p["p2"], self.seed)
-        if self.kind == "bipartite":
-            return gen_bipartite(p["n1"], p["n2"], p["p"], self.seed)
-        raise ValueError(f"unknown instance kind {self.kind!r}")
+        if self.kind not in GENERATORS:
+            raise ValueError(f"unknown instance kind {self.kind!r}")
+        generator, names = GENERATORS[self.kind]
+        args = {**self.params, "seed": self.seed}
+        return generator(*(args[name] for name in names))
 
 
 class InstanceFormatError(ValueError):
-    """Raised for malformed instance, labeling, or matrix files."""
+    """Raised for malformed instance or labeling files."""
 
 
 def write_instance(g: Graph) -> str:
@@ -369,62 +355,3 @@ def read_labeling(text: str, n: int) -> Labeling:
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
 
-
-def read_matrix_market_pattern(text: str) -> Graph:
-    """Off-diagonal nonzero pattern of a coordinate MatrixMarket matrix as
-    an undirected graph; duplicates merged, diagonal dropped."""
-    lines = text.splitlines()
-    if not lines:
-        raise InstanceFormatError("empty matrix file")
-    header = lines[0].split()
-    if (
-        len(header) < 3
-        or header[0] != "%%MatrixMarket"
-        or header[1].lower() != "matrix"
-    ):
-        raise InstanceFormatError("missing %%MatrixMarket matrix header")
-    if header[2].lower() != "coordinate":
-        raise InstanceFormatError(
-            f"unsupported format {header[2]!r}: only coordinate matrices are supported"
-        )
-    body = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip() and not line.lstrip().startswith("%")
-    ]
-    if not body:
-        raise InstanceFormatError("missing size line")
-    lineno, size_line = body[0]
-    parts = size_line.split()
-    if len(parts) != 3:
-        raise InstanceFormatError(f"line {lineno}: malformed size line")
-    try:
-        rows, cols, nnz = (int(x) for x in parts)
-    except ValueError:
-        raise InstanceFormatError(f"line {lineno}: non-integer size entry") from None
-    if rows != cols:
-        raise InstanceFormatError(f"matrix is {rows}x{cols}, expected square")
-    if len(body) - 1 != nnz:
-        raise InstanceFormatError(
-            f"size line promises {nnz} entries, found {len(body) - 1}"
-        )
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in body[1:]:
-        parts = line.split()
-        if len(parts) < 2:
-            raise InstanceFormatError(f"line {lineno}: malformed entry")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InstanceFormatError(f"line {lineno}: non-integer index") from None
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise InstanceFormatError(f"line {lineno}: index out of range")
-        if i == j:
-            continue
-        u, v = (i - 1, j - 1) if i < j else (j - 1, i - 1)
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        edges.append((u, v))
-    return build_graph(rows, edges)

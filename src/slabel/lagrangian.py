@@ -49,25 +49,15 @@ class Multipliers:
     lam: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @classmethod
-    def zeros(cls, g: Graph, with_triangles: bool = False) -> "Multipliers":
-        tris = tuple(enumerate_triangles(g)) if with_triangles else ()
-        return cls(n=g.n, delta=[{} for _ in range(g.m)], triangles=tris)
-
-    @classmethod
     def from_dual_ascent(cls, g: Graph, with_triangles: bool = False,
                          dual: DualSolution | None = None) -> "Multipliers":
         """Initialize the edge multipliers from the extended dual ascent
         (``dual`` when given)."""
         dual = dual if dual is not None else dual_ascent_extended(g)[0]
-        mult = cls.zeros(g, with_triangles)
-        for e in range(g.m):
-            last = dual.edge_last_step[e]
-            for k in range(1, last + 1):
-                mult.delta[e][k] = (last - k + 1) * SCALE
-        return mult
-
-    def lambda_sum_scaled(self) -> int:
-        return sum(self.lam.values())
+        delta = [{k: (last - k + 1) * SCALE for k in range(1, last + 1)}
+                 for last in dual.edge_last_step]
+        tris = tuple(enumerate_triangles(g)) if with_triangles else ()
+        return cls(n=g.n, delta=delta, triangles=tris)
 
 
 def _triangle_suffixes(m: Multipliers) -> dict[int, list[int]]:
@@ -201,7 +191,8 @@ def run_subgradient(
     reads the clock before each of its rows, so a passed deadline stops
     the run inside an iteration; that iteration is dropped, and the bound
     is the best of the finished iterations and the warm-start dual-ascent
-    value.  Every stop leaves a valid bracket.
+    value.  Local search reads it before each sweep and keeps the labeling
+    it has reached.  Every stop leaves a valid bracket.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     params = params or SubgradientParams()
@@ -226,7 +217,7 @@ def run_subgradient(
         )
         mult = Multipliers(n=g.n, delta=mult.delta)
 
-    best_labeling, incumbent = starting_heuristic(g)
+    best_labeling, incumbent = starting_heuristic(g, deadline)
     lower_bound = 0
     beta = BETA_INIT
     non_improving = 0
@@ -243,7 +234,7 @@ def run_subgradient(
         iterations = t
         x_lab, x_scaled = x_solved
         d_choice, d_scaled = _solve_d_scaled(g, mult)
-        z_r_scaled = d_scaled - x_scaled - mult.lambda_sum_scaled()
+        z_r_scaled = d_scaled - x_scaled - sum(mult.lam.values())
         z_r = z_r_scaled / SCALE
         improved = False
         candidate = max(0, _ceil_div(z_r_scaled, SCALE))
@@ -251,7 +242,7 @@ def run_subgradient(
             lower_bound = candidate
             improved = True
 
-        ls_lab, ls_val = local_search(g, x_lab)
+        ls_lab, ls_val = local_search(g, x_lab, deadline)
         if ls_val < incumbent:
             incumbent = ls_val
             best_labeling = ls_lab

@@ -27,23 +27,6 @@ class Structure:
     root: int | None = None
 
 
-def _connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for x, _ in g.adjacency[v]:
-            if not seen[x]:
-                seen[x] = True
-                count += 1
-                stack.append(x)
-    return count == g.n
-
-
 def _bfs_depths(g: Graph, root: int) -> list[int]:
     depth = [-1] * g.n
     depth[root] = 0
@@ -92,14 +75,14 @@ def detect_structure(g: Graph) -> Structure:
     A path that is also a perfect 1-ary tree is reported as a path.
     """
     degrees = [g.degree(v) for v in range(g.n)]
-    if g.n >= 2 and g.m == g.n - 1 and _connected(g):
+    if g.n >= 2 and g.m == g.n - 1 and -1 not in _bfs_depths(g, 0):
         if max(degrees) <= 2 and degrees.count(1) == 2:
             return Structure(kind=StructureKind.PATH)
         nary = _nary_structure(g)
         if nary is not None:
             return nary
         return Structure(kind=StructureKind.OTHER)
-    if g.n >= 3 and g.m == g.n and all(d == 2 for d in degrees) and _connected(g):
+    if g.n >= 3 and g.m == g.n and all(d == 2 for d in degrees) and -1 not in _bfs_depths(g, 0):
         return Structure(kind=StructureKind.CYCLE)
     return Structure(kind=StructureKind.OTHER)
 

@@ -12,7 +12,14 @@ import pytest
 
 from slabel.cli import main
 from slabel.core import sl_value
-from slabel.instances import gen_gnm, read_instance, read_labeling, write_instance
+from slabel.instances import (
+    KINDS,
+    InstanceSpec,
+    gen_gnm,
+    read_instance,
+    read_labeling,
+    write_instance,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -50,6 +57,75 @@ def non_ascii_file(tmp_path):
     path = tmp_path / "accent.sl"
     path.write_bytes("c café\np sl 2 1\ne 1 2\n".encode("utf-8"))
     return path
+
+
+# One gen call per generator kind, and the spec it must reproduce.
+GEN_CASES = {
+    "path": (("--nodes", 9), InstanceSpec("path", {"n": 9})),
+    "cycle": (("--nodes", 8), InstanceSpec("cycle", {"n": 8})),
+    "nary": (("--arity", 3, "--depth", 2), InstanceSpec("nary", {"arity": 3, "depth": 2})),
+    "grid": (("--rows", 3, "--cols", 4), InstanceSpec("grid", {"rows": 3, "cols": 4})),
+    "gnm": (("--nodes", 20, "--edges", 35, "--seed", 5),
+            InstanceSpec("gnm", {"n": 20, "m": 35}, seed=5)),
+    "tree": (("--nodes", 17, "--seed", 6), InstanceSpec("tree", {"n": 17}, seed=6)),
+    "caterpillar": (("--backbone", 7, "--p1", 0.5, "--seed", 7),
+                    InstanceSpec("caterpillar", {"backbone": 7, "p1": 0.5}, seed=7)),
+    "lobster": (("--backbone", 7, "--p1", 0.5, "--p2", 0.5, "--seed", 8),
+                InstanceSpec("lobster", {"backbone": 7, "p1": 0.5, "p2": 0.5}, seed=8)),
+    "bipartite": (("--n1", 6, "--n2", 5, "--prob", 0.4, "--seed", 9),
+                  InstanceSpec("bipartite", {"n1": 6, "n2": 5, "p": 0.4}, seed=9)),
+}
+
+
+class TestGen:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_writes_the_generated_instance(self, tmp_path, capsys, kind):
+        options, spec = GEN_CASES[kind]
+        path = tmp_path / "inst.sl"
+        code, out, err = run(capsys, "gen", "--kind", kind, *options, "-o", path)
+        assert code == 0 and err == ""
+        g = spec.generate()
+        assert path.read_text(encoding="ascii") == write_instance(g)
+        assert out == f"{g.n} nodes, {g.m} edges -> {path}\n"
+
+    def test_seed_defaults_to_zero(self, tmp_path, capsys):
+        path = gen(capsys, tmp_path / "inst.sl", "--kind", "tree", "--nodes", 12)
+        expected = InstanceSpec("tree", {"n": 12}, seed=0).generate()
+        assert path.read_text(encoding="ascii") == write_instance(expected)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (("--kind", "gnm", "--nodes", 5), "--kind gnm requires --edges"),
+            (("--kind", "bipartite", "--n1", 2, "--n2", 2),
+             "--kind bipartite requires --prob"),
+            (("--kind", "path", "--nodes", 5, "--prob", 0.5),
+             "--prob does not apply to --kind path"),
+            (("--kind", "grid", "--rows", 2, "--cols", 2, "--seed", 1),
+             "--seed does not apply to --kind grid"),
+        ],
+    )
+    def test_parameter_usage_errors(self, tmp_path, capsys, options, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", *map(str, options), "-o", str(tmp_path / "x.sl")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (("--kind", "caterpillar", "--backbone", 3, "--p1", 1.5),
+             "probability p1 must lie in [0, 1], got 1.5"),
+            (("--kind", "caterpillar", "--backbone", 0, "--p1", 1.5),
+             "expected backbone must be >= 1, got 0"),
+            (("--kind", "lobster", "--backbone", 3, "--p1", 0.5, "--p2", 2),
+             "probabilities must lie in [0, 1], got 0.5, 2.0"),
+        ],
+    )
+    def test_generator_errors(self, tmp_path, capsys, options, message):
+        code, _, err = run(capsys, "gen", *options, "-o", tmp_path / "x.sl")
+        assert code == 2
+        assert err == f"error: {message}\n"
 
 
 class TestRoundTrip:
@@ -312,3 +388,18 @@ def test_benchmark_self_test():
         cwd=REPO, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_traced_benchmark_finds_every_layer():
+    """A traced run reports a probe whose library name is gone under
+    ``absent_layers`` and only zeroes its metric, so the self-test alone
+    does not notice it."""
+    script = (
+        "import json, sys; sys.path.insert(0, 'perfbench'); import run; "
+        "_, report = run.measure('prove-small', 0, 0.0, True, smoke=True); "
+        "print(json.dumps(report['absent_layers']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -210,7 +210,7 @@ class TestMaxDegreeRefutation:
         g = gen_grid(3, 3)
         phi = Labeling(labels=(5, 1, 6, 2, 7, 3, 8, 4, 9))
         assert g.degree(4) == 4
-        assert phi.label_of(4) == 7
+        assert phi.labels[4] == 7
         assert sl_value(g, phi) == 30 == brute_force(g)[0]
 
 

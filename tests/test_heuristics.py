@@ -1,6 +1,10 @@
+import time
 from itertools import permutations
 
+import pytest
+
 from slabel.core import Labeling, build_graph, exchange_delta, sl_value
+from slabel.exact import branch_and_bound
 from slabel.heuristics import greedy_label, local_search, starting_heuristic
 from slabel.instances import (
     InstanceSpec,
@@ -8,7 +12,9 @@ from slabel.instances import (
     gen_gnm,
     gen_grid,
     gen_path,
+    gen_random_tree,
 )
+from slabel.lagrangian import run_subgradient
 
 GRID_OPT = Labeling(labels=(5, 1, 6, 2, 7, 3, 8, 4, 9))
 
@@ -25,21 +31,21 @@ def enumerate_optimum(g):
 def assert_locally_optimal(g, phi):
     # no exchange among the eligible pairs of the sweep rule improves
     for k in range(1, g.n + 1):
-        i = phi.node_of(k)
+        i = phi.labels.index(k)
         max_contrib = max(
-            (min(k, phi.label_of(x)) for x, _ in g.adjacency[i]), default=0
+            (min(k, phi.labels[x]) for x, _ in g.adjacency[i]), default=0
         )
         for kp in range(1, min(k, max_contrib) + 1):
             if kp == k:
                 continue
-            assert exchange_delta(g, phi, i, phi.node_of(kp)) >= 0
+            assert exchange_delta(g, phi, i, phi.labels.index(kp)) >= 0
 
 
 class TestGreedy:
     def test_star_center_first(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         phi, value = greedy_label(g)
-        assert phi.label_of(0) == 1
+        assert phi.labels[0] == 1
         assert value == 3
 
     def test_k3_matches_enumeration(self):
@@ -103,6 +109,12 @@ class TestLocalSearch:
             assert value == sl_value(g, phi)
             assert_locally_optimal(g, phi)
 
+    def test_passed_deadline_runs_no_sweep(self):
+        g = gen_path(3)
+        start = Labeling(labels=(1, 2, 3))
+        phi, value = local_search(g, start, deadline=time.perf_counter())
+        assert phi == start and value == sl_value(g, start)
+
 
 class TestStartingHeuristic:
     def test_grid_at_least_optimum(self):
@@ -131,3 +143,24 @@ class TestStartingHeuristic:
             _, greedy_value = greedy_label(g)
             _, value = starting_heuristic(g)
             assert value <= greedy_value
+
+
+def _bnb(g, time_limit):
+    res = branch_and_bound(g, time_limit=time_limit)
+    return res.lower_bound, res.upper_bound, res.labeling
+
+
+def _lagrangian(g, time_limit):
+    res = run_subgradient(g, time_limit=time_limit)
+    return res.lower_bound, res.incumbent_value, res.best_labeling
+
+
+@pytest.mark.parametrize("solve", [_bnb, _lagrangian])
+def test_time_limit_covers_the_starting_local_search(solve):
+    # Local search on the greedy labeling of this tree takes about 1 s; it
+    # reads the deadline before each sweep, so the solver stops soon after.
+    g = gen_random_tree(1000, 1)
+    started = time.perf_counter()
+    lb, ub, phi = solve(g, 0.1)
+    assert time.perf_counter() - started < 1.0
+    assert 0 <= lb <= ub == sl_value(g, phi)

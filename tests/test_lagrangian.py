@@ -35,8 +35,9 @@ class TestSubgradient:
         assert res.incumbent_value == sl_value(g, res.best_labeling)
 
     def test_time_limit_zero_skips_iterations_on_large_tree(self):
-        # One iteration on this tree takes seconds; the deadline is checked
-        # after the set-up, so none runs and the bound is the warm start.
+        # One iteration on this tree takes seconds; with no time left the
+        # assignment solver gives up at its first row, so none runs and the
+        # bound is the warm start.
         g = gen_random_tree(300, 1)
         res = run_subgradient(g, time_limit=0)
         assert res.iterations == 0 and res.stop_reason == "time"
