@@ -10,7 +10,7 @@ labeling checks, and CSV benchmarking.
     bench  any of greedy, dual-simple, dual-extended, lagrangian, bnb on
            every file of a suite directory, one CSV row per file and method
 
-``--time-limit`` (seconds; ``solve`` and ``bench``) bounds ``bnb``,
+``--time-limit`` (seconds, or ``inf``; ``solve`` and ``bench``) bounds ``bnb``,
 ``lagrangian`` and the ``bnb`` fall-back of ``auto``; every other method,
 and ``bound``, runs to completion.  ``bench`` runs one call after another
 in this process: there is no thread pool and no ``SLAB_THREADS``
@@ -184,6 +184,19 @@ def _run(method: str, g: Graph, time_limit: float | None) -> tuple[_Result, floa
     return result, round((time.perf_counter() - started) * 1000.0, 3)
 
 
+def _seconds(text: str) -> float:
+    """The argparse type of ``--time-limit``: zero or more seconds, or
+    ``inf``.  NaN is rejected, since each solver would read it its own way."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative number of seconds, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slabel",
@@ -203,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--method", default="auto", choices=(
         "auto", "greedy", "lagrangian", "bnb", "special", "oracle"))
-    solve.add_argument("--time-limit", type=float, default=60.0)
+    solve.add_argument("--time-limit", type=_seconds, default=60.0)
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--labeling-out", help="write the labeling to this file")
 
@@ -220,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a suite and emit CSV")
     bench.add_argument("--suite", required=True)
     bench.add_argument("--out", required=True)
-    bench.add_argument("--time-limit", type=float, default=60.0)
+    bench.add_argument("--time-limit", type=_seconds, default=60.0)
     bench.add_argument(
         "--methods",
         default=",".join(BENCH_METHODS),

@@ -98,11 +98,7 @@ def exchange_delta(g: Graph, phi: Labeling, i: int, j: int) -> int:
         raise ValueError("exchange_delta requires two distinct nodes")
     if len(phi.labels) != g.n:
         raise ValueError(f"labeling has {len(phi.labels)} entries for {g.n} nodes")
-    return _swap_delta(g.adjacency, phi.labels, i, j)
-
-
-def _swap_delta(adjacency, labels, i: int, j: int) -> int:
-    """exchange_delta on raw label storage (list or tuple)."""
+    adjacency, labels = g.adjacency, phi.labels
     a = labels[i]
     b = labels[j]
     delta = 0

@@ -46,15 +46,6 @@ class AscentStep:
     objective: int
 
 
-def _zero_solution(g: Graph) -> DualSolution:
-    return DualSolution(
-        n_labels=g.n,
-        alpha=(0,) * g.n,
-        gamma=(),
-        edge_last_step=(),
-    )
-
-
 def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
     """Uniform ascent: every step raises all gamma_e by one and pays the
     maximum degree on every label level up to the step index.
@@ -63,8 +54,6 @@ def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
     the objective, so the bound is m + sum of the positive net changes.
     """
     m = g.m
-    if m == 0:
-        return _zero_solution(g), 0
     delta_max = max_degree(g)
     z = m
     steps = 0
@@ -108,8 +97,6 @@ def dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]
     its removal log.
     """
     m = g.m
-    if m == 0:
-        return _zero_solution(g), 0, []
     adjacency, edges = g.adjacency, g.edges
     flags = [True] * m
     deg = [len(adj) for adj in adjacency]

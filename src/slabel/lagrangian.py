@@ -9,8 +9,9 @@ edge; a subgradient method maximizes the resulting lower bound while
 every assignment is recycled into a feasible labeling for the upper
 bound.
 
-Multipliers are held in fixed point with denominator 2**20 so that all
-assignment costs stay integral and bounds stay exact.
+Multipliers are held in fixed point with denominator SCALE = 2**20 so
+that all assignment costs stay integral and bounds stay exact; both
+subproblem solvers return their values times SCALE.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import Iterator
 
 from .assignment import hungarian_min
-from .core import Graph, Labeling, enumerate_triangles, sl_value
+from .core import Graph, Labeling, enumerate_triangles
 from .dual_ascent import DualSolution, dual_ascent_extended
 from .heuristics import local_search, starting_heuristic
 
@@ -38,81 +39,69 @@ Triangle = tuple[tuple[int, int, int], tuple[int, int, int]]
 
 @dataclass
 class Multipliers:
-    """Nonnegative multipliers: per-(edge, label) and per-(triangle, prefix).
-
-    Stored sparsely as fixed-point integers (multiples of 1/2**20).
-    """
+    """Nonnegative multipliers of the relaxed rows, as sparse dicts of
+    fixed-point integers (multiples of 1/SCALE; a missing key is zero):
+    ``delta[e][k]`` for the linking row of edge e and label k, and
+    ``lam[ti][t]`` for prefix t of ``triangles[ti]``."""
 
     n: int
     delta: list[dict[int, int]]
     triangles: tuple[Triangle, ...] = ()
-    lam: dict[tuple[int, int], int] = field(default_factory=dict)
+    lam: list[dict[int, int]] = field(default_factory=list)
 
     @classmethod
     def from_dual_ascent(cls, g: Graph, with_triangles: bool = False,
                          dual: DualSolution | None = None) -> "Multipliers":
         """Initialize the edge multipliers from the extended dual ascent
-        (``dual`` when given)."""
+        (``dual`` when given) and the triangle multipliers at zero."""
         dual = dual if dual is not None else dual_ascent_extended(g)[0]
         delta = [{k: (last - k + 1) * SCALE for k in range(1, last + 1)}
                  for last in dual.edge_last_step]
         tris = tuple(enumerate_triangles(g)) if with_triangles else ()
-        return cls(n=g.n, delta=delta, triangles=tris)
+        return cls(n=g.n, delta=delta, triangles=tris, lam=[{} for _ in tris])
 
 
-def _triangle_suffixes(m: Multipliers) -> dict[int, list[int]]:
-    """suffix[ti][k] = sum of lam over prefixes t >= k, for triangles with
-    any nonzero multiplier."""
-    per_triangle: dict[int, dict[int, int]] = {}
-    for (ti, t), val in m.lam.items():
-        per_triangle.setdefault(ti, {})[t] = val
-    suffixes: dict[int, list[int]] = {}
-    for ti, vals in per_triangle.items():
-        suffix = [0] * (m.n + 2)
-        for k in range(m.n, 0, -1):
-            suffix[k] = suffix[k + 1] + vals.get(k, 0)
-        suffixes[ti] = suffix
-    return suffixes
+def _triangle_suffixes(m: Multipliers) -> Iterator[tuple[Triangle, list[int]]]:
+    """(triangle, suffix) for every triangle with a nonzero multiplier;
+    suffix[k] is the sum of its multipliers over the prefixes t >= k."""
+    for tri, lam in zip(m.triangles, m.lam):
+        if lam:
+            suffix = [0] * (m.n + 2)
+            for k in range(m.n, 0, -1):
+                suffix[k] = suffix[k + 1] + lam.get(k, 0)
+            yield tri, suffix
 
 
-def _x_coefficients_scaled(g: Graph, m: Multipliers) -> list[list[int]]:
-    coeff = [[0] * g.n for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        for k, val in m.delta[e].items():
-            coeff[u][k - 1] += val
-            coeff[v][k - 1] += val
-    if m.lam:
-        suffixes = _triangle_suffixes(m)
-        for ti, suffix in suffixes.items():
-            nodes, _ = m.triangles[ti]
-            for i in nodes:
-                row = coeff[i]
-                for k in range(1, g.n + 1):
-                    row[k - 1] += suffix[k]
-    return coeff
-
-
-def _solve_x_scaled(
+def solve_x_subproblem(
     g: Graph, m: Multipliers, deadline: float | None = None
 ) -> tuple[Labeling, int] | None:
-    coeff = _x_coefficients_scaled(g, m)
-    costs = [[-c for c in row] for row in coeff]
+    """Maximum-value assignment of labels to nodes under the multiplier
+    coefficients: the assignment as a Labeling and its value times SCALE.
+    None once ``deadline`` (a ``time.perf_counter()`` value) has passed."""
+    costs = [[0] * g.n for _ in range(g.n)]  # negated: hungarian_min minimizes
+    for e, (u, v) in enumerate(g.edges):
+        for k, val in m.delta[e].items():
+            costs[u][k - 1] -= val
+            costs[v][k - 1] -= val
+    for (nodes, _), suffix in _triangle_suffixes(m):
+        for i in nodes:
+            row = costs[i]
+            for k in range(g.n):
+                row[k] -= suffix[k + 1]
     solved = hungarian_min(costs, deadline)
     if solved is None:
         return None
     perm, total = solved
-    labels = tuple(perm[i] + 1 for i in range(g.n))
-    return Labeling(labels=labels), -total
+    return Labeling(labels=tuple(col + 1 for col in perm)), -total
 
 
-def _solve_d_scaled(g: Graph, m: Multipliers) -> tuple[list[int], int]:
+def solve_d_subproblem(g: Graph, m: Multipliers) -> tuple[list[int], int]:
+    """Per edge, the cheapest label level (smallest level on ties), and the
+    total of the per-edge minima times SCALE."""
     tri_at_edge: dict[int, list[list[int]]] = {}
-    if m.lam:
-        suffixes = _triangle_suffixes(m)
-        for ti, suffix in suffixes.items():
-            _, edges = m.triangles[ti]
-            for e in edges:
-                tri_at_edge.setdefault(e, []).append(suffix)
+    for (_, edges), suffix in _triangle_suffixes(m):
+        for e in edges:
+            tri_at_edge.setdefault(e, []).append(suffix)
     choices = []
     total = 0
     for e in range(g.m):
@@ -130,20 +119,6 @@ def _solve_d_scaled(g: Graph, m: Multipliers) -> tuple[list[int], int]:
         choices.append(best_k)
         total += best_cost
     return choices, total
-
-
-def solve_x_subproblem(g: Graph, m: Multipliers) -> tuple[Labeling, Fraction]:
-    """Maximum-value assignment of labels to nodes under the multiplier
-    coefficients; returns the assignment as a Labeling and its value."""
-    phi, scaled = _solve_x_scaled(g, m)
-    return phi, Fraction(scaled, SCALE)
-
-
-def solve_d_subproblem(g: Graph, m: Multipliers) -> tuple[list[int], Fraction]:
-    """Per edge, the cheapest label level (smallest level on ties) and the
-    total of the per-edge minima."""
-    choices, scaled = _solve_d_scaled(g, m)
-    return choices, Fraction(scaled, SCALE)
 
 
 @dataclass(frozen=True)
@@ -169,10 +144,6 @@ class LagrangianResult:
     iterations: int
     trace: list[IterationRecord]
     stop_reason: str
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def run_subgradient(
@@ -226,18 +197,18 @@ def run_subgradient(
     iterations = 0
 
     for t in range(1, params.max_iter + 1):
-        x_solved = _solve_x_scaled(g, mult, deadline)
+        x_solved = solve_x_subproblem(g, mult, deadline)
         if x_solved is None:
             stop_reason = "time"
             lower_bound = max(lower_bound, warm_start)
             break
         iterations = t
         x_lab, x_scaled = x_solved
-        d_choice, d_scaled = _solve_d_scaled(g, mult)
-        z_r_scaled = d_scaled - x_scaled - sum(mult.lam.values())
+        d_choice, d_scaled = solve_d_subproblem(g, mult)
+        z_r_scaled = d_scaled - x_scaled - sum(sum(lam.values()) for lam in mult.lam)
         z_r = z_r_scaled / SCALE
         improved = False
-        candidate = max(0, _ceil_div(z_r_scaled, SCALE))
+        candidate = max(0, -(-z_r_scaled // SCALE))  # ceil(z_r), exactly
         if candidate > lower_bound:
             lower_bound = candidate
             improved = True
@@ -247,7 +218,7 @@ def run_subgradient(
             incumbent = ls_val
             best_labeling = ls_lab
 
-        norm2, edge_updates, tri_updates = _subgradient(g, mult, x_lab, d_choice)
+        norm2, updates = _subgradient(g, mult, x_lab, d_choice)
 
         mu = 0.0
         stop = None
@@ -275,18 +246,12 @@ def run_subgradient(
             break
 
         step_scaled = round(mu * SCALE)
-        for e, k, gval in edge_updates:
-            new = max(0, mult.delta[e].get(k, 0) - step_scaled * gval)
+        for store, key, gval in updates:
+            new = max(0, store.get(key, 0) - step_scaled * gval)
             if new:
-                mult.delta[e][k] = new
+                store[key] = new
             else:
-                mult.delta[e].pop(k, None)
-        for ti, tt, gval in tri_updates:
-            new = max(0, mult.lam.get((ti, tt), 0) - step_scaled * gval)
-            if new:
-                mult.lam[(ti, tt)] = new
-            else:
-                mult.lam.pop((ti, tt), None)
+                store.pop(key, None)
 
         if improved:
             non_improving = 0
@@ -308,15 +273,16 @@ def run_subgradient(
 
 def _subgradient(
     g: Graph, m: Multipliers, x_lab: Labeling, d_choice: list[int]
-) -> tuple[int, list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+) -> tuple[int, list[tuple[dict[int, int], int, int]]]:
     """Full subgradient (constraint slack) of the current relaxation.
 
-    Returns its squared norm plus the component lists that can actually
-    move a multiplier: stored entries, and zero entries pushed upward.
+    Returns its squared norm plus the components that can actually move a
+    multiplier, stored entries and zero entries pushed upward, each as
+    (the multiplier's dict in ``m``, its key, the component).
     """
     labels = x_lab.labels
     norm2 = 0
-    edge_updates: list[tuple[int, int, int]] = []
+    updates: list[tuple[dict[int, int], int, int]] = []
     for e, (u, v) in enumerate(g.edges):
         gvals: dict[int, int] = {}
         gvals[labels[u]] = gvals.get(labels[u], 0) + 1
@@ -329,24 +295,21 @@ def _subgradient(
                 continue
             norm2 += gval * gval
             if gval < 0 or stored.get(k, 0) > 0:
-                edge_updates.append((e, k, gval))
+                updates.append((stored, k, gval))
 
-    tri_updates: list[tuple[int, int, int]] = []
-    if m.triangles:
-        lam = m.lam
-        for ti, (nodes, edges) in enumerate(m.triangles):
-            node_labels = sorted(labels[i] for i in nodes)
-            edge_levels = sorted(d_choice[e] for e in edges)
-            xi = di = 0
-            for t in range(1, g.n):
-                while xi < 3 and node_labels[xi] <= t:
-                    xi += 1
-                while di < 3 and edge_levels[di] <= t:
-                    di += 1
-                gval = 1 + xi - di
-                if gval == 0:
-                    continue
-                norm2 += gval * gval
-                if gval < 0 or lam.get((ti, t), 0) > 0:
-                    tri_updates.append((ti, t, gval))
-    return norm2, edge_updates, tri_updates
+    for (nodes, edges), lam in zip(m.triangles, m.lam):
+        node_labels = sorted(labels[i] for i in nodes)
+        edge_levels = sorted(d_choice[e] for e in edges)
+        xi = di = 0
+        for t in range(1, g.n):
+            while xi < 3 and node_labels[xi] <= t:
+                xi += 1
+            while di < 3 and edge_levels[di] <= t:
+                di += 1
+            gval = 1 + xi - di
+            if gval == 0:
+                continue
+            norm2 += gval * gval
+            if gval < 0 or lam.get(t, 0) > 0:
+                updates.append((lam, t, gval))
+    return norm2, updates

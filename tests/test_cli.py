@@ -322,6 +322,27 @@ class TestExitCodes:
                   "--methods", "greedy,nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "-inf", "soon"])
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_bad_time_limit(self, gnm_file, tmp_path, capsys, command, value):
+        # Each solver would read NaN its own way: B&B and the assignment
+        # solver as no limit, local search as no time for a sweep.
+        argv = {"solve": ["solve", str(gnm_file)],
+                "bench": ["bench", "--suite", str(gnm_file.parent),
+                          "--out", str(tmp_path / "o.csv")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--time-limit={value}"])
+        assert exc.value.code == 2
+        assert "nonnegative number of seconds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_infinite_time_limit(self, gnm_file, tmp_path, capsys, command):
+        argv = {"solve": ["solve", gnm_file, "--method", "lagrangian"],
+                "bench": ["bench", "--suite", gnm_file.parent, "--out", tmp_path / "o.csv",
+                          "--methods", "lagrangian"]}[command]
+        code, _, _ = run(capsys, *argv, "--time-limit", "inf")
+        assert code == 0
+
 
 def read_csv(path):
     with open(path, newline="", encoding="ascii") as handle:

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -6,7 +7,7 @@ from slabel import lagrangian
 from slabel.core import sl_value
 from slabel.dual_ascent import dual_ascent_extended
 from slabel.exact import brute_force
-from slabel.instances import gen_gnm, gen_path, gen_random_tree
+from slabel.instances import gen_bipartite, gen_gnm, gen_path, gen_random_tree
 from slabel.lagrangian import SubgradientParams, run_subgradient
 
 
@@ -71,3 +72,39 @@ class TestSubgradient:
         res = run_subgradient(gen_path(6))
         assert res.stop_reason == "gap"
         assert res.lower_bound == res.incumbent_value
+
+
+def _trajectory_digest(res) -> str:
+    lines = [
+        f"{r.iteration} {r.relaxation_value!r} {r.lower_bound} {r.incumbent} "
+        f"{r.beta!r} {r.step_size!r}"
+        for r in res.trace
+    ]
+    lines.append(" ".join(map(str, res.best_labeling.labels)))
+    lines.append(f"{res.lower_bound} {res.incumbent_value} {res.iterations} {res.stop_reason}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of every trace record (iteration, repr of each float, bounds,
+# incumbent), the final labeling, bounds, iteration count and stop reason.
+# The multipliers are exact fixed-point integers, so a change to how they
+# are stored or summed must leave these byte-identical; a change of the
+# method itself must re-record them and say why.  The bipartite graph has
+# no triangles, so only edge multipliers move.
+PINNED_TRAJECTORIES = [
+    (gen_gnm(12, 30, 5), 200,
+     "7a9984e7aa7e3c38e8f9f481669e665a27b1aba680fa231c703972d892e36175"),
+    (gen_gnm(18, 40, 1), 150,
+     "0b24536d051a086aa8d8ccd1f30e3e616c642781dbeedba37b61b97c2d6f6a57"),
+    (gen_gnm(24, 60, 11), 150,
+     "106db5d5dcfac69b640a7c1561954d64c3bdd08d19b6cf622e9b9f2ca8ce69f3"),
+    (gen_bipartite(10, 10, 0.3, 1), 150,
+     "d7eeedcd1527655024ed1b469568536063f13f6c28831995628f12851f8bf742"),
+]
+
+
+@pytest.mark.parametrize("g, max_iter, expected", PINNED_TRAJECTORIES,
+                         ids=["gnm12", "gnm18", "gnm24", "bipartite"])
+def test_pinned_trajectory(g, max_iter, expected):
+    res = run_subgradient(g, SubgradientParams(max_iter=max_iter))
+    assert _trajectory_digest(res) == expected
