@@ -23,9 +23,7 @@ def hungarian_min(
     for row in costs:
         if len(row) != n:
             raise ValueError("cost matrix must be square")
-    if n == 0:
-        return [], 0
-    big = max(abs(c) for row in costs for c in row) * (n + 1) + 1
+    big = max((abs(c) for row in costs for c in row), default=0) * (n + 1) + 1
 
     # 1-based arrays; p[j] is the row currently matched to column j.
     u = [0] * (n + 1)

@@ -22,15 +22,17 @@ A B&B run of ``solve`` (``bnb``, or ``auto`` falling back to it) adds
 the ``search`` counters of ``exact.SearchStats`` to its report.
 
 Exit codes: 0 success, 2 usage or input error (including unreadable,
-malformed or non-ASCII instance files), 3 size refusal, 4 invalid
-labeling.  JSON output is the stable machine interface; node ids and
-labels are 1-indexed everywhere the tool reads or writes.
+malformed or non-ASCII instance files, and output files that cannot be
+written), 3 size refusal, 4 invalid labeling.  JSON output is the stable
+machine interface; node ids and labels are 1-indexed everywhere the tool
+reads or writes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -266,6 +268,17 @@ def _load(path: str | Path, parse, *args):
         raise _InputError(str(exc)) from None
 
 
+def _save(path: str | Path, text: str) -> None:
+    """Write an ASCII output file; every way encoding or writing it can
+    fail raises _InputError.  Text that is not ASCII writes no file."""
+    try:
+        Path(path).write_bytes(text.encode("ascii"))
+    except UnicodeEncodeError as exc:
+        raise _InputError(f"{path}: cannot write non-ASCII text at offset {exc.start}") from None
+    except OSError as exc:
+        raise _InputError(str(exc)) from None
+
+
 def _gap_percent(lb: int | None, ub: int | None) -> float | None:
     if lb is None or ub is None:
         return None
@@ -293,7 +306,7 @@ def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         g = spec.generate()
     except ValueError as exc:
         raise _InputError(str(exc)) from None
-    Path(args.output).write_text(write_instance(g), encoding="ascii")
+    _save(args.output, write_instance(g))
     print(f"{g.n} nodes, {g.m} edges -> {args.output}")
     return EXIT_OK
 
@@ -313,7 +326,7 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if "search" in res.details:
         report["search"] = res.details["search"]
     if args.labeling_out:
-        Path(args.labeling_out).write_text(write_labeling(res.labeling), encoding="ascii")
+        _save(args.labeling_out, write_labeling(res.labeling))
     _emit_report(report, args.json)
     return EXIT_OK
 
@@ -385,10 +398,11 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     rows = [row for path in files for row in _bench_rows(path, methods, args.time_limit)]
     rows.sort(key=lambda r: (r["name"], methods.index(r["method"])))
-    with open(args.out, "w", newline="", encoding="ascii") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _save(args.out, text.getvalue())
     print(f"{len(rows)} rows -> {args.out}")
     return EXIT_OK
 

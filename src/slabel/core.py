@@ -75,9 +75,21 @@ class Labeling:
                 raise ValueError(f"label {lab} used more than once")
             seen[lab] = True
 
-    @property
-    def n(self) -> int:
-        return len(self.labels)
+    @classmethod
+    def from_order(cls, n: int, order: Iterable[int]) -> Labeling:
+        """The nodes of ``order`` take labels 1, 2, ... in turn, and every
+        other node of 0..n-1 takes the next label in index order.  A node
+        repeated in ``order`` makes the labels invalid (ValueError)."""
+        labels = [0] * n
+        next_label = 1
+        for v in order:
+            labels[v] = next_label
+            next_label += 1
+        for v in range(n):
+            if not labels[v]:
+                labels[v] = next_label
+                next_label += 1
+        return cls(labels=tuple(labels))
 
 
 def sl_value(g: Graph, phi: Labeling) -> int:

@@ -17,25 +17,25 @@ from .dual_ascent import dual_ascent_extended
 from .heuristics import starting_heuristic
 
 
+BRUTE_FORCE_LIMIT = 12  # the most nodes brute_force accepts
+
+
 class SizeLimitError(RuntimeError):
     """Raised when a brute-force solve would exceed its node limit."""
 
 
-def brute_force(g: Graph, node_limit: int = 12) -> tuple[int, Labeling]:
+def brute_force(g: Graph) -> tuple[int, Labeling]:
     """Exact optimum by depth-first assignment of labels 1, 2, ... with
     closure once the residual graph is edgeless.
 
     Partial assignments are pruned against the incumbent using the fact
     that every residual edge will contribute more than the current depth.
     """
-    if g.n > node_limit:
+    if g.n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
-            f"{g.n} nodes exceed the brute-force limit of {node_limit}"
+            f"{g.n} nodes exceed the brute-force limit of {BRUTE_FORCE_LIMIT}"
         )
     n = g.n
-    if n == 0:
-        return 0, Labeling(labels=())
-
     adjacency = g.adjacency
     labels = [0] * n
     best_labels = list(range(1, n + 1))
@@ -140,18 +140,6 @@ class BnBResult:
     stats: SearchStats
 
 
-def _complete_labeling(g: Graph, partial: tuple[int, ...]) -> Labeling:
-    labels = [0] * g.n
-    for lab, v in enumerate(partial, start=1):
-        labels[v] = lab
-    next_label = len(partial) + 1
-    for v in range(g.n):
-        if labels[v] == 0:
-            labels[v] = next_label
-            next_label += 1
-    return Labeling(labels=tuple(labels))
-
-
 def branch_and_bound(
     g: Graph,
     time_limit: float | None = None,
@@ -174,7 +162,7 @@ def branch_and_bound(
     module so that a wrapper installed here sees every call.
     """
     if g.m == 0:
-        return BnBResult(0, 0, _complete_labeling(g, ()), SearchStats(proven_optimal=True))
+        return BnBResult(0, 0, Labeling.from_order(g.n, ()), SearchStats(proven_optimal=True))
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     stats = SearchStats()
     best_labeling, incumbent = starting_heuristic(g, deadline)
@@ -202,7 +190,7 @@ def branch_and_bound(
         if not residual:
             if fixed_cost < incumbent:
                 incumbent = fixed_cost
-                best_labeling = _complete_labeling(g, partial)
+                best_labeling = Labeling.from_order(g.n, partial)
             continue
 
         # Labeled nodes have no residual edges, so they are never candidates.

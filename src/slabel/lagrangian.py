@@ -168,11 +168,10 @@ def run_subgradient(
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     params = params or SubgradientParams()
     if g.m == 0:
-        phi = Labeling(labels=tuple(range(1, g.n + 1)))
         return LagrangianResult(
             lower_bound=0,
             incumbent_value=0,
-            best_labeling=phi,
+            best_labeling=Labeling.from_order(g.n, ()),
             iterations=0,
             trace=[],
             stop_reason="edgeless",

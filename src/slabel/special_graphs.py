@@ -101,16 +101,9 @@ def _walk(g: Graph, start: int) -> list[int]:
 
 
 def _alternating_labeling(g: Graph, order: list[int]) -> Labeling:
-    """Even positions along the walk get labels 1.., odd positions the rest."""
-    labels = [0] * g.n
-    next_label = 1
-    for pos in range(2, g.n + 1, 2):
-        labels[order[pos - 1]] = next_label
-        next_label += 1
-    for pos in range(1, g.n + 1, 2):
-        labels[order[pos - 1]] = next_label
-        next_label += 1
-    return Labeling(labels=tuple(labels))
+    """Every second node along the walk, from the second on, takes the
+    labels 1.., and the others the rest, each block in walk order."""
+    return Labeling.from_order(g.n, order[1::2] + order[0::2])
 
 
 def solve_path(g: Graph) -> Labeling:
@@ -135,12 +128,7 @@ def _label_by_depth(g: Graph, depth_of: list[int], root: int, d: int) -> Labelin
     labels, then the root, then the other nodes, each block in index order."""
     covering = 1 - d % 2
     order = [v for v in range(g.n) if v != root and depth_of[v] % 2 == covering]
-    order.append(root)
-    order += [v for v in range(g.n) if v != root and depth_of[v] % 2 != covering]
-    labels = [0] * g.n
-    for label, v in enumerate(order, start=1):
-        labels[v] = label
-    return Labeling(labels=tuple(labels))
+    return Labeling.from_order(g.n, order + [root])
 
 
 def label_perfect_nary(g: Graph, structure: Structure) -> Labeling:

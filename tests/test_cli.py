@@ -322,6 +322,35 @@ class TestExitCodes:
                   "--methods", "greedy,nope"])
         assert exc.value.code == 2
 
+    def test_gen_into_missing_directory(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gen", "--kind", "path", "--nodes", 5,
+                           "-o", tmp_path / "none" / "p.sl")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_labeling_out_into_missing_directory(self, gnm_file, tmp_path, capsys):
+        code, out, err = run(capsys, "solve", gnm_file, "--method", "greedy",
+                             "--labeling-out", tmp_path / "none" / "x.lab")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_bench_out_into_missing_directory(self, gnm_file, tmp_path, capsys):
+        code, _, err = run(capsys, "bench", "--suite", tmp_path, "--methods", "greedy",
+                           "--out", tmp_path / "none" / "out.csv")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_bench_non_ascii_file_name_writes_no_csv(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "café.sl").write_text(write_instance(gen_gnm(5, 6, 1)), encoding="ascii")
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, "bench", "--suite", suite, "--methods", "greedy",
+                           "--out", out)
+        assert code == 2
+        assert err.startswith("error:") and "non-ASCII" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "-1", "-inf", "soon"])
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_bad_time_limit(self, gnm_file, tmp_path, capsys, command, value):

@@ -63,6 +63,16 @@ class TestLabeling:
         with pytest.raises(ValueError):
             Labeling(labels=(0, 1, 2))
 
+    def test_from_order_completes_in_index_order(self):
+        assert Labeling.from_order(5, [3, 1]).labels == (3, 2, 4, 1, 5)
+        assert Labeling.from_order(3, ()).labels == (1, 2, 3)
+        assert Labeling.from_order(3, (2, 0, 1)).labels == (2, 3, 1)
+        assert Labeling.from_order(0, ()).labels == ()
+
+    def test_from_order_rejects_a_repeated_node(self):
+        with pytest.raises(ValueError):
+            Labeling.from_order(3, [1, 1])
+
 
 class TestSlValue:
     def test_grid_optimum_is_30(self):

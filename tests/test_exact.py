@@ -2,6 +2,7 @@
 proven at its optimum, and a search stopped by its node budget still
 returns a valid bracket."""
 
+import hashlib
 import time
 from itertools import combinations
 
@@ -9,9 +10,14 @@ from slabel.core import build_graph, sl_value
 from slabel.exact import branch_and_bound, brute_force
 from slabel.instances import gen_gnm
 
+# sha256 over every result of the exhaustive loop below: the labeling and
+# the search counters, so a refactor that changes either one fails.
+EXHAUSTIVE_DIGEST = "7b121f93f9000b2d23f6d30471f53ff4891983fdc971f226aa6e4cf0814fd1ed"
+
 
 def test_proves_optimum_on_every_graph_up_to_five_nodes():
     checked = 0
+    digest = hashlib.sha256()
     for n in range(1, 6):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
@@ -21,8 +27,12 @@ def test_proves_optimum_on_every_graph_up_to_five_nodes():
             assert res.stats.proven_optimal
             assert res.lower_bound == res.upper_bound == opt
             assert sl_value(g, res.labeling) == opt
+            s = res.stats
+            digest.update(repr((res.labeling.labels, s.explored, s.pruned_by_bound,
+                                s.bound_calls, s.cache_hits)).encode())
             checked += 1
     assert checked == 1 + 2 + 8 + 64 + 1024
+    assert digest.hexdigest() == EXHAUSTIVE_DIGEST
 
 
 def test_proves_gnm_18_40_1():

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import permutations
 
 import pytest
@@ -15,6 +17,7 @@ from slabel.instances import (
     write_instance,
 )
 from slabel.special_graphs import (
+    Structure,
     StructureKind,
     detect_structure,
     formula_nary,
@@ -24,6 +27,12 @@ from slabel.special_graphs import (
     solve_path,
     solve_perfect_nary,
 )
+
+
+# sha256 over the exact labelings of TestPinnedLabelings, so a refactor
+# that changes any label fails.
+PATH_CYCLE_DIGEST = "aba49623da5d564a36da0b56be05bac9544954910940efaa21b9c8ac6389e52e"
+NARY_DIGEST = "4e32ed2fbeac780c6ce3a437abecee65bdf9c823ab621dac9335b8d3a0fcd7b9"
 
 
 def enumerate_optimum(g):
@@ -226,3 +235,37 @@ class TestPrimalDualEquality:
         for arity, depth in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
             g = gen_perfect_nary(arity, depth)
             assert solve_perfect_nary(arity, depth)[1] == enumerate_optimum(g)
+
+
+def permuted(g, seed):
+    """g with its node ids shuffled, and the new id of every old node."""
+    new_id = list(range(g.n))
+    random.Random(seed).shuffle(new_id)
+    return build_graph(g.n, [(new_id[u], new_id[v]) for u, v in g.edges]), new_id
+
+
+class TestPinnedLabelings:
+    """Each labeling on the generated graph and on a node-permuted copy."""
+
+    def test_paths_and_cycles_up_to_60_nodes(self):
+        digest = hashlib.sha256()
+        for gen, solve, smallest in ((gen_path, solve_path, 2), (gen_cycle, solve_cycle, 3)):
+            for n in range(smallest, 61):
+                g = gen(n)
+                for h in (g, permuted(g, n)[0]):
+                    digest.update(repr(solve(h).labels).encode())
+        assert digest.hexdigest() == PATH_CYCLE_DIGEST
+
+    def test_perfect_nary_up_to_5000_nodes(self):
+        # Unary trees are paths; they stop at 60 nodes like the paths above.
+        pairs = [(1, d) for d in range(1, 60)]
+        pairs += [(a, d) for a in range(2, 6) for d in range(1, 13)
+                  if nary_node_count(a, d) <= 5000]
+        digest = hashlib.sha256()
+        for arity, depth in pairs:
+            digest.update(repr(solve_perfect_nary(arity, depth)[0].labels).encode())
+            g = gen_perfect_nary(arity, depth)
+            for h, new_id in ((g, range(g.n)), permuted(g, arity * 100 + depth)):
+                structure = Structure(StructureKind.PERFECT_NARY, arity, depth, new_id[0])
+                digest.update(repr(label_perfect_nary(h, structure).labels).encode())
+        assert digest.hexdigest() == NARY_DIGEST
