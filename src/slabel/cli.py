@@ -10,11 +10,11 @@ labeling checks, and CSV benchmarking.
     bench  any of greedy, dual-simple, dual-extended, lagrangian, bnb on
            every file of a suite directory, one CSV row per file and method
 
-``--time-limit`` (seconds, or ``inf``; ``solve`` and ``bench``) bounds ``bnb``,
-``lagrangian`` and the ``bnb`` fall-back of ``auto``; every other method,
-and ``bound``, runs to completion.  ``bench`` runs one call after another
-in this process: there is no thread pool and no ``SLAB_THREADS``
-variable.  A bench row's status is ``ok``, ``timeout`` (the time limit
+``--time-limit`` (seconds, or ``inf``; ``solve``, ``bound`` and ``bench``,
+default 60) bounds ``bnb``, ``lagrangian`` and the ``bnb`` fall-back of
+``auto``; every other method runs to completion.  ``bench`` runs one call
+after another in this process: there is no thread pool and no
+``SLAB_THREADS`` variable.  A bench row's status is ``ok``, ``timeout`` (the time limit
 stopped the method) or ``error`` (the file or the method failed; stderr
 gets ``error: <file> <method>: <reason>``).
 
@@ -54,13 +54,7 @@ from .instances import (
     write_labeling,
 )
 from .lagrangian import run_subgradient
-from .special_graphs import (
-    StructureKind,
-    detect_structure,
-    label_perfect_nary,
-    solve_cycle,
-    solve_path,
-)
+from .special_graphs import label_special
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -141,15 +135,10 @@ def _oracle(g: Graph, time_limit: float | None) -> _Result:
 
 
 def _special(g: Graph, time_limit: float | None) -> _Result:
-    structure = detect_structure(g)
-    if structure.kind is StructureKind.PATH:
-        labeling = solve_path(g)
-    elif structure.kind is StructureKind.CYCLE:
-        labeling = solve_cycle(g)
-    elif structure.kind is StructureKind.PERFECT_NARY:
-        labeling = label_perfect_nary(g, structure)
-    else:
-        raise _InputError("instance is not a path, cycle or perfect n-ary tree")
+    try:
+        structure, labeling = label_special(g)
+    except ValueError:
+        raise _InputError("instance is not a path, cycle or perfect n-ary tree") from None
     value = sl_value(g, labeling)
     return _Result(value, value, labeling, proven=True,
                    details={"method": f"special:{structure.kind.value}"})
@@ -226,6 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument("instance")
     bound.add_argument("--method", default="dual-extended", choices=(
         "dual-simple", "dual-extended", "lagrangian"))
+    bound.add_argument("--time-limit", type=_seconds, default=60.0)
     bound.add_argument("--json", action="store_true")
 
     check = sub.add_parser("check", help="validate a labeling file")
@@ -333,7 +323,7 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def _cmd_bound(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     g = _load(args.instance, read_instance)
-    res, elapsed_ms = _run(args.method, g, None)
+    res, elapsed_ms = _run(args.method, g, args.time_limit)
     report = {**_report_head(args, g, args.method), "lower_bound": res.lb,
               "time_ms": elapsed_ms, **res.details}
     _emit_report(report, args.json)

@@ -97,7 +97,11 @@ def solve_x_subproblem(
 
 def solve_d_subproblem(g: Graph, m: Multipliers) -> tuple[list[int], int]:
     """Per edge, the cheapest label level (smallest level on ties), and the
-    total of the per-edge minima times SCALE."""
+    total of the per-edge minima times SCALE.
+
+    An edge in no weighted triangle costs k * SCALE at every level k with
+    no stored multiplier, so of those levels only the smallest can be
+    cheapest; only it and the stored levels are evaluated."""
     tri_at_edge: dict[int, list[list[int]]] = {}
     for (_, edges), suffix in _triangle_suffixes(m):
         for e in edges:
@@ -107,9 +111,16 @@ def solve_d_subproblem(g: Graph, m: Multipliers) -> tuple[list[int], int]:
     for e in range(g.m):
         delta_e = m.delta[e]
         suffix_list = tri_at_edge.get(e, ())
+        if suffix_list:
+            levels = range(1, g.n + 1)
+        else:
+            unstored = 1
+            while unstored in delta_e:
+                unstored += 1
+            levels = sorted([unstored, *delta_e] if unstored <= g.n else delta_e)
         best_k = 1
         best_cost = None
-        for k in range(1, g.n + 1):
+        for k in levels:
             cost = k * SCALE + delta_e.get(k, 0)
             for suffix in suffix_list:
                 cost += suffix[k]

@@ -1,5 +1,6 @@
 """Exact polynomial-time labelings for paths, cycles and perfect n-ary
-trees, closed-form values, and structure detection for solver dispatch."""
+trees, closed-form values, and structure detection; ``label_special``
+detects the structure once and dispatches to its labeling."""
 
 from __future__ import annotations
 
@@ -106,13 +107,17 @@ def _alternating_labeling(g: Graph, order: list[int]) -> Labeling:
     return Labeling.from_order(g.n, order[1::2] + order[0::2])
 
 
+def _label_path(g: Graph) -> Labeling:
+    start = min(v for v in range(g.n) if g.degree(v) == 1)
+    return _alternating_labeling(g, _walk(g, start))
+
+
 def solve_path(g: Graph) -> Labeling:
     """Optimal labeling of a path: walking from one endpoint, every second
     node takes the smallest unused label."""
     if detect_structure(g).kind is not StructureKind.PATH:
         raise ValueError("graph is not a path")
-    start = min(v for v in range(g.n) if g.degree(v) == 1)
-    return _alternating_labeling(g, _walk(g, start))
+    return _label_path(g)
 
 
 def solve_cycle(g: Graph) -> Labeling:
@@ -144,6 +149,19 @@ def label_perfect_nary(g: Graph, structure: Structure) -> Labeling:
     assert structure.root is not None and structure.depth is not None
     depth_of = _bfs_depths(g, structure.root)
     return _label_by_depth(g, depth_of, structure.root, structure.depth)
+
+
+def label_special(g: Graph) -> tuple[Structure, Labeling]:
+    """The structure of g and its optimal labeling, detecting the structure
+    once; ValueError if g is not a path, cycle or perfect n-ary tree."""
+    structure = detect_structure(g)
+    if structure.kind is StructureKind.PATH:
+        return structure, _label_path(g)
+    if structure.kind is StructureKind.CYCLE:
+        return structure, _alternating_labeling(g, _walk(g, 0))
+    if structure.kind is StructureKind.PERFECT_NARY:
+        return structure, label_perfect_nary(g, structure)
+    raise ValueError("graph is not a path, cycle or perfect n-ary tree")
 
 
 def solve_perfect_nary(arity: int, depth: int) -> tuple[Labeling, int]:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from slabel import special_graphs
 from slabel.cli import main
 from slabel.core import sl_value
 from slabel.instances import (
@@ -159,6 +160,28 @@ class TestRoundTrip:
         assert code == 0
         assert out.strip() == f"valid, value {report['primal_value']}"
 
+    @pytest.mark.parametrize("method", ["special", "auto"])
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_special_detects_once(self, tmp_path, capsys, method, kind):
+        # Counted by code object, so a call through any imported name counts.
+        inst = gen(capsys, tmp_path / "inst.sl", "--kind", kind, "--nodes", 11)
+        detect = special_graphs.detect_structure.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is detect:
+                calls.append(event)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            code, out, _ = run(capsys, "solve", inst, "--method", method, "--json")
+        finally:
+            sys.setprofile(previous)
+        assert code == 0
+        assert json.loads(out)["method"] == f"special:{kind}"
+        assert len(calls) == 1
+
     def test_methods_agree_on_optimum(self, gnm_file, capsys):
         values = {}
         for method in ("bnb", "oracle"):
@@ -230,6 +253,14 @@ class TestJsonKeys:
         assert code == 0
         report = json.loads(out)
         assert report["dual_bound"] <= report["primal_value"]
+
+    def test_bound_lagrangian_bracket_under_time_limit(self, gnm_file, capsys):
+        code, out, _ = run(capsys, "bound", gnm_file, "--method", "lagrangian",
+                           "--time-limit", 0, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["stop_reason"] == "time" and report["iterations"] == 0
+        assert report["lower_bound"] <= report["incumbent"]
 
 
 class TestExitCodes:
@@ -361,6 +392,13 @@ class TestExitCodes:
                           "--out", str(tmp_path / "o.csv")]}[command]
         with pytest.raises(SystemExit) as exc:
             main([*argv, f"--time-limit={value}"])
+        assert exc.value.code == 2
+        assert "nonnegative number of seconds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_bound_time_limit(self, gnm_file, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", str(gnm_file), "--method", "lagrangian", f"--time-limit={value}"])
         assert exc.value.code == 2
         assert "nonnegative number of seconds" in capsys.readouterr().err
 

@@ -1,14 +1,21 @@
 import hashlib
+import random
 import time
 
 import pytest
 
 from slabel import lagrangian
-from slabel.core import sl_value
+from slabel.core import enumerate_triangles, sl_value
 from slabel.dual_ascent import dual_ascent_extended
 from slabel.exact import brute_force
 from slabel.instances import gen_bipartite, gen_gnm, gen_path, gen_random_tree
-from slabel.lagrangian import SubgradientParams, run_subgradient
+from slabel.lagrangian import (
+    SCALE,
+    Multipliers,
+    SubgradientParams,
+    run_subgradient,
+    solve_d_subproblem,
+)
 
 
 class TestSubgradient:
@@ -108,3 +115,57 @@ PINNED_TRAJECTORIES = [
 def test_pinned_trajectory(g, max_iter, expected):
     res = run_subgradient(g, SubgradientParams(max_iter=max_iter))
     assert _trajectory_digest(res) == expected
+
+
+def reference_d_subproblem(g, m):
+    """The d-subproblem as first written: every level of every edge."""
+    tri_at_edge = {}
+    for (_, edges), lam in zip(m.triangles, m.lam):
+        if lam:
+            suffix = [0] * (m.n + 2)
+            for k in range(m.n, 0, -1):
+                suffix[k] = suffix[k + 1] + lam.get(k, 0)
+            for e in edges:
+                tri_at_edge.setdefault(e, []).append(suffix)
+    choices = []
+    total = 0
+    for e in range(g.m):
+        costs = [k * SCALE + m.delta[e].get(k, 0)
+                 + sum(suffix[k] for suffix in tri_at_edge.get(e, ()))
+                 for k in range(1, g.n + 1)]
+        best = min(costs)
+        choices.append(costs.index(best) + 1)
+        total += best
+    return choices, total
+
+
+@pytest.mark.parametrize("with_triangles", [False, True])
+def test_d_subproblem_matches_full_scan(with_triangles):
+    # Stored values that are whole multiples of SCALE tie a stored level
+    # with a higher unstored one.  Some edges store every level, and some
+    # every level but the top one, priced so that the top one is cheapest.
+    # Keys go in in random order, as the subgradient updates leave them.
+    rng = random.Random(11 + with_triangles)
+    values = (1, SCALE, 2 * SCALE, 3 * SCALE, 5 * SCALE + 7, 40 * SCALE)
+
+    def store(levels, value=None):
+        levels = list(levels)
+        rng.shuffle(levels)
+        return {k: value or rng.choice(values) for k in levels}
+
+    for trial in range(150):
+        n = rng.randint(5, 12)
+        g = gen_gnm(n, rng.randint(n, 2 * n - 1), trial)
+        delta = []
+        for _ in range(g.m):
+            pattern = rng.randrange(8)
+            if pattern == 0:
+                delta.append(store(range(1, n + 1)))
+            elif pattern == 1:
+                delta.append(store(range(1, n), n * SCALE))
+            else:
+                delta.append(store(k for k in range(1, n + 1) if rng.randrange(3) == 0))
+        tris = tuple(enumerate_triangles(g)) if with_triangles else ()
+        lam = [store(t for t in range(1, n) if rng.randrange(4) == 0) for _ in tris]
+        m = Multipliers(n=n, delta=delta, triangles=tris, lam=lam)
+        assert solve_d_subproblem(g, m) == reference_d_subproblem(g, m)
