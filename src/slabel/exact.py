@@ -101,37 +101,6 @@ class SearchStats:
 CACHE_LIMIT = 400_000  # residual bounds kept before the cache is cleared
 
 
-class _ResidualBounder:
-    """Dual-ascent bounds on residual graphs, memoized by edge bitmask
-    (bit e set while edge e is residual).  A subgraph lists its edges in
-    ascending index order and renumbers their endpoints in ascending
-    order, so a bound depends on the edge set alone."""
-
-    def __init__(self, g: Graph, stats: SearchStats) -> None:
-        self.g = g
-        self.stats = stats
-        self.cache: dict[int, int] = {}
-
-    def dual_bound(self, residual: int) -> int:
-        if not residual:
-            return 0
-        cached = self.cache.get(residual)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        edges = self.g.edges
-        chosen = [edges[e] for e, bit in enumerate(reversed(bin(residual)[2:])) if bit == "1"]
-        nodes = sorted({v for edge in chosen for v in edge})
-        index = {v: i for i, v in enumerate(nodes)}
-        sub = build_graph(len(nodes), [(index[u], index[v]) for u, v in chosen])
-        _, bound, _ = dual_ascent_extended(sub)
-        self.stats.bound_calls += 1
-        if len(self.cache) >= CACHE_LIMIT:
-            self.cache.clear()
-        self.cache[residual] = bound
-        return bound
-
-
 @dataclass
 class BnBResult:
     lower_bound: int
@@ -159,28 +128,47 @@ def branch_and_bound(
     ``residual & ~incident[v]`` and fixes ``(residual & incident[v])
     .bit_count()`` edges at the new label.  Bounds come from
     ``dual_ascent_extended`` on each residual subgraph, looked up in this
-    module so that a wrapper installed here sees every call.
+    module so that a wrapper installed here sees every call.  A subgraph
+    keeps g's node ids and edge order, so its bound depends on the edge set
+    alone and is cached by bitmask.  The root bound precedes the starting
+    heuristic; the clock is read before each expansion.
     """
     if g.m == 0:
         return BnBResult(0, 0, Labeling.from_order(g.n, ()), SearchStats(proven_optimal=True))
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     stats = SearchStats()
-    best_labeling, incumbent = starting_heuristic(g, deadline)
-    bounder = _ResidualBounder(g, stats)
+    cache: dict[int, int] = {}
+
+    def dual_bound(residual: int) -> int:
+        if not residual:
+            return 0
+        bound = cache.get(residual)
+        if bound is not None:
+            stats.cache_hits += 1
+            return bound
+        chosen = [g.edges[e] for e, bit in enumerate(reversed(bin(residual)[2:])) if bit == "1"]
+        bound = dual_ascent_extended(build_graph(g.n, chosen))[1]
+        stats.bound_calls += 1
+        if len(cache) >= CACHE_LIMIT:
+            cache.clear()
+        cache[residual] = bound
+        return bound
+
     incident = [0] * g.n
     for e, (u, v) in enumerate(g.edges):
         incident[u] |= 1 << e
         incident[v] |= 1 << e
     root_residual = (1 << g.m) - 1
     # (lb, -depth, insertion counter, labeled nodes in label order, fixed cost, residual)
-    heap = [(bounder.dual_bound(root_residual), 0, 0, (), 0, root_residual)]
+    heap = [(dual_bound(root_residual), 0, 0, (), 0, root_residual)]
+    best_labeling, incumbent = starting_heuristic(g, deadline)
     counter = 0
 
     # A limit breaks out with nodes left open; otherwise the heap runs empty.
     while heap:
         if node_limit is not None and stats.explored >= node_limit:
             break
-        if deadline is not None and time.perf_counter() > deadline:
+        if deadline is not None and time.perf_counter() >= deadline:
             break
         lb, neg_depth, _, partial, fixed_cost, residual = heapq.heappop(heap)
         if lb >= incumbent:
@@ -202,7 +190,7 @@ def branch_and_bound(
             child_residual = residual & ~incident[v]
             child_fixed = fixed_cost + label * gained
             child_lb = (child_fixed + label * child_residual.bit_count()
-                        + bounder.dual_bound(child_residual))
+                        + dual_bound(child_residual))
             if child_lb >= incumbent:
                 stats.pruned_by_bound += 1
                 continue

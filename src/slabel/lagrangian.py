@@ -169,26 +169,24 @@ def run_subgradient(
     search heuristic and every assignment solution is improved by local
     search.  The step is the Polyak rule beta * (incumbent - z) / ||g||^2.
     Stops on the iteration limit, a closed gap, a zero subgradient, a step
-    size below STOP_MU, or ``time_limit`` seconds.  The assignment solver
-    reads the clock before each of its rows, so a passed deadline stops
-    the run inside an iteration; that iteration is dropped, and the bound
-    is the best of the finished iterations and the warm-start dual-ascent
-    value.  Local search reads it before each sweep and keeps the labeling
-    it has reached.  Every stop leaves a valid bracket.
+    size below STOP_MU, or ``time_limit`` seconds.  A deadline passed once
+    the warm start and the starting heuristic are done returns their
+    bracket with no iteration.  The assignment solver reads the clock
+    before each of its rows, so a passed deadline stops the run inside an
+    iteration; that iteration is dropped, and the bound is the best of the
+    finished iterations and the warm-start dual-ascent value.  Local
+    search reads it before each sweep and keeps the labeling it has
+    reached.  Every stop leaves a valid bracket.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     params = params or SubgradientParams()
     if g.m == 0:
-        return LagrangianResult(
-            lower_bound=0,
-            incumbent_value=0,
-            best_labeling=Labeling.from_order(g.n, ()),
-            iterations=0,
-            trace=[],
-            stop_reason="edgeless",
-        )
+        return LagrangianResult(0, 0, Labeling.from_order(g.n, ()), 0, [], "edgeless")
 
     dual, warm_start, _ = dual_ascent_extended(g)
+    best_labeling, incumbent = starting_heuristic(g, deadline)
+    if deadline is not None and time.perf_counter() >= deadline:
+        return LagrangianResult(warm_start, incumbent, best_labeling, 0, [], "time")
     mult = Multipliers.from_dual_ascent(g, with_triangles=True, dual=dual)
     if len(mult.triangles) * (g.n - 1) > TRIANGLE_CAP:
         warnings.warn(
@@ -198,7 +196,6 @@ def run_subgradient(
         )
         mult = Multipliers(n=g.n, delta=mult.delta)
 
-    best_labeling, incumbent = starting_heuristic(g, deadline)
     lower_bound = 0
     beta = BETA_INIT
     non_improving = 0

@@ -1,6 +1,6 @@
 """Exact polynomial-time labelings for paths, cycles and perfect n-ary
 trees, closed-form values, and structure detection; ``label_special``
-detects the structure once and dispatches to its labeling."""
+detects the structure once and labels it."""
 
 from __future__ import annotations
 
@@ -22,6 +22,11 @@ class StructureKind(Enum):
 
 @dataclass(frozen=True)
 class Structure:
+    """A detected structure.  ``root`` anchors its labeling: the smaller
+    endpoint of a path and node 0 of a cycle, where the walk starts, and
+    the root of a perfect n-ary tree; None for any other graph.  Only a
+    perfect n-ary tree has an ``arity`` and a ``depth``."""
+
     kind: StructureKind
     arity: int | None = None
     depth: int | None = None
@@ -41,33 +46,20 @@ def _bfs_depths(g: Graph, root: int) -> list[int]:
     return depth
 
 
-def _nary_structure(g: Graph) -> Structure | None:
-    degree_count: dict[int, int] = {}
-    for v in range(g.n):
-        degree_count[g.degree(v)] = degree_count.get(g.degree(v), 0) + 1
-    if len(degree_count) > 3:
+def _nary_structure(g: Graph, degrees: list[int]) -> Structure | None:
+    """The perfect n-ary structure of a tree that is not a path, if it is
+    one: its root, the node of smallest degree above 1, is the only node
+    of that degree, every other inner node has one more, and every leaf
+    lies at the same depth."""
+    arity = min(d for d in degrees if d > 1)
+    root = degrees.index(arity)
+    if any(d not in (1, arity + 1) for v, d in enumerate(degrees) if v != root):
         return None
-    candidates = [v for v in range(g.n) if degree_count[g.degree(v)] == 1]
-    for root in candidates:
-        arity = g.degree(root)
-        if arity < 1:
-            continue
-        depth = _bfs_depths(g, root)
-        d = max(depth)
-        if d < 1:
-            continue
-        ok = True
-        for v in range(g.n):
-            children = sum(1 for x, _ in g.adjacency[v] if depth[x] == depth[v] + 1)
-            expected = arity if depth[v] < d else 0
-            if children != expected:
-                ok = False
-                break
-        if ok:
-            return Structure(
-                kind=StructureKind.PERFECT_NARY, arity=arity, depth=d, root=root
-            )
-    return None
+    depth_of = _bfs_depths(g, root)
+    leaf_depths = {depth_of[v] for v, d in enumerate(degrees) if d == 1}
+    if len(leaf_depths) != 1:
+        return None
+    return Structure(StructureKind.PERFECT_NARY, arity, leaf_depths.pop(), root)
 
 
 def detect_structure(g: Graph) -> Structure:
@@ -77,15 +69,12 @@ def detect_structure(g: Graph) -> Structure:
     """
     degrees = [g.degree(v) for v in range(g.n)]
     if g.n >= 2 and g.m == g.n - 1 and -1 not in _bfs_depths(g, 0):
-        if max(degrees) <= 2 and degrees.count(1) == 2:
-            return Structure(kind=StructureKind.PATH)
-        nary = _nary_structure(g)
-        if nary is not None:
-            return nary
-        return Structure(kind=StructureKind.OTHER)
+        if max(degrees) <= 2:
+            return Structure(StructureKind.PATH, root=degrees.index(1))
+        return _nary_structure(g, degrees) or Structure(StructureKind.OTHER)
     if g.n >= 3 and g.m == g.n and all(d == 2 for d in degrees) and -1 not in _bfs_depths(g, 0):
-        return Structure(kind=StructureKind.CYCLE)
-    return Structure(kind=StructureKind.OTHER)
+        return Structure(StructureKind.CYCLE, root=0)
+    return Structure(StructureKind.OTHER)
 
 
 def _walk(g: Graph, start: int) -> list[int]:
@@ -101,67 +90,59 @@ def _walk(g: Graph, start: int) -> list[int]:
     return order
 
 
-def _alternating_labeling(g: Graph, order: list[int]) -> Labeling:
-    """Every second node along the walk, from the second on, takes the
-    labels 1.., and the others the rest, each block in walk order."""
+def _label(g: Graph, structure: Structure) -> Labeling:
+    """The optimal labeling of g, given its special structure.
+
+    A path or cycle is walked from the root: every second node from the
+    second on takes the labels 1.., then the others, each in walk order.
+    In a perfect n-ary tree the nodes whose depth parity differs from the
+    tree depth's cover every edge and take the smallest labels in index
+    order, and the root follows them; at odd depth it is one of them, and
+    goes last because it covers one edge fewer than the others.
+    """
+    root, depth = structure.root, structure.depth
+    assert root is not None
+    if structure.kind is StructureKind.PERFECT_NARY:
+        assert depth is not None
+        depth_of = _bfs_depths(g, root)
+        order = [v for v in range(g.n) if v != root and depth_of[v] % 2 != depth % 2]
+        return Labeling.from_order(g.n, order + [root])
+    order = _walk(g, root)
     return Labeling.from_order(g.n, order[1::2] + order[0::2])
-
-
-def _label_path(g: Graph) -> Labeling:
-    start = min(v for v in range(g.n) if g.degree(v) == 1)
-    return _alternating_labeling(g, _walk(g, start))
 
 
 def solve_path(g: Graph) -> Labeling:
     """Optimal labeling of a path: walking from one endpoint, every second
     node takes the smallest unused label."""
-    if detect_structure(g).kind is not StructureKind.PATH:
+    structure = detect_structure(g)
+    if structure.kind is not StructureKind.PATH:
         raise ValueError("graph is not a path")
-    return _label_path(g)
+    return _label(g, structure)
 
 
 def solve_cycle(g: Graph) -> Labeling:
-    """Optimal labeling of a cycle, alternating around the cycle from an
-    arbitrary start node; odd cycles leave one unpaired node."""
-    if detect_structure(g).kind is not StructureKind.CYCLE:
+    """Optimal labeling of a cycle, alternating around the cycle from node
+    0; odd cycles leave one unpaired node."""
+    structure = detect_structure(g)
+    if structure.kind is not StructureKind.CYCLE:
         raise ValueError("graph is not a cycle")
-    return _alternating_labeling(g, _walk(g, 0))
-
-
-def _label_by_depth(g: Graph, depth_of: list[int], root: int, d: int) -> Labeling:
-    """Non-root nodes whose depth parity differs from d's take the smallest
-    labels, then the root, then the other nodes, each block in index order."""
-    covering = 1 - d % 2
-    order = [v for v in range(g.n) if v != root and depth_of[v] % 2 == covering]
-    return Labeling.from_order(g.n, order + [root])
+    return _label(g, structure)
 
 
 def label_perfect_nary(g: Graph, structure: Structure) -> Labeling:
-    """Optimal labeling of a graph detected as a perfect n-ary tree.
-
-    The nodes whose depth parity differs from the tree depth's cover every
-    edge and take the smallest labels; the root follows them.  At odd tree
-    depth the root is itself one of them, and goes last in that block
-    because it covers one edge fewer than the others.
-    """
+    """Optimal labeling of a graph detected as a perfect n-ary tree."""
     if structure.kind is not StructureKind.PERFECT_NARY:
         raise ValueError("graph is not a perfect n-ary tree")
-    assert structure.root is not None and structure.depth is not None
-    depth_of = _bfs_depths(g, structure.root)
-    return _label_by_depth(g, depth_of, structure.root, structure.depth)
+    return _label(g, structure)
 
 
 def label_special(g: Graph) -> tuple[Structure, Labeling]:
     """The structure of g and its optimal labeling, detecting the structure
     once; ValueError if g is not a path, cycle or perfect n-ary tree."""
     structure = detect_structure(g)
-    if structure.kind is StructureKind.PATH:
-        return structure, _label_path(g)
-    if structure.kind is StructureKind.CYCLE:
-        return structure, _alternating_labeling(g, _walk(g, 0))
-    if structure.kind is StructureKind.PERFECT_NARY:
-        return structure, label_perfect_nary(g, structure)
-    raise ValueError("graph is not a path, cycle or perfect n-ary tree")
+    if structure.kind is StructureKind.OTHER:
+        raise ValueError("graph is not a path, cycle or perfect n-ary tree")
+    return structure, _label(g, structure)
 
 
 def solve_perfect_nary(arity: int, depth: int) -> tuple[Labeling, int]:
@@ -171,7 +152,7 @@ def solve_perfect_nary(arity: int, depth: int) -> tuple[Labeling, int]:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     g = gen_perfect_nary(arity, depth)
-    phi = _label_by_depth(g, _bfs_depths(g, 0), 0, depth)
+    phi = _label(g, Structure(StructureKind.PERFECT_NARY, arity, depth, 0))
     return phi, sl_value(g, phi)
 
 

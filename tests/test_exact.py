@@ -3,11 +3,15 @@ proven at its optimum, and a search stopped by its node budget still
 returns a valid bracket."""
 
 import hashlib
+import random
 import time
 from itertools import combinations
 
+from slabel import exact
 from slabel.core import build_graph, sl_value
+from slabel.dual_ascent import dual_ascent_extended
 from slabel.exact import branch_and_bound, brute_force
+from slabel.heuristics import greedy_label
 from slabel.instances import gen_gnm
 
 # sha256 over every result of the exhaustive loop below: the labeling and
@@ -64,3 +68,51 @@ def test_time_limit_is_checked_before_every_expansion():
     assert time.perf_counter() - started < 5.0
     assert not res.stats.proven_optimal
     assert res.lower_bound <= res.upper_bound == sl_value(g, res.labeling)
+
+
+def test_passed_deadline_after_root_bound_returns_its_bracket(monkeypatch):
+    # The root bound comes before the starting heuristic.  When it overruns
+    # the deadline, local search runs no sweep and no node is expanded, so
+    # the bracket is (root bound, greedy value).
+    g = gen_gnm(12, 24, 2)  # greedy 72, local search 70, root bound 66
+
+    def slow(h):
+        result = dual_ascent_extended(h)
+        time.sleep(0.1)
+        return result
+
+    monkeypatch.setattr(exact, "dual_ascent_extended", slow)
+    res = branch_and_bound(g, time_limit=0.05)
+    assert res.stats.explored == 0 and not res.stats.proven_optimal
+    assert res.lower_bound == res.stats.open_bound == dual_ascent_extended(g)[1] == 66
+    assert res.upper_bound == greedy_label(g)[1] == sl_value(g, res.labeling) == 72
+
+
+def renumbered_ascent(g, chosen):
+    """The bound and steps of dual ascent on the subgraph of ``chosen``
+    with its endpoints renumbered 0.. in ascending order: how residual
+    subgraphs were bounded before they kept the node ids of g."""
+    nodes = sorted({v for edge in chosen for v in edge})
+    index = {v: i for i, v in enumerate(nodes)}
+    sub = build_graph(len(nodes), [(index[u], index[v]) for u, v in chosen])
+    return dual_ascent_extended(sub)[1:]
+
+
+def test_residual_bound_ignores_isolated_nodes():
+    # A residual subgraph keeps all n node ids; its bound and ascent steps
+    # equal those of the renumbered subgraph, so the search is unchanged.
+    rng = random.Random(3)
+    checked = 0
+    for g in (gen_gnm(30, 70, 9), gen_gnm(24, 60, 11)):
+        for trial in range(250):
+            if trial % 2:  # the edges among a random set of unlabeled nodes
+                unlabeled = set(rng.sample(range(g.n), rng.randint(2, g.n)))
+                chosen = [(u, v) for u, v in g.edges if u in unlabeled and v in unlabeled]
+            else:  # any edge subset
+                density = rng.random()
+                chosen = [edge for edge in g.edges if rng.random() < density]
+            if chosen:
+                kept_ids = dual_ascent_extended(build_graph(g.n, chosen))[1:]
+                assert kept_ids == renumbered_ascent(g, chosen), chosen
+                checked += 1
+    assert checked >= 450

@@ -8,6 +8,7 @@ from slabel import lagrangian
 from slabel.core import enumerate_triangles, sl_value
 from slabel.dual_ascent import dual_ascent_extended
 from slabel.exact import brute_force
+from slabel.heuristics import greedy_label
 from slabel.instances import gen_bipartite, gen_gnm, gen_path, gen_random_tree
 from slabel.lagrangian import (
     SCALE,
@@ -62,6 +63,32 @@ class TestSubgradient:
         assert res.stop_reason == "time"
         assert res.lower_bound >= dual_ascent_extended(g)[1]
         assert res.lower_bound <= res.incumbent_value == sl_value(g, res.best_labeling)
+
+    def test_deadline_passed_in_set_up_returns_warm_start_bracket(self, monkeypatch):
+        # The warm start and the starting heuristic come first.  When the
+        # warm start overruns the deadline, local search runs no sweep and
+        # neither the multipliers nor any iteration are set up.
+        g = gen_gnm(12, 24, 2)  # greedy 72, local search 70, warm start 66
+
+        def slow(h):
+            result = dual_ascent_extended(h)
+            time.sleep(0.1)
+            return result
+
+        built = []
+        from_dual_ascent = Multipliers.from_dual_ascent.__func__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return from_dual_ascent(cls, *args, **kwargs)
+
+        monkeypatch.setattr(lagrangian, "dual_ascent_extended", slow)
+        monkeypatch.setattr(Multipliers, "from_dual_ascent", classmethod(counted))
+        res = run_subgradient(g, time_limit=0.05)
+        assert built == []
+        assert res.iterations == 0 and res.trace == [] and res.stop_reason == "time"
+        assert res.lower_bound == dual_ascent_extended(g)[1] == 66
+        assert res.incumbent_value == greedy_label(g)[1] == sl_value(g, res.best_labeling) == 72
 
     def test_triangle_cap_falls_back_to_edge_multipliers(self, monkeypatch):
         g = gen_gnm(12, 30, 5)

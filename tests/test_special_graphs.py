@@ -1,6 +1,7 @@
 import hashlib
 import random
-from itertools import permutations
+from collections import deque
+from itertools import combinations, permutations
 
 import pytest
 
@@ -12,6 +13,7 @@ from slabel.instances import (
     gen_grid,
     gen_path,
     gen_perfect_nary,
+    gen_random_tree,
     nary_node_count,
     read_instance,
     write_instance,
@@ -269,3 +271,103 @@ class TestPinnedLabelings:
                 structure = Structure(StructureKind.PERFECT_NARY, arity, depth, new_id[0])
                 digest.update(repr(label_perfect_nary(h, structure).labels).encode())
         assert digest.hexdigest() == NARY_DIGEST
+
+
+# The detection of the previous version, kept verbatim apart from the
+# names: it tried every node of unique degree as the root, with one BFS each.
+def reference_bfs_depths(g, root):
+    depth = [-1] * g.n
+    depth[root] = 0
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for x, _ in g.adjacency[v]:
+            if depth[x] < 0:
+                depth[x] = depth[v] + 1
+                queue.append(x)
+    return depth
+
+
+def reference_nary_structure(g):
+    degree_count: dict[int, int] = {}
+    for v in range(g.n):
+        degree_count[g.degree(v)] = degree_count.get(g.degree(v), 0) + 1
+    if len(degree_count) > 3:
+        return None
+    candidates = [v for v in range(g.n) if degree_count[g.degree(v)] == 1]
+    for root in candidates:
+        arity = g.degree(root)
+        if arity < 1:
+            continue
+        depth = reference_bfs_depths(g, root)
+        d = max(depth)
+        if d < 1:
+            continue
+        ok = True
+        for v in range(g.n):
+            children = sum(1 for x, _ in g.adjacency[v] if depth[x] == depth[v] + 1)
+            expected = arity if depth[v] < d else 0
+            if children != expected:
+                ok = False
+                break
+        if ok:
+            return Structure(
+                kind=StructureKind.PERFECT_NARY, arity=arity, depth=d, root=root
+            )
+    return None
+
+
+def reference_detect_structure(g):
+    degrees = [g.degree(v) for v in range(g.n)]
+    if g.n >= 2 and g.m == g.n - 1 and -1 not in reference_bfs_depths(g, 0):
+        if max(degrees) <= 2 and degrees.count(1) == 2:
+            return Structure(kind=StructureKind.PATH)
+        nary = reference_nary_structure(g)
+        if nary is not None:
+            return nary
+        return Structure(kind=StructureKind.OTHER)
+    if g.n >= 3 and g.m == g.n and all(d == 2 for d in degrees) and -1 not in reference_bfs_depths(g, 0):
+        return Structure(kind=StructureKind.CYCLE)
+    return Structure(kind=StructureKind.OTHER)
+
+
+def assert_detection_matches_reference(g):
+    """Kind, arity, depth and n-ary root as the reference detects them; a
+    path's root is its smaller endpoint and a cycle's is node 0."""
+    s, ref = detect_structure(g), reference_detect_structure(g)
+    assert (s.kind, s.arity, s.depth) == (ref.kind, ref.arity, ref.depth), g.edges
+    if s.kind is StructureKind.PERFECT_NARY:
+        assert s.root == ref.root, g.edges
+    elif s.kind is StructureKind.PATH:
+        assert s.root == min(v for v in range(g.n) if g.degree(v) == 1)
+    else:
+        assert s.root == (0 if s.kind is StructureKind.CYCLE else None)
+    return s.kind
+
+
+class TestDetectionOracle:
+    def test_every_graph_up_to_six_nodes(self):
+        kinds = []
+        for n in range(1, 7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                kinds.append(assert_detection_matches_reference(g))
+        assert len(kinds) == 33_867
+        assert kinds.count(StructureKind.PERFECT_NARY) == 4 + 5 + 6  # the labeled stars K_{1,3..5}
+
+    def test_random_trees(self):
+        for seed in range(3000):
+            assert_detection_matches_reference(gen_random_tree(2 + seed % 60, seed))
+
+    def test_perfect_trees_and_one_extra_leaf(self):
+        pairs = [(a, d) for a in range(1, 6) for d in range(1, 9)
+                 if nary_node_count(a, d) <= 800]
+        for arity, depth in pairs:
+            g = permuted(gen_perfect_nary(arity, depth), arity * 100 + depth)[0]
+            is_path = arity == 1 or (arity, depth) == (2, 1)
+            kind = StructureKind.PATH if is_path else StructureKind.PERFECT_NARY
+            assert assert_detection_matches_reference(g) is kind
+            for v in random.Random(depth).sample(range(g.n), min(g.n, 5)):
+                grown = build_graph(g.n + 1, g.edges + ((v, g.n),))
+                assert_detection_matches_reference(grown)
