@@ -50,29 +50,17 @@ def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
     """Uniform ascent: every step raises all gamma_e by one and pays the
     maximum degree on every label level up to the step index.
 
-    Step kbar is taken while m - kbar * Delta > 0, adding that amount to
-    the objective, so the bound is m + sum of the positive net changes.
+    Step k nets m - k * Delta and is taken while that is positive, so
+    steps = (m - 1) // Delta (0 when Delta = 0), the bound is m * (steps + 1)
+    - Delta * steps * (steps + 1) / 2 and alpha_k = Delta * (steps - k + 1).
+    No cap of n steps is needed: m <= n * Delta / 2 gives steps < n / 2.
     """
     m = g.m
     delta_max = max_degree(g)
-    z = m
-    steps = 0
-    for kbar in range(1, g.n + 1):
-        change = m - kbar * delta_max
-        if change <= 0:
-            break
-        z += change
-        steps = kbar
-    alpha = [0] * g.n
-    for k in range(1, steps + 1):
-        alpha[k - 1] = delta_max * (steps - k + 1)
-    solution = DualSolution(
-        n_labels=g.n,
-        alpha=tuple(alpha),
-        gamma=(1 + steps,) * m,
-        edge_last_step=(steps,) * m,
-    )
-    return solution, z
+    steps = (m - 1) // delta_max if delta_max else 0
+    z = m * (steps + 1) - delta_max * steps * (steps + 1) // 2
+    alpha = tuple(delta_max * (steps - k) for k in range(steps)) + (0,) * (g.n - steps)
+    return DualSolution(g.n, alpha, (1 + steps,) * m, (steps,) * m), z
 
 
 def dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]:

@@ -8,6 +8,7 @@ fixed and the remaining labels can be handed out in any order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import time
 from dataclasses import dataclass
@@ -86,9 +87,10 @@ def brute_force(g: Graph) -> tuple[int, Labeling]:
 
 @dataclass
 class SearchStats:
-    """Counters of one search: ``bound_calls`` dual-ascent runs,
-    ``cache_hits`` residual bounds found in the cache, and ``open_bound``
-    the smallest bound left open when a limit stopped the search."""
+    """Counters of one search: ``bound_calls`` dual-ascent runs and
+    ``cache_hits`` residual bounds found in the cache (the misses and hits
+    of its ``cache_info``), and ``open_bound`` the smallest bound left open
+    when a limit stopped the search."""
 
     explored: int = 0
     pruned_by_bound: int = 0
@@ -98,7 +100,7 @@ class SearchStats:
     proven_optimal: bool = False
 
 
-CACHE_LIMIT = 400_000  # residual bounds kept before the cache is cleared
+CACHE_LIMIT = 400_000  # residual bounds kept; the least recently used goes first
 
 
 @dataclass
@@ -130,29 +132,19 @@ def branch_and_bound(
     ``dual_ascent_extended`` on each residual subgraph, looked up in this
     module so that a wrapper installed here sees every call.  A subgraph
     keeps g's node ids and edge order, so its bound depends on the edge set
-    alone and is cached by bitmask.  The root bound precedes the starting
-    heuristic; the clock is read before each expansion.
+    alone and is cached by bitmask: an ``lru_cache`` built per call, of
+    ``CACHE_LIMIT`` entries at that time.  The root bound precedes the
+    starting heuristic; the clock is read before each expansion.
     """
     if g.m == 0:
         return BnBResult(0, 0, Labeling.from_order(g.n, ()), SearchStats(proven_optimal=True))
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     stats = SearchStats()
-    cache: dict[int, int] = {}
 
+    @functools.lru_cache(maxsize=CACHE_LIMIT)
     def dual_bound(residual: int) -> int:
-        if not residual:
-            return 0
-        bound = cache.get(residual)
-        if bound is not None:
-            stats.cache_hits += 1
-            return bound
         chosen = [g.edges[e] for e, bit in enumerate(reversed(bin(residual)[2:])) if bit == "1"]
-        bound = dual_ascent_extended(build_graph(g.n, chosen))[1]
-        stats.bound_calls += 1
-        if len(cache) >= CACHE_LIMIT:
-            cache.clear()
-        cache[residual] = bound
-        return bound
+        return dual_ascent_extended(build_graph(g.n, chosen))[1]
 
     incident = [0] * g.n
     for e, (u, v) in enumerate(g.edges):
@@ -189,8 +181,9 @@ def branch_and_bound(
                 continue
             child_residual = residual & ~incident[v]
             child_fixed = fixed_cost + label * gained
-            child_lb = (child_fixed + label * child_residual.bit_count()
-                        + dual_bound(child_residual))
+            child_lb = child_fixed + label * child_residual.bit_count()
+            if child_residual:
+                child_lb += dual_bound(child_residual)
             if child_lb >= incumbent:
                 stats.pruned_by_bound += 1
                 continue
@@ -200,6 +193,8 @@ def branch_and_bound(
                 (child_lb, neg_depth - 1, counter, partial + (v,), child_fixed, child_residual),
             )
 
+    info = dual_bound.cache_info()
+    stats.bound_calls, stats.cache_hits = info.misses, info.hits
     stats.open_bound = heap[0][0] if heap else None
     lower = incumbent if stats.open_bound is None else min(incumbent, stats.open_bound)
     stats.proven_optimal = lower >= incumbent

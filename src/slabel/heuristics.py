@@ -15,18 +15,14 @@ def greedy_label(g: Graph) -> tuple[Labeling, int]:
     objective value.
     """
     residual_degree = [len(adj) for adj in g.adjacency]
-    labeled = [False] * g.n
-    labels = [0] * g.n
-    for k in range(1, g.n + 1):
-        best = -1
-        for v in range(g.n):
-            if not labeled[v] and (best < 0 or residual_degree[v] > residual_degree[best]):
-                best = v
-        labels[best] = k
-        labeled[best] = True
+    order = []
+    for _ in range(g.n):
+        best = residual_degree.index(max(residual_degree))
+        order.append(best)
+        residual_degree[best] = -g.n  # neighbours lower it by < n: below any unlabeled node
         for x, _ in g.adjacency[best]:
             residual_degree[x] -= 1
-    phi = Labeling(labels=tuple(labels))
+    phi = Labeling.from_order(g.n, order)
     return phi, sl_value(g, phi)
 
 

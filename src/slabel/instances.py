@@ -9,8 +9,9 @@ in the documented left-to-right order of each generator.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .core import Graph, Labeling, build_graph
 
@@ -101,6 +102,8 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
+    if m < 0:
+        raise ValueError(f"edge count must be >= 0, got {m}")
     max_m = n * (n - 1) // 2
     if m > max_m:
         raise ValueError(f"{m} edges requested but only {max_m} possible on {n} nodes")
@@ -128,27 +131,21 @@ def gen_random_tree(n: int, seed: int) -> Graph:
         raise ValueError(f"need at least one node, got {n}")
     if n == 1:
         return build_graph(1, [])
-    if n == 2:
-        return build_graph(2, [(0, 1)])
     rng = SplitMix64(seed)
     seq = [rng.below(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
         degree[v] += 1
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     edges = []
     for v in seq:
         leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, v), max(leaf, v)))
+        edges.append((leaf, v))
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     return build_graph(n, edges)
 
 
@@ -253,6 +250,15 @@ class InstanceFormatError(ValueError):
     """Raised for malformed instance or labeling files."""
 
 
+def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, fields) of each line of ``text`` that
+    is neither blank nor a comment (a line starting with "c")."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            yield lineno, line, line.split()
+
+
 def write_instance(g: Graph) -> str:
     """Canonical instance text: header then one edge line per edge, 1-indexed."""
     lines = [f"p sl {g.n} {g.m}"]
@@ -266,11 +272,8 @@ def read_instance(text: str) -> Graph:
     n = -1
     m = -1
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    seen: set[tuple[int, int]] = set()
+    for lineno, line, parts in _records(text):
         if parts[0] == "p":
             if n >= 0:
                 raise InstanceFormatError(f"line {lineno}: duplicate header")
@@ -305,6 +308,9 @@ def read_instance(text: str) -> Graph:
                 raise InstanceFormatError(
                     f"line {lineno}: endpoints must satisfy u < v in {line!r}"
                 )
+            if (u, v) in seen:
+                raise InstanceFormatError(f"line {lineno}: duplicate edge in {line!r}")
+            seen.add((u, v))
             edges.append((u - 1, v - 1))
         else:
             raise InstanceFormatError(f"line {lineno}: unrecognized line {line!r}")
@@ -312,10 +318,7 @@ def read_instance(text: str) -> Graph:
         raise InstanceFormatError("missing header line")
     if len(edges) != m:
         raise InstanceFormatError(f"header promises {m} edges, found {len(edges)}")
-    try:
-        return build_graph(n, edges)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    return build_graph(n, edges)
 
 
 def write_labeling(phi: Labeling) -> str:
@@ -330,11 +333,7 @@ def read_labeling(text: str, n: int) -> Labeling:
     labels = [0] * n
     assigned = [False] * n
     count = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, _, parts in _records(text):
         if len(parts) != 2:
             raise InstanceFormatError(f"line {lineno}: expected '<node> <label>'")
         try:
@@ -345,6 +344,8 @@ def read_labeling(text: str, n: int) -> Labeling:
             raise InstanceFormatError(f"line {lineno}: node {node} out of range 1..{n}")
         if assigned[node - 1]:
             raise InstanceFormatError(f"line {lineno}: node {node} labeled twice")
+        if not 1 <= lab <= n:
+            raise InstanceFormatError(f"line {lineno}: label {lab} of node {node} outside 1..{n}")
         assigned[node - 1] = True
         labels[node - 1] = lab
         count += 1

@@ -173,10 +173,10 @@ def run_subgradient(
     the warm start and the starting heuristic are done returns their
     bracket with no iteration.  The assignment solver reads the clock
     before each of its rows, so a passed deadline stops the run inside an
-    iteration; that iteration is dropped, and the bound is the best of the
-    finished iterations and the warm-start dual-ascent value.  Local
-    search reads it before each sweep and keeps the labeling it has
-    reached.  Every stop leaves a valid bracket.
+    iteration, and that iteration is dropped.  Local search reads it
+    before each sweep and keeps the labeling it has reached.  Whatever the
+    stop, the bound is the best of the finished iterations and the
+    warm-start dual-ascent value, and the bracket is valid.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     params = params or SubgradientParams()
@@ -207,7 +207,6 @@ def run_subgradient(
         x_solved = solve_x_subproblem(g, mult, deadline)
         if x_solved is None:
             stop_reason = "time"
-            lower_bound = max(lower_bound, warm_start)
             break
         iterations = t
         x_lab, x_scaled = x_solved
@@ -269,7 +268,7 @@ def run_subgradient(
                 non_improving = 0
 
     return LagrangianResult(
-        lower_bound=lower_bound,
+        lower_bound=max(lower_bound, warm_start),
         incumbent_value=incumbent,
         best_labeling=best_labeling,
         iterations=iterations,

@@ -121,6 +121,8 @@ class TestGen:
              "expected backbone must be >= 1, got 0"),
             (("--kind", "lobster", "--backbone", 3, "--p1", 0.5, "--p2", 2),
              "probabilities must lie in [0, 1], got 0.5, 2.0"),
+            (("--kind", "gnm", "--nodes", 5, "--edges", -3),
+             "edge count must be >= 0, got -3"),
         ],
     )
     def test_generator_errors(self, tmp_path, capsys, options, message):
@@ -279,6 +281,14 @@ class TestExitCodes:
         assert "self-loop" in err
 
     @pytest.mark.parametrize("command", ["solve", "bound"])
+    def test_duplicate_edge_names_its_line(self, tmp_path, capsys, command):
+        path = tmp_path / "dup.sl"
+        path.write_text("p sl 3 2\ne 1 2\ne 1 2\n", encoding="ascii")
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert err == "error: line 3: duplicate edge in 'e 1 2'\n"
+
+    @pytest.mark.parametrize("command", ["solve", "bound"])
     def test_non_ascii_instance(self, non_ascii_file, capsys, command):
         code, _, err = run(capsys, command, non_ascii_file)
         assert code == 2
@@ -319,6 +329,15 @@ class TestExitCodes:
         code, out, _ = run(capsys, "check", gnm_file, lab)
         assert code == 4
         assert out.startswith("invalid:")
+
+    def test_label_out_of_range_names_its_line_and_node(self, tmp_path, capsys):
+        inst = tmp_path / "p3.sl"
+        inst.write_text("p sl 3 2\ne 1 2\ne 2 3\n", encoding="ascii")
+        lab = tmp_path / "big.lab"
+        lab.write_text("1 1\n2 2\n3 5\n", encoding="ascii")
+        code, out, _ = run(capsys, "check", inst, lab)
+        assert code == 4
+        assert out == "invalid: line 3: label 5 of node 3 outside 1..3\n"
 
     def test_missing_labeling(self, gnm_file, tmp_path, capsys):
         code, out, _ = run(capsys, "check", gnm_file, tmp_path / "absent.lab")

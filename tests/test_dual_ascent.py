@@ -26,6 +26,21 @@ from slabel.instances import (
 )
 
 
+# Graphs of every generator family, edge counts and maximum degrees.
+FAMILIES = [
+    gen_gnm(40, 100, 3),
+    gen_gnm(30, 200, 8),
+    gen_random_tree(60, 4),
+    gen_caterpillar(25, 0.6, 2),
+    gen_lobster(20, 0.7, 0.5, 1),
+    gen_bipartite(20, 25, 0.15, 6),
+    gen_grid(6, 8),
+    gen_perfect_nary(3, 3),
+    gen_path(50),
+    gen_cycle(51),
+]
+
+
 def star(leaves):
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
@@ -54,6 +69,46 @@ class TestSimpleVariant:
         sol, z = dual_ascent_simple(g)
         assert z == 0
         assert sol.objective() == 0
+
+
+def reference_dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
+    """dual_ascent_simple as a loop over the steps, before its closed form."""
+    m = g.m
+    delta_max = max_degree(g)
+    z = m
+    steps = 0
+    for kbar in range(1, g.n + 1):
+        change = m - kbar * delta_max
+        if change <= 0:
+            break
+        z += change
+        steps = kbar
+    alpha = [0] * g.n
+    for k in range(1, steps + 1):
+        alpha[k - 1] = delta_max * (steps - k + 1)
+    solution = DualSolution(
+        n_labels=g.n,
+        alpha=tuple(alpha),
+        gamma=(1 + steps,) * m,
+        edge_last_step=(steps,) * m,
+    )
+    return solution, z
+
+
+class TestSimpleAgainstReference:
+    def test_every_graph_up_to_six_nodes(self):
+        checked = 0
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                assert dual_ascent_simple(g) == reference_dual_ascent_simple(g)
+                checked += 1
+        assert checked == 33868
+
+    @pytest.mark.parametrize("g", FAMILIES, ids=lambda g: f"n{g.n}-m{g.m}-maxdeg{max_degree(g)}")
+    def test_generator_families(self, g):
+        assert dual_ascent_simple(g) == reference_dual_ascent_simple(g)
 
 
 class TestExtendedVariant:
@@ -344,21 +399,6 @@ class TestAgainstReferenceKernel:
     def test_random_graphs_up_to_twelve_nodes(self, g):
         assert dual_ascent_extended(g) == reference_dual_ascent_extended(g)
 
-    @pytest.mark.parametrize(
-        "g",
-        [
-            gen_gnm(40, 100, 3),
-            gen_gnm(30, 200, 8),
-            gen_random_tree(60, 4),
-            gen_caterpillar(25, 0.6, 2),
-            gen_lobster(20, 0.7, 0.5, 1),
-            gen_bipartite(20, 25, 0.15, 6),
-            gen_grid(6, 8),
-            gen_perfect_nary(3, 3),
-            gen_path(50),
-            gen_cycle(51),
-        ],
-        ids=lambda g: f"n{g.n}-m{g.m}-maxdeg{max_degree(g)}",
-    )
+    @pytest.mark.parametrize("g", FAMILIES, ids=lambda g: f"n{g.n}-m{g.m}-maxdeg{max_degree(g)}")
     def test_generator_families(self, g):
         assert dual_ascent_extended(g) == reference_dual_ascent_extended(g)

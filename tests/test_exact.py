@@ -49,6 +49,22 @@ def test_proves_gnm_18_40_1():
     assert res.stats.bound_calls >= 1 and res.stats.cache_hits >= 1
 
 
+def test_cache_limit_evicts_without_changing_the_search(monkeypatch):
+    # With 8 cached residual bounds the least recently used are evicted and
+    # computed again; the bounds, hence the search, are unchanged.
+    g = gen_gnm(18, 40, 1)
+    full = branch_and_bound(g)
+    monkeypatch.setattr(exact, "CACHE_LIMIT", 8)
+    small = branch_and_bound(g)
+    assert small.stats.proven_optimal and small.lower_bound == small.upper_bound == 174
+    assert small.labeling == full.labeling
+    assert (small.stats.explored, small.stats.pruned_by_bound) == (
+        full.stats.explored, full.stats.pruned_by_bound)
+    assert (small.stats.bound_calls + small.stats.cache_hits
+            == full.stats.bound_calls + full.stats.cache_hits)
+    assert small.stats.bound_calls > full.stats.bound_calls
+
+
 def test_node_limit_returns_bracket():
     g = gen_gnm(18, 40, 1)
     res = branch_and_bound(g, node_limit=1)

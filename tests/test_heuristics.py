@@ -1,5 +1,5 @@
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -7,6 +7,7 @@ from slabel.core import Labeling, build_graph, exchange_delta, sl_value
 from slabel.exact import branch_and_bound
 from slabel.heuristics import greedy_label, local_search, starting_heuristic
 from slabel.instances import (
+    GENERATORS,
     InstanceSpec,
     SplitMix64,
     gen_gnm,
@@ -74,6 +75,52 @@ class TestGreedy:
         g = gen_gnm(20, 40, 9)
         phi, value = greedy_label(g)
         assert value == sl_value(g, phi)
+
+
+def reference_greedy_label(g):
+    """greedy_label as it was before it used Labeling.from_order: a scan
+    for the lowest-index unlabeled node of maximum residual degree."""
+    residual_degree = [len(adj) for adj in g.adjacency]
+    labeled = [False] * g.n
+    labels = [0] * g.n
+    for k in range(1, g.n + 1):
+        best = -1
+        for v in range(g.n):
+            if not labeled[v] and (best < 0 or residual_degree[v] > residual_degree[best]):
+                best = v
+        labels[best] = k
+        labeled[best] = True
+        for x, _ in g.adjacency[best]:
+            residual_degree[x] -= 1
+    phi = Labeling(labels=tuple(labels))
+    return phi, sl_value(g, phi)
+
+
+# One instance of each generator kind, as InstanceSpec arguments.
+FAMILY_SPECS = {
+    "path": {"n": 40}, "cycle": {"n": 41}, "nary": {"arity": 3, "depth": 3},
+    "grid": {"rows": 6, "cols": 7}, "gnm": {"n": 60, "m": 150},
+    "tree": {"n": 80}, "caterpillar": {"backbone": 25, "p1": 0.6},
+    "lobster": {"backbone": 20, "p1": 0.7, "p2": 0.5},
+    "bipartite": {"n1": 20, "n2": 25, "p": 0.15},
+}
+
+
+class TestGreedyAgainstReference:
+    def test_every_graph_up_to_six_nodes(self):
+        checked = 0
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                assert greedy_label(g) == reference_greedy_label(g)
+                checked += 1
+        assert checked == 33868
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_generator_families(self, kind):
+        g = InstanceSpec(kind, FAMILY_SPECS[kind], seed=3).generate()
+        assert greedy_label(g) == reference_greedy_label(g)
 
 
 class TestLocalSearch:

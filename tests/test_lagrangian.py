@@ -30,6 +30,12 @@ class TestSubgradient:
         assert res.lower_bound == 87
         assert res.lower_bound <= res.incumbent_value == 88
 
+    def test_zero_iterations_keep_the_warm_start(self):
+        g = gen_gnm(12, 30, 5)
+        res = run_subgradient(g, SubgradientParams(max_iter=0))
+        assert res.iterations == 0 and res.stop_reason == "iterations"
+        assert res.lower_bound == dual_ascent_extended(g)[1] == 86
+
     def test_relaxation_does_not_diverge(self):
         res = run_subgradient(gen_gnm(12, 30, 5), SubgradientParams(max_iter=50))
         assert res.trace

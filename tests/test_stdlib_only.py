@@ -1,8 +1,8 @@
-"""Each module of the package imports on its own, and the package imports
-only the standard library: ``pyproject.toml`` declares no runtime
-dependency, and the installed scipy would raise peak memory far past the
-benchmark's bound (``import scipy.optimize`` alone takes it from about 13
-to 76 MB)."""
+"""Each module of the package parses as Python 3.10 and imports on its
+own, and the package imports only the standard library: ``pyproject.toml``
+declares Python >= 3.10 and no runtime dependency, and the installed scipy
+would raise peak memory far past the benchmark's bound (``import
+scipy.optimize`` alone takes it from about 13 to 76 MB)."""
 
 import ast
 import subprocess
@@ -27,6 +27,13 @@ def test_package_imports_only_the_standard_library():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_modules_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, so syntax added
+    # later (such as except*) must fail here on any newer interpreter.
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def test_each_module_imports_alone():
