@@ -93,16 +93,19 @@ def dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]
     last_step = [0] * m
     trace: list[AscentStep] = []
     z = m
+    # Isolated nodes keep degree 0: the ascent never looks at them.
+    touched = [v for v in range(g.n) if deg[v]]
     for step in range(1, g.n + 1):
         # Only nodes of degree > alpha >= 1 are ever visited.
-        ranked = sorted([(-d, v) for v, d in enumerate(deg) if d > 1])
+        ranked = sorted([(-d, v) for v in touched if (d := deg[v]) > 1])
         order = [v for _, v in ranked]
         entry = [-d for d, _ in ranked]
         best_net = 0
         best: tuple[int, list[int]] | None = None
         capped = 2 * active  # sum over v of min(deg_v, alpha)
         above = 0  # entry[:above] are > alpha (nodes of degree <= 1 never are)
-        for alpha in range(max(deg), 0, -1):
+        # The maximum degree: entry[0], else 1 while an edge is active.
+        for alpha in range(entry[0] if entry else min(active, 1), 0, -1):
             need = max(best_net, 1)
             # The most edges a trial may remove and still net `need`.
             budget = active - step * alpha - need

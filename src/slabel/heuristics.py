@@ -29,53 +29,63 @@ def greedy_label(g: Graph) -> tuple[Labeling, int]:
 def local_search(g: Graph, phi: Labeling, deadline: float | None = None) -> tuple[Labeling, int]:
     """Improve a labeling by exchanging label pairs until locally optimal.
 
-    One sweep visits labels k = 1..n; for the node i holding label k only
-    exchanges with nodes labeled k' <= min(k, maxContribLabel) are tried,
-    where maxContribLabel is the largest contribution among i's incident
-    edges.  The first strictly improving exchange (exact swap delta) is
-    applied and the sweep moves on; sweeps repeat until one finds no
+    One sweep visits labels k = 1..n; for the node i holding label k it
+    tries, in ascending order, the labels kp < k up to i's largest capped
+    neighbour label, and applies the first strictly improving exchange
+    before it moves on to k + 1.  Sweeps repeat until one finds no
     improvement or would start after ``deadline`` (a ``perf_counter`` time).
+
+    Giving i label kp and ip = inverse[kp] label k changes the value by
+    cost - gain, with c_x = min(k, l_x) and both sums over l_x > kp:
+    gain = sum over x in N(i) of (c_x - kp), and cost = sum over
+    x in N(ip) - {i} of (c_x - kp).  Gain falls by `above`, the number of
+    caps c_x > kp, with each step of kp, so it is walked segment by
+    segment between sorted caps in O(1) per kp.  Every cost term is
+    nonnegative, so the scan of N(ip) stops once it reaches gain: that kp
+    cannot improve.  The walk ends at the largest cap, where gain is 0 and
+    no exchange improves.  So every kp that can improve is tried in the
+    same ascending order, with the same delta, as by a full scan of both
+    neighbour lists, and the first improving exchange is unchanged.
     """
+    value = sl_value(g, phi)
     labels = list(phi.labels)
     inverse = [0] * g.n
     for v, lab in enumerate(labels):
         inverse[lab - 1] = v
     neighbors = [tuple(x for x, _ in adj) for adj in g.adjacency]
-    value = sl_value(g, phi)
 
     improved = True
     while improved and (deadline is None or time.perf_counter() < deadline):
         improved = False
         for k in range(1, g.n + 1):
             i = inverse[k - 1]
-            adj_i = neighbors[i]
-            max_neighbor = 0
-            for x in adj_i:
-                lx = labels[x]
-                if lx > max_neighbor:
-                    max_neighbor = lx
-            limit = k if k < max_neighbor else max_neighbor
-            for kp in range(1, limit + 1):
-                if kp == k:
+            caps = sorted([k if k < labels[x] else labels[x] for x in neighbors[i]])
+            gain = sum(caps) - len(caps)  # at kp = 1
+            above = len(caps)
+            start = 1
+            for cap in caps:
+                # For kp in [start, cap), exactly `above` caps exceed kp.
+                for kp in range(start, cap):
+                    ip = inverse[kp - 1]
+                    cost = 0
+                    for x in neighbors[ip]:
+                        lx = labels[x]
+                        if lx > kp and x != i:
+                            cost += (k if k < lx else lx) - kp
+                            if cost >= gain:
+                                break
+                    else:
+                        labels[i], labels[ip] = kp, k
+                        inverse[k - 1], inverse[kp - 1] = ip, i
+                        value += cost - gain
+                        improved = True
+                        break
+                    gain -= above
+                else:
+                    start = cap
+                    above -= 1
                     continue
-                ip = inverse[kp - 1]
-                delta = 0
-                for x in adj_i:
-                    if x == ip:
-                        continue
-                    lx = labels[x]
-                    delta += (kp if kp < lx else lx) - (k if k < lx else lx)
-                for x in neighbors[ip]:
-                    if x == i:
-                        continue
-                    lx = labels[x]
-                    delta += (k if k < lx else lx) - (kp if kp < lx else lx)
-                if delta < 0:
-                    labels[i], labels[ip] = kp, k
-                    inverse[k - 1], inverse[kp - 1] = ip, i
-                    value += delta
-                    improved = True
-                    break
+                break  # an exchange was applied: go on to label k + 1
     result = Labeling(labels=tuple(labels))
     return result, value
 

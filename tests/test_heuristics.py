@@ -1,8 +1,11 @@
+import random
 import time
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slabel import lagrangian
 from slabel.core import Labeling, build_graph, exchange_delta, sl_value
 from slabel.exact import branch_and_bound
 from slabel.heuristics import greedy_label, local_search, starting_heuristic
@@ -15,7 +18,7 @@ from slabel.instances import (
     gen_path,
     gen_random_tree,
 )
-from slabel.lagrangian import run_subgradient
+from slabel.lagrangian import SubgradientParams, run_subgradient
 
 GRID_OPT = Labeling(labels=(5, 1, 6, 2, 7, 3, 8, 4, 9))
 
@@ -161,6 +164,113 @@ class TestLocalSearch:
         start = Labeling(labels=(1, 2, 3))
         phi, value = local_search(g, start, deadline=time.perf_counter())
         assert phi == start and value == sl_value(g, start)
+
+    def test_wrong_length_labeling_is_rejected(self):
+        g = gen_path(3)
+        for labels in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match=f"labeling has {len(labels)} entries for 3 nodes"):
+                local_search(g, Labeling(labels=labels))
+
+
+def reference_local_search(g, phi, deadline=None):
+    """local_search as it was before the gain/cost split: both neighbour
+    lists scanned in full for every candidate label."""
+    labels = list(phi.labels)
+    inverse = [0] * g.n
+    for v, lab in enumerate(labels):
+        inverse[lab - 1] = v
+    neighbors = [tuple(x for x, _ in adj) for adj in g.adjacency]
+    value = sl_value(g, phi)
+
+    improved = True
+    while improved and (deadline is None or time.perf_counter() < deadline):
+        improved = False
+        for k in range(1, g.n + 1):
+            i = inverse[k - 1]
+            adj_i = neighbors[i]
+            max_neighbor = 0
+            for x in adj_i:
+                lx = labels[x]
+                if lx > max_neighbor:
+                    max_neighbor = lx
+            limit = k if k < max_neighbor else max_neighbor
+            for kp in range(1, limit + 1):
+                if kp == k:
+                    continue
+                ip = inverse[kp - 1]
+                delta = 0
+                for x in adj_i:
+                    if x == ip:
+                        continue
+                    lx = labels[x]
+                    delta += (kp if kp < lx else lx) - (k if k < lx else lx)
+                for x in neighbors[ip]:
+                    if x == i:
+                        continue
+                    lx = labels[x]
+                    delta += (k if k < lx else lx) - (kp if kp < lx else lx)
+                if delta < 0:
+                    labels[i], labels[ip] = kp, k
+                    inverse[k - 1], inverse[kp - 1] = ip, i
+                    value += delta
+                    improved = True
+                    break
+    result = Labeling(labels=tuple(labels))
+    return result, value
+
+
+@st.composite
+def labeled_graphs(draw, max_nodes=14):
+    n = draw(st.integers(1, max_nodes))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    labels = draw(st.permutations(range(1, n + 1)))
+    return build_graph(n, [p for p, k in zip(pairs, keep) if k]), Labeling(labels=tuple(labels))
+
+
+class TestLocalSearchAgainstReference:
+    def test_every_graph_up_to_six_nodes(self):
+        checked = 0
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            starts = (Labeling(labels=tuple(range(1, n + 1))),
+                      Labeling(labels=tuple(range(n, 0, -1))))
+            for mask in range(1 << len(pairs)):
+                g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                for phi in starts:
+                    assert local_search(g, phi) == reference_local_search(g, phi)
+                checked += 1
+        assert checked == 33868
+
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_graphs())
+    def test_random_labelings(self, case):
+        g, phi = case
+        assert local_search(g, phi) == reference_local_search(g, phi)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_generator_families(self, kind):
+        g = InstanceSpec(kind, FAMILY_SPECS[kind], seed=3).generate()
+        labels = list(range(1, g.n + 1))
+        random.Random(kind).shuffle(labels)
+        for phi in (greedy_label(g)[0], Labeling(labels=tuple(labels))):
+            assert local_search(g, phi) == reference_local_search(g, phi)
+
+    def test_subgradient_labelings(self, monkeypatch):
+        # The x-subproblem labelings of a Lagrangian run: starts that come
+        # from the assignment solver, not from greedy.
+        seen = []
+
+        def recording(g, phi, deadline=None):
+            result = local_search(g, phi, deadline)
+            seen.append((g, phi, result))
+            return result
+
+        monkeypatch.setattr(lagrangian, "local_search", recording)
+        run_subgradient(gen_gnm(60, 150, 2), SubgradientParams(max_iter=25))
+        assert len(seen) == 25
+        for g, phi, result in seen:
+            assert result == reference_local_search(g, phi)
 
 
 class TestStartingHeuristic:
