@@ -16,12 +16,13 @@ included, is the textbook one.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Sequence
 
 
 def hungarian_min(
-    costs: Sequence[Sequence[int]], deadline: float | None = None
+    costs: Sequence[Sequence[int]], deadline: float = math.inf
 ) -> tuple[list[int], int] | None:
     """Minimum-cost perfect assignment: perm[i] = column of row i, and the
     minimal total cost.  Deterministic for equal inputs.
@@ -30,8 +31,9 @@ def hungarian_min(
     distance, so which of several optimal assignments comes back is fixed
     by the column order; the pinned Lagrangian trajectories rely on this.
 
-    ``deadline`` is a ``time.perf_counter()`` value; the clock is read
-    before each row, and once the deadline has passed the result is None.
+    Stops at ``deadline``, a ``time.perf_counter()`` value (``math.inf``,
+    the default, means no limit): the clock is read before each row, and
+    once the deadline has passed the result is None.
     """
     n = len(costs)
     for row in costs:
@@ -46,7 +48,7 @@ def hungarian_min(
     p = [-1] * (n + 1)
     way = [0] * (n + 1)
     for i in range(n):
-        if deadline is not None and time.perf_counter() >= deadline:
+        if time.perf_counter() >= deadline:
             return None
         p[n] = i
         j0 = n

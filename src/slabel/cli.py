@@ -11,12 +11,13 @@ labeling checks, and CSV benchmarking.
            every file of a suite directory, one CSV row per file and method
 
 ``--time-limit`` (seconds, or ``inf``; ``solve``, ``bound`` and ``bench``,
-default 60) bounds ``bnb``, ``lagrangian`` and the ``bnb`` fall-back of
-``auto``; every other method runs to completion.  ``bench`` runs one call
-after another in this process: there is no thread pool and no
-``SLAB_THREADS`` variable.  A bench row's status is ``ok``, ``timeout`` (the time limit
-stopped the method) or ``error`` (the file or the method failed; stderr
-gets ``error: <file> <method>: <reason>``).
+default 60) becomes the method's deadline, counted from the moment the
+method starts.  It bounds ``bnb``, ``lagrangian`` and the ``bnb``
+fall-back of ``auto``; every other method runs to completion.  ``bench``
+runs one call after another in this process.  A bench row's status is
+``ok``, ``timeout`` (the time limit stopped the method) or ``error`` (the
+file or the method failed; stderr gets ``error: <file> <method>:
+<reason>``).
 
 A B&B run of ``solve`` (``bnb``, or ``auto`` falling back to it) adds
 the ``search`` counters of ``exact.SearchStats`` to its report.
@@ -89,21 +90,20 @@ class _Result:
     lb: int | None = None
     ub: int | None = None
     labeling: Labeling | None = None
-    proven: bool = False
     timed_out: bool = False
     details: dict = field(default_factory=dict)
 
 
-def _greedy(g: Graph, time_limit: float | None) -> _Result:
+def _greedy(g: Graph, deadline: float) -> _Result:
     labeling, value = starting_heuristic(g)
     return _Result(ub=value, labeling=labeling)
 
 
-def _dual_simple(g: Graph, time_limit: float | None) -> _Result:
+def _dual_simple(g: Graph, deadline: float) -> _Result:
     return _Result(lb=dual_ascent_simple(g)[1])
 
 
-def _dual_extended(g: Graph, time_limit: float | None) -> _Result:
+def _dual_extended(g: Graph, deadline: float) -> _Result:
     _, bound, trace = dual_ascent_extended(g)
     return _Result(lb=bound, details={
         "net_changes": [step.net_change for step in trace],
@@ -111,44 +111,42 @@ def _dual_extended(g: Graph, time_limit: float | None) -> _Result:
     })
 
 
-def _lagrangian(g: Graph, time_limit: float | None) -> _Result:
-    res = run_subgradient(g, time_limit=time_limit)
+def _lagrangian(g: Graph, deadline: float) -> _Result:
+    res = run_subgradient(g, deadline=deadline)
     lb, ub = res.lower_bound, res.incumbent_value
-    return _Result(lb, ub, res.best_labeling, proven=lb == ub,
-                   timed_out=res.stop_reason == "time",
+    return _Result(lb, ub, res.best_labeling, timed_out=res.stop_reason == "time",
                    details={"iterations": res.iterations, "incumbent": ub,
                             "stop_reason": res.stop_reason})
 
 
-def _bnb(g: Graph, time_limit: float | None) -> _Result:
-    res = branch_and_bound(g, time_limit=time_limit)
+def _bnb(g: Graph, deadline: float) -> _Result:
+    res = branch_and_bound(g, deadline=deadline)
     s = res.stats
     search = {"explored": s.explored, "pruned": s.pruned_by_bound, "bound_calls": s.bound_calls,
               "cache_hits": s.cache_hits, "open_bound": s.open_bound}
-    return _Result(res.lower_bound, res.upper_bound, res.labeling, s.proven_optimal,
-                   not s.proven_optimal, details={"search": search})
+    return _Result(res.lower_bound, res.upper_bound, res.labeling,
+                   timed_out=not s.proven_optimal, details={"search": search})
 
 
-def _oracle(g: Graph, time_limit: float | None) -> _Result:
+def _oracle(g: Graph, deadline: float) -> _Result:
     value, labeling = brute_force(g)
-    return _Result(value, value, labeling, proven=True)
+    return _Result(value, value, labeling)
 
 
-def _special(g: Graph, time_limit: float | None) -> _Result:
+def _special(g: Graph, deadline: float) -> _Result:
     try:
         structure, labeling = label_special(g)
     except ValueError:
         raise _InputError("instance is not a path, cycle or perfect n-ary tree") from None
     value = sl_value(g, labeling)
-    return _Result(value, value, labeling, proven=True,
-                   details={"method": f"special:{structure.kind.value}"})
+    return _Result(value, value, labeling, details={"method": f"special:{structure.kind.value}"})
 
 
-def _auto(g: Graph, time_limit: float | None) -> _Result:
+def _auto(g: Graph, deadline: float) -> _Result:
     try:
-        return _special(g, time_limit)
+        return _special(g, deadline)
     except _InputError:
-        result = _bnb(g, time_limit)
+        result = _bnb(g, deadline)
         result.details["method"] = "bnb"
         return result
 
@@ -168,10 +166,11 @@ _METHODS = {
 }
 
 
-def _run(method: str, g: Graph, time_limit: float | None) -> tuple[_Result, float]:
-    """The method's result and its wall time in milliseconds."""
+def _run(method: str, g: Graph, time_limit: float) -> tuple[_Result, float]:
+    """The method's result, with ``time_limit`` seconds from its start as
+    its deadline, and its wall time in milliseconds."""
     started = time.perf_counter()
-    result = _METHODS[method](g, time_limit)
+    result = _METHODS[method](g, started + time_limit)
     return result, round((time.perf_counter() - started) * 1000.0, 3)
 
 
@@ -309,7 +308,7 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "primal_value": res.ub,
         "dual_bound": res.lb,
         "gap_percent": _gap_percent(res.lb, res.ub),
-        "proven": res.proven,
+        "proven": res.lb is not None and res.lb == res.ub,
         "time_ms": elapsed_ms,
         "labeling": list(res.labeling.labels),
     }
@@ -382,6 +381,8 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if not files:
         raise _InputError(f"no instance files in {suite}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        parser.error("--methods names no bench method")
     for m in methods:
         if m not in BENCH_METHODS:
             parser.error(f"unknown bench method {m!r}")

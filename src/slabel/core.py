@@ -139,17 +139,11 @@ def enumerate_triangles(
 
     Triples satisfy i < j < k and the list is sorted lexicographically.
     """
-    neighbor_sets = [set(x for x, _ in adj) for adj in g.adjacency]
-    edge_index = {e: idx for idx, e in enumerate(g.edges)}
+    edge_at = [dict(adj) for adj in g.adjacency]  # edge_at[u][v]: the id of edge (u, v)
     triangles = []
     for u, v in g.edges:
-        for w in neighbor_sets[u] & neighbor_sets[v]:
+        for w in edge_at[u].keys() & edge_at[v].keys():
             if w > v:
-                triangles.append(
-                    (
-                        (u, v, w),
-                        (edge_index[(u, v)], edge_index[(u, w)], edge_index[(v, w)]),
-                    )
-                )
+                triangles.append(((u, v, w), (edge_at[u][v], edge_at[u][w], edge_at[v][w])))
     triangles.sort()
     return triangles

@@ -98,21 +98,19 @@ def dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]
     for step in range(1, g.n + 1):
         # Only nodes of degree > alpha >= 1 are ever visited.
         ranked = sorted([(-d, v) for v in touched if (d := deg[v]) > 1])
-        order = [v for _, v in ranked]
-        entry = [-d for d, _ in ranked]
         best_net = 0
         best: tuple[int, list[int]] | None = None
         capped = 2 * active  # sum over v of min(deg_v, alpha)
-        above = 0  # entry[:above] are > alpha (nodes of degree <= 1 never are)
-        # The maximum degree: entry[0], else 1 while an edge is active.
-        for alpha in range(entry[0] if entry else min(active, 1), 0, -1):
+        above = 0  # ranked[:above] have degree > alpha (degree <= 1 never has)
+        # The maximum degree: ranked[0]'s, else 1 while an edge is active.
+        for alpha in range(-ranked[0][0] if ranked else min(active, 1), 0, -1):
             need = max(best_net, 1)
             # The most edges a trial may remove and still net `need`.
             budget = active - step * alpha - need
             if capped // 2 - step * alpha >= need:
                 removed: list[int] = []
-                for v, d in zip(order, entry):
-                    if d <= alpha or len(removed) > budget:
+                for neg_d, v in ranked:
+                    if -neg_d <= alpha or len(removed) > budget:
                         break
                     excess = deg[v] - alpha
                     if excess <= 0:
@@ -131,7 +129,7 @@ def dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]
                     u, v = edges[e]
                     deg[u] += 1
                     deg[v] += 1
-            while above < len(entry) and entry[above] >= alpha:
+            while above < len(ranked) and -ranked[above][0] >= alpha:
                 above += 1
             capped -= above
         if best is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 import time
 from dataclasses import dataclass
 
@@ -112,18 +113,18 @@ class BnBResult:
 
 
 def branch_and_bound(
-    g: Graph,
-    time_limit: float | None = None,
-    node_limit: int | None = None,
+    g: Graph, deadline: float = math.inf, node_limit: float = math.inf
 ) -> BnBResult:
     """Best-first branch-and-bound (lowest bound first, deeper first on
     ties, then insertion order).
 
     Children of a depth-k node place label k+1 on an unlabeled vertex;
-    candidates are restricted to vertices with residual degree >= 1
-    whenever any exist, since moving the next label from a residual-
-    isolated vertex onto a residual-non-isolated one never increases the
-    objective.  Hitting a limit yields a valid bracket instead of a proof.
+    candidates are restricted to vertices with residual degree >= 1,
+    since moving the next label from a residual-isolated vertex onto a
+    residual-non-isolated one never increases the objective.  The search
+    stops after ``node_limit`` expansions or at ``deadline``, a
+    ``perf_counter`` value (``math.inf``, the default for both, means no
+    limit); hitting a limit yields a valid bracket instead of a proof.
 
     A residual edge set is an int bitmask over edge indices, and
     ``incident[v]`` masks the edges at v: labeling v leaves the residual
@@ -138,7 +139,6 @@ def branch_and_bound(
     """
     if g.m == 0:
         return BnBResult(0, 0, Labeling.from_order(g.n, ()), SearchStats(proven_optimal=True))
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
     stats = SearchStats()
 
     @functools.lru_cache(maxsize=CACHE_LIMIT)
@@ -158,9 +158,7 @@ def branch_and_bound(
 
     # A limit breaks out with nodes left open; otherwise the heap runs empty.
     while heap:
-        if node_limit is not None and stats.explored >= node_limit:
-            break
-        if deadline is not None and time.perf_counter() >= deadline:
+        if stats.explored >= node_limit or time.perf_counter() >= deadline:
             break
         lb, neg_depth, _, partial, fixed_cost, residual = heapq.heappop(heap)
         if lb >= incumbent:

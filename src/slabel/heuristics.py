@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 from .core import Graph, Labeling, sl_value
@@ -26,14 +27,15 @@ def greedy_label(g: Graph) -> tuple[Labeling, int]:
     return phi, sl_value(g, phi)
 
 
-def local_search(g: Graph, phi: Labeling, deadline: float | None = None) -> tuple[Labeling, int]:
+def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[Labeling, int]:
     """Improve a labeling by exchanging label pairs until locally optimal.
 
     One sweep visits labels k = 1..n; for the node i holding label k it
     tries, in ascending order, the labels kp < k up to i's largest capped
     neighbour label, and applies the first strictly improving exchange
     before it moves on to k + 1.  Sweeps repeat until one finds no
-    improvement or would start after ``deadline`` (a ``perf_counter`` time).
+    improvement or would start after ``deadline``, a ``perf_counter`` value
+    (``math.inf``, the default, means no limit).
 
     Giving i label kp and ip = inverse[kp] label k changes the value by
     cost - gain, with c_x = min(k, l_x) and both sums over l_x > kp:
@@ -55,7 +57,7 @@ def local_search(g: Graph, phi: Labeling, deadline: float | None = None) -> tupl
     neighbors = [tuple(x for x, _ in adj) for adj in g.adjacency]
 
     improved = True
-    while improved and (deadline is None or time.perf_counter() < deadline):
+    while improved and time.perf_counter() < deadline:
         improved = False
         for k in range(1, g.n + 1):
             i = inverse[k - 1]
@@ -90,7 +92,7 @@ def local_search(g: Graph, phi: Labeling, deadline: float | None = None) -> tupl
     return result, value
 
 
-def starting_heuristic(g: Graph, deadline: float | None = None) -> tuple[Labeling, int]:
+def starting_heuristic(g: Graph, deadline: float = math.inf) -> tuple[Labeling, int]:
     """Greedy construction followed by local search (up to ``deadline``)."""
     phi, _ = greedy_label(g)
     return local_search(g, phi, deadline)

@@ -16,6 +16,7 @@ subproblem solvers return their values times SCALE.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -73,11 +74,12 @@ def _triangle_suffixes(m: Multipliers) -> Iterator[tuple[Triangle, list[int]]]:
 
 
 def solve_x_subproblem(
-    g: Graph, m: Multipliers, deadline: float | None = None
+    g: Graph, m: Multipliers, deadline: float = math.inf
 ) -> tuple[Labeling, int] | None:
     """Maximum-value assignment of labels to nodes under the multiplier
     coefficients: the assignment as a Labeling and its value times SCALE.
-    None once ``deadline`` (a ``time.perf_counter()`` value) has passed."""
+    Stops at ``deadline``, a ``time.perf_counter()`` value (``math.inf``,
+    the default, means no limit), and then returns None."""
     costs = [[0] * g.n for _ in range(g.n)]  # negated: hungarian_min minimizes
     for e, (u, v) in enumerate(g.edges):
         for k, val in m.delta[e].items():
@@ -160,7 +162,7 @@ class LagrangianResult:
 def run_subgradient(
     g: Graph,
     params: SubgradientParams | None = None,
-    time_limit: float | None = None,
+    deadline: float = math.inf,
 ) -> LagrangianResult:
     """Subgradient optimization of the relaxation.
 
@@ -169,7 +171,8 @@ def run_subgradient(
     search heuristic and every assignment solution is improved by local
     search.  The step is the Polyak rule beta * (incumbent - z) / ||g||^2.
     Stops on the iteration limit, a closed gap, a zero subgradient, a step
-    size below STOP_MU, or ``time_limit`` seconds.  A deadline passed once
+    size below STOP_MU, or at ``deadline``, a ``perf_counter`` value
+    (``math.inf``, the default, means no limit).  A deadline passed once
     the warm start and the starting heuristic are done returns their
     bracket with no iteration.  The assignment solver reads the clock
     before each of its rows, so a passed deadline stops the run inside an
@@ -178,14 +181,13 @@ def run_subgradient(
     stop, the bound is the best of the finished iterations and the
     warm-start dual-ascent value, and the bracket is valid.
     """
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
     params = params or SubgradientParams()
     if g.m == 0:
         return LagrangianResult(0, 0, Labeling.from_order(g.n, ()), 0, [], "edgeless")
 
     dual, warm_start, _ = dual_ascent_extended(g)
     best_labeling, incumbent = starting_heuristic(g, deadline)
-    if deadline is not None and time.perf_counter() >= deadline:
+    if time.perf_counter() >= deadline:
         return LagrangianResult(warm_start, incumbent, best_labeling, 0, [], "time")
     mult = Multipliers.from_dual_ascent(g, with_triangles=True, dual=dual)
     if len(mult.triangles) * (g.n - 1) > TRIANGLE_CAP:
@@ -201,14 +203,12 @@ def run_subgradient(
     non_improving = 0
     trace: list[IterationRecord] = []
     stop_reason = "iterations"
-    iterations = 0
 
     for t in range(1, params.max_iter + 1):
         x_solved = solve_x_subproblem(g, mult, deadline)
         if x_solved is None:
             stop_reason = "time"
             break
-        iterations = t
         x_lab, x_scaled = x_solved
         d_choice, d_scaled = solve_d_subproblem(g, mult)
         z_r_scaled = d_scaled - x_scaled - sum(sum(lam.values()) for lam in mult.lam)
@@ -271,7 +271,7 @@ def run_subgradient(
         lower_bound=max(lower_bound, warm_start),
         incumbent_value=incumbent,
         best_labeling=best_labeling,
-        iterations=iterations,
+        iterations=len(trace),
         trace=trace,
         stop_reason=stop_reason,
     )

@@ -372,6 +372,16 @@ class TestExitCodes:
                   "--methods", "greedy,nope"])
         assert exc.value.code == 2
 
+    def test_bench_no_method(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "a.sl").write_text(write_instance(gen_gnm(5, 6, 1)), encoding="ascii")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--suite", str(suite), "--out", str(tmp_path / "o.csv"),
+                  "--methods", ","])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
+
     def test_gen_into_missing_directory(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--kind", "path", "--nodes", 5,
                            "-o", tmp_path / "none" / "p.sl")

@@ -78,9 +78,11 @@ def test_node_limit_returns_bracket():
 def test_time_limit_is_checked_before_every_expansion():
     # One expansion here runs up to 100 residual bounds; checking the clock
     # only every 64 expansions overran a 0.5 s limit by about 14 s.
+    # The node limit is a backstop: a search that ignored its deadline
+    # fails the time check here instead of running for minutes.
     g = gen_gnm(100, 250, 2)
     started = time.perf_counter()
-    res = branch_and_bound(g, time_limit=0.5)
+    res = branch_and_bound(g, deadline=time.perf_counter() + 0.5, node_limit=50)
     assert time.perf_counter() - started < 5.0
     assert not res.stats.proven_optimal
     assert res.lower_bound <= res.upper_bound == sl_value(g, res.labeling)
@@ -98,7 +100,7 @@ def test_passed_deadline_after_root_bound_returns_its_bracket(monkeypatch):
         return result
 
     monkeypatch.setattr(exact, "dual_ascent_extended", slow)
-    res = branch_and_bound(g, time_limit=0.05)
+    res = branch_and_bound(g, deadline=time.perf_counter() + 0.05)
     assert res.stats.explored == 0 and not res.stats.proven_optimal
     assert res.lower_bound == res.stats.open_bound == dual_ascent_extended(g)[1] == 66
     assert res.upper_bound == greedy_label(g)[1] == sl_value(g, res.labeling) == 72

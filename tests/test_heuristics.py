@@ -303,12 +303,12 @@ class TestStartingHeuristic:
 
 
 def _bnb(g, time_limit):
-    res = branch_and_bound(g, time_limit=time_limit)
+    res = branch_and_bound(g, deadline=time.perf_counter() + time_limit)
     return res.lower_bound, res.upper_bound, res.labeling
 
 
 def _lagrangian(g, time_limit):
-    res = run_subgradient(g, time_limit=time_limit)
+    res = run_subgradient(g, deadline=time.perf_counter() + time_limit)
     return res.lower_bound, res.incumbent_value, res.best_labeling
 
 

@@ -43,7 +43,7 @@ class TestSubgradient:
 
     def test_time_limit_zero_runs_no_iteration(self):
         g = gen_gnm(12, 30, 5)
-        res = run_subgradient(g, SubgradientParams(max_iter=50), time_limit=0)
+        res = run_subgradient(g, SubgradientParams(max_iter=50), deadline=time.perf_counter())
         assert res.iterations == 0 and res.trace == []
         assert res.stop_reason == "time"
         assert res.lower_bound <= res.incumbent_value
@@ -54,7 +54,7 @@ class TestSubgradient:
         # assignment solver gives up at its first row, so none runs and the
         # bound is the warm start.
         g = gen_random_tree(300, 1)
-        res = run_subgradient(g, time_limit=0)
+        res = run_subgradient(g, deadline=time.perf_counter())
         assert res.iterations == 0 and res.stop_reason == "time"
         assert res.lower_bound == dual_ascent_extended(g)[1]
         assert res.lower_bound <= res.incumbent_value == sl_value(g, res.best_labeling)
@@ -64,7 +64,7 @@ class TestSubgradient:
         # inside the assignment solver, which then gives up.
         g = gen_random_tree(300, 1)
         started = time.perf_counter()
-        res = run_subgradient(g, time_limit=0.5)
+        res = run_subgradient(g, deadline=time.perf_counter() + 0.5)
         assert time.perf_counter() - started < 1.5
         assert res.stop_reason == "time"
         assert res.lower_bound >= dual_ascent_extended(g)[1]
@@ -90,7 +90,7 @@ class TestSubgradient:
 
         monkeypatch.setattr(lagrangian, "dual_ascent_extended", slow)
         monkeypatch.setattr(Multipliers, "from_dual_ascent", classmethod(counted))
-        res = run_subgradient(g, time_limit=0.05)
+        res = run_subgradient(g, deadline=time.perf_counter() + 0.05)
         assert built == []
         assert res.iterations == 0 and res.trace == [] and res.stop_reason == "time"
         assert res.lower_bound == dual_ascent_extended(g)[1] == 66
