@@ -17,6 +17,7 @@ which it participated, and delta_e^k = max(0, K_e - k + 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import Graph, max_degree
@@ -63,7 +64,9 @@ def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
     return DualSolution(g.n, alpha, (1 + steps,) * m, (steps,) * m), z
 
 
-def dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]:
+def dual_ascent_extended(
+    g: Graph, residual: int | None = None, cutoff: float = math.inf
+) -> tuple[DualSolution | None, int, list[AscentStep]]:
     """Ascent that may pay less than the maximum degree per step by
     deactivating edges; deactivated edges stop earning in later steps.
 
@@ -83,16 +86,38 @@ def dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]
     (after the cap no degree exceeds alpha), and a trial stops once it
     has dropped more edges than a winner may.  Each trial is undone from
     its removal log.
+
+    ``residual``, an int bitmask over g's edge ids, restricts the ascent
+    to the subgraph of those edges without building it: g's node ids and
+    edge order are kept, so the steps equal those on
+    ``build_graph(g.n, chosen edges in id order)``, and the solution gives
+    the edges outside the mask gamma 0.  ``None`` means every edge.
+
+    The ascent returns after the first committed step whose objective
+    reaches ``cutoff``: each committed step keeps the dual feasible and
+    raises the objective, so that value is still a lower bound, and the
+    trace is a prefix of the full one.  A finite cutoff returns no
+    solution (None); it is for callers that need only the bound, such as
+    branch-and-bound, which prunes a child once its bound gets there.
     """
     m = g.m
     adjacency, edges = g.adjacency, g.edges
-    flags = [True] * m
-    deg = [len(adj) for adj in adjacency]
-    active = m
+    if residual is None:
+        residual = (1 << m) - 1
+    flags = [False] * m
+    deg = [0] * g.n
+    for e, bit in enumerate(bin(residual)[:1:-1]):  # bit e at index e
+        if bit == "1":
+            flags[e] = True
+            u, v = edges[e]
+            deg[u] += 1
+            deg[v] += 1
+    active = residual.bit_count()
     # An edge dropped when step s commits was last active in step s - 1.
-    last_step = [0] * m
+    # An edge outside the residual was never active: its gamma is 0.
+    last_step = [0 if flag else -1 for flag in flags]
     trace: list[AscentStep] = []
-    z = m
+    z = active
     # Isolated nodes keep degree 0: the ascent never looks at them.
     touched = [v for v in range(g.n) if deg[v]]
     for step in range(1, g.n + 1):
@@ -144,6 +169,10 @@ def dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]
         active -= len(removed)
         z += best_net
         trace.append(AscentStep(step, alpha, active, best_net, z))
+        if z >= cutoff:
+            break
+    if cutoff < math.inf:
+        return None, z, trace
     steps = len(trace)
     last = tuple(steps if flags[e] else last_step[e] for e in range(m))
     alpha = [0] * g.n

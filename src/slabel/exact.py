@@ -8,13 +8,13 @@ fixed and the remaining labels can be handed out in any order.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 
-from .core import Graph, Labeling, build_graph, sl_value
+from .core import Graph, Labeling, sl_value
 from .dual_ascent import dual_ascent_extended
 from .heuristics import starting_heuristic
 
@@ -88,10 +88,10 @@ def brute_force(g: Graph) -> tuple[int, Labeling]:
 
 @dataclass
 class SearchStats:
-    """Counters of one search: ``bound_calls`` dual-ascent runs and
-    ``cache_hits`` residual bounds found in the cache (the misses and hits
-    of its ``cache_info``), and ``open_bound`` the smallest bound left open
-    when a limit stopped the search."""
+    """Counters of one search: ``bound_calls`` dual-ascent runs (a residual
+    bounded again under a higher cutoff counts again), ``cache_hits``
+    residual bounds taken from the memo instead, and ``open_bound`` the
+    smallest bound left open when a limit stopped the search."""
 
     explored: int = 0
     pruned_by_bound: int = 0
@@ -130,21 +130,40 @@ def branch_and_bound(
     ``incident[v]`` masks the edges at v: labeling v leaves the residual
     ``residual & ~incident[v]`` and fixes ``(residual & incident[v])
     .bit_count()`` edges at the new label.  Bounds come from
-    ``dual_ascent_extended`` on each residual subgraph, looked up in this
-    module so that a wrapper installed here sees every call.  A subgraph
-    keeps g's node ids and edge order, so its bound depends on the edge set
-    alone and is cached by bitmask: an ``lru_cache`` built per call, of
-    ``CACHE_LIMIT`` entries at that time.  The root bound precedes the
-    starting heuristic; the clock is read before each expansion.
+    ``dual_ascent_extended`` on g restricted to the residual bitmask,
+    looked up in this module so that a wrapper installed here sees every
+    call; no subgraph is built, and the bound depends on the edge set alone.
+
+    A child is pruned once its fixed cost, ``label`` per residual edge and
+    the residual's dual bound reach the incumbent, so the ascent stops at
+    that cutoff: every pushed child carries the full ascent's bound, and
+    the search is the one uncut ascents give.  The memo maps a residual to
+    (bound, exact), exact when the bound is below its cutoff; a hit is used
+    when it is exact or reaches the new cutoff, else the ascent runs again.
+    The memo is built per call, holds ``CACHE_LIMIT`` entries (read at that
+    time) and drops the least recently used first.  The root bound, uncut,
+    precedes the starting heuristic; the clock is read before each
+    expansion.
     """
     if g.m == 0:
         return BnBResult(0, 0, Labeling.from_order(g.n, ()), SearchStats(proven_optimal=True))
     stats = SearchStats()
 
-    @functools.lru_cache(maxsize=CACHE_LIMIT)
-    def dual_bound(residual: int) -> int:
-        chosen = [g.edges[e] for e, bit in enumerate(reversed(bin(residual)[2:])) if bit == "1"]
-        return dual_ascent_extended(build_graph(g.n, chosen))[1]
+    memo: OrderedDict[int, tuple[int, bool]] = OrderedDict()  # residual -> (bound, exact)
+
+    def dual_bound(residual: int, cutoff: float) -> int:
+        hit = memo.get(residual)
+        if hit is not None and (hit[1] or hit[0] >= cutoff):
+            memo.move_to_end(residual)
+            stats.cache_hits += 1
+            return hit[0]
+        stats.bound_calls += 1
+        z = dual_ascent_extended(g, residual, cutoff)[1]
+        memo[residual] = (z, z < cutoff)
+        memo.move_to_end(residual)
+        if len(memo) > CACHE_LIMIT:
+            memo.popitem(last=False)
+        return z
 
     incident = [0] * g.n
     for e, (u, v) in enumerate(g.edges):
@@ -152,7 +171,7 @@ def branch_and_bound(
         incident[v] |= 1 << e
     root_residual = (1 << g.m) - 1
     # (lb, -depth, insertion counter, labeled nodes in label order, fixed cost, residual)
-    heap = [(dual_bound(root_residual), 0, 0, (), 0, root_residual)]
+    heap = [(dual_bound(root_residual, math.inf), 0, 0, (), 0, root_residual)]
     best_labeling, incumbent = starting_heuristic(g, deadline)
     counter = 0
 
@@ -181,7 +200,7 @@ def branch_and_bound(
             child_fixed = fixed_cost + label * gained
             child_lb = child_fixed + label * child_residual.bit_count()
             if child_residual:
-                child_lb += dual_bound(child_residual)
+                child_lb += dual_bound(child_residual, incumbent - child_lb)
             if child_lb >= incumbent:
                 stats.pruned_by_bound += 1
                 continue
@@ -191,8 +210,6 @@ def branch_and_bound(
                 (child_lb, neg_depth - 1, counter, partial + (v,), child_fixed, child_residual),
             )
 
-    info = dual_bound.cache_info()
-    stats.bound_calls, stats.cache_hits = info.misses, info.hits
     stats.open_bound = heap[0][0] if heap else None
     lower = incumbent if stats.open_bound is None else min(incumbent, stats.open_bound)
     stats.proven_optimal = lower >= incumbent

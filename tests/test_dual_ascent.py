@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -402,3 +403,60 @@ class TestAgainstReferenceKernel:
     @pytest.mark.parametrize("g", FAMILIES, ids=lambda g: f"n{g.n}-m{g.m}-maxdeg{max_degree(g)}")
     def test_generator_families(self, g):
         assert dual_ascent_extended(g) == reference_dual_ascent_extended(g)
+
+
+def residual_masks(g: Graph, seed: int, count: int) -> list[int]:
+    """Residual edge bitmasks of g: alternately the edges among a random
+    set of unlabeled nodes, as branch-and-bound meets them, and a random
+    edge subset."""
+    rng = random.Random(seed)
+    masks = []
+    for trial in range(count):
+        if trial % 2:
+            unlabeled = set(rng.sample(range(g.n), rng.randint(2, g.n)))
+            keep = [u in unlabeled and v in unlabeled for u, v in g.edges]
+        else:
+            density = rng.random()
+            keep = [rng.random() < density for _ in g.edges]
+        masks.append(sum(1 << e for e, k in enumerate(keep) if k))
+    return masks
+
+
+def subgraph_ascent(g: Graph, residual: int):
+    """The ascent on the residual subgraph, built with g's node ids and its
+    edges in id order: the oracle of the masked call."""
+    chosen = [edge for e, edge in enumerate(g.edges) if residual >> e & 1]
+    return dual_ascent_extended(build_graph(g.n, chosen))
+
+
+RESIDUAL_GRAPHS = [gen_gnm(30, 70, 9), gen_gnm(24, 60, 11)]
+
+
+@pytest.mark.parametrize("g", RESIDUAL_GRAPHS, ids=lambda g: f"n{g.n}-m{g.m}")
+class TestResidualMask:
+    def test_masked_ascent_equals_subgraph_ascent(self, g):
+        for residual in residual_masks(g, g.m, 100) + [0, (1 << g.m) - 1]:
+            _, ref_z, ref_trace = subgraph_ascent(g, residual)
+            solution, z, trace = dual_ascent_extended(g, residual)
+            assert (z, trace) == (ref_z, ref_trace), residual
+            # Edges outside the mask get gamma 0, so the solution is a
+            # feasible dual of g itself with the residual's objective.
+            assert check_dual_feasible(g, solution) == (True, z)
+        assert dual_ascent_extended(g, (1 << g.m) - 1) == dual_ascent_extended(g)
+
+    def test_cutoff_returns_a_prefix_that_reaches_it(self, g):
+        stopped = 0
+        for residual in residual_masks(g, g.m + 1, 100):
+            _, ref_z, ref_trace = subgraph_ascent(g, residual)
+            start = residual.bit_count()
+            for cutoff in sorted({start, start + 1, (start + ref_z) // 2, ref_z, ref_z + 1}):
+                solution, z, trace = dual_ascent_extended(g, residual, cutoff)
+                assert solution is None
+                assert trace == ref_trace[: len(trace)]
+                assert all(step.objective < cutoff for step in trace[:-1])
+                if len(trace) < len(ref_trace):
+                    assert z == trace[-1].objective >= cutoff
+                    stopped += 1
+                else:
+                    assert z == ref_z
+        assert stopped >= 100

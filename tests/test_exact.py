@@ -7,8 +7,10 @@ import random
 import time
 from itertools import combinations
 
+import pytest
+
 from slabel import exact
-from slabel.core import build_graph, sl_value
+from slabel.core import Labeling, build_graph, sl_value
 from slabel.dual_ascent import dual_ascent_extended
 from slabel.exact import branch_and_bound, brute_force
 from slabel.heuristics import greedy_label
@@ -39,6 +41,57 @@ def test_proves_optimum_on_every_graph_up_to_five_nodes():
     assert digest.hexdigest() == EXHAUSTIVE_DIGEST
 
 
+def no_starting_incumbent(g, deadline):
+    return Labeling.from_order(g.n, ()), 10**9
+
+
+def test_proves_every_graph_up_to_five_nodes_without_a_starting_incumbent(monkeypatch):
+    # The heuristic's labeling is optimal on most small graphs, which would
+    # hide a bound or prune that cuts the optimal branch: with an incumbent
+    # of 10**9, the search has to find every optimum itself.
+    monkeypatch.setattr(exact, "starting_heuristic", no_starting_incumbent)
+    checked = 0
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            opt, _ = brute_force(g)
+            res = branch_and_bound(g)
+            assert res.stats.proven_optimal
+            assert res.lower_bound == res.upper_bound == opt == sl_value(g, res.labeling)
+            checked += 1
+    assert checked == 1 + 2 + 8 + 64 + 1024
+
+
+@pytest.mark.parametrize("n, m, seed, explored, pruned", [
+    (18, 40, 1, 136, 1729),
+    (20, 45, 3, 148, 2330),
+    (22, 50, 5, 40, 596),
+    (24, 55, 2, 164, 3105),
+])
+def test_search_counters_are_pinned(n, m, seed, explored, pruned):
+    # Residual bounds stop at the pruning cutoff; the search they steer
+    # must equal the one with full bounds.
+    res = branch_and_bound(gen_gnm(n, m, seed))
+    assert res.stats.proven_optimal
+    assert (res.stats.explored, res.stats.pruned_by_bound) == (explored, pruned)
+
+
+def test_every_ascent_goes_through_the_module_name(monkeypatch):
+    # The benchmark's traced run wraps exact.dual_ascent_extended, so every
+    # ascent the search runs, the root's included, must call that name.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return dual_ascent_extended(*args)
+
+    monkeypatch.setattr(exact, "dual_ascent_extended", counting)
+    res = branch_and_bound(gen_gnm(18, 40, 1))
+    assert res.stats.proven_optimal and res.stats.bound_calls > 1
+    assert len(calls) == res.stats.bound_calls
+
+
 def test_proves_gnm_18_40_1():
     g = gen_gnm(18, 40, 1)
     res = branch_and_bound(g)
@@ -50,8 +103,8 @@ def test_proves_gnm_18_40_1():
 
 
 def test_cache_limit_evicts_without_changing_the_search(monkeypatch):
-    # With 8 cached residual bounds the least recently used are evicted and
-    # computed again; the bounds, hence the search, are unchanged.
+    # With 8 memoized residual bounds the least recently used are evicted
+    # and computed again; the search is unchanged.
     g = gen_gnm(18, 40, 1)
     full = branch_and_bound(g)
     monkeypatch.setattr(exact, "CACHE_LIMIT", 8)
@@ -94,8 +147,8 @@ def test_passed_deadline_after_root_bound_returns_its_bracket(monkeypatch):
     # the bracket is (root bound, greedy value).
     g = gen_gnm(12, 24, 2)  # greedy 72, local search 70, root bound 66
 
-    def slow(h):
-        result = dual_ascent_extended(h)
+    def slow(*args):
+        result = dual_ascent_extended(*args)
         time.sleep(0.1)
         return result
 
