@@ -12,12 +12,13 @@ labeling checks, and CSV benchmarking.
 
 ``--time-limit`` (seconds, or ``inf``; ``solve``, ``bound`` and ``bench``,
 default 60) becomes the method's deadline, counted from the moment the
-method starts.  It bounds ``bnb``, ``lagrangian`` and the ``bnb``
-fall-back of ``auto``; every other method runs to completion.  ``bench``
-runs one call after another in this process.  A bench row's status is
-``ok``, ``timeout`` (the time limit stopped the method) or ``error`` (the
-file or the method failed; stderr gets ``error: <file> <method>:
-<reason>``).
+method starts.  It bounds ``bnb``, ``lagrangian``, the ``bnb`` fall-back
+of ``auto``, ``greedy`` (whose local search keeps the labeling it has
+reached) and ``dual-extended`` (which keeps the ascent steps it has
+taken); every other method runs to completion.  ``bench`` runs one call
+after another in this process.  A bench row's status is ``ok``,
+``timeout`` (the method reached its time limit) or ``error`` (the file or
+the method failed; stderr gets ``error: <file> <method>: <reason>``).
 
 A B&B run of ``solve`` (``bnb``, or ``auto`` falling back to it) adds
 the ``search`` counters of ``exact.SearchStats`` to its report.
@@ -95,8 +96,8 @@ class _Result:
 
 
 def _greedy(g: Graph, deadline: float) -> _Result:
-    labeling, value = starting_heuristic(g)
-    return _Result(ub=value, labeling=labeling)
+    labeling, value = starting_heuristic(g, deadline)
+    return _Result(ub=value, labeling=labeling, timed_out=time.perf_counter() >= deadline)
 
 
 def _dual_simple(g: Graph, deadline: float) -> _Result:
@@ -104,8 +105,8 @@ def _dual_simple(g: Graph, deadline: float) -> _Result:
 
 
 def _dual_extended(g: Graph, deadline: float) -> _Result:
-    _, bound, trace = dual_ascent_extended(g)
-    return _Result(lb=bound, details={
+    _, bound, trace = dual_ascent_extended(g, deadline=deadline)
+    return _Result(lb=bound, timed_out=time.perf_counter() >= deadline, details={
         "net_changes": [step.net_change for step in trace],
         "alpha_values": [step.alpha_value for step in trace],
     })

@@ -18,6 +18,7 @@ which it participated, and delta_e^k = max(0, K_e - k + 1).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 from .core import Graph, max_degree
@@ -65,7 +66,8 @@ def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
 
 
 def dual_ascent_extended(
-    g: Graph, residual: int | None = None, cutoff: float = math.inf
+    g: Graph, residual: int | None = None, cutoff: float = math.inf,
+    deadline: float = math.inf,
 ) -> tuple[DualSolution | None, int, list[AscentStep]]:
     """Ascent that may pay less than the maximum degree per step by
     deactivating edges; deactivated edges stop earning in later steps.
@@ -99,6 +101,12 @@ def dual_ascent_extended(
     trace is a prefix of the full one.  A finite cutoff returns no
     solution (None); it is for callers that need only the bound, such as
     branch-and-bound, which prunes a child once its bound gets there.
+
+    ``deadline``, a ``perf_counter`` value (``math.inf``, the default,
+    means no limit), is read once before each step.  Once it has passed,
+    the ascent stops as at the cutoff and returns the solution of the
+    steps committed so far, which is feasible, so its objective is still
+    a lower bound.
     """
     m = g.m
     adjacency, edges = g.adjacency, g.edges
@@ -121,6 +129,8 @@ def dual_ascent_extended(
     # Isolated nodes keep degree 0: the ascent never looks at them.
     touched = [v for v in range(g.n) if deg[v]]
     for step in range(1, g.n + 1):
+        if time.perf_counter() >= deadline:
+            break
         # Only nodes of degree > alpha >= 1 are ever visited.
         ranked = sorted([(-d, v) for v in touched if (d := deg[v]) > 1])
         best_net = 0

@@ -40,14 +40,32 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
     Giving i label kp and ip = inverse[kp] label k changes the value by
     cost - gain, with c_x = min(k, l_x) and both sums over l_x > kp:
     gain = sum over x in N(i) of (c_x - kp), and cost = sum over
-    x in N(ip) - {i} of (c_x - kp).  Gain falls by `above`, the number of
-    caps c_x > kp, with each step of kp, so it is walked segment by
-    segment between sorted caps in O(1) per kp.  Every cost term is
-    nonnegative, so the scan of N(ip) stops once it reaches gain: that kp
-    cannot improve.  The walk ends at the largest cap, where gain is 0 and
-    no exchange improves.  So every kp that can improve is tried in the
-    same ascending order, with the same delta, as by a full scan of both
-    neighbour lists, and the first improving exchange is unchanged.
+    x in N(ip) - {i} of (c_x - kp).  With i's caps c_x sorted, gain is
+    total - kp * above, where `above` caps exceed kp and sum to `total`;
+    a pointer into the caps keeps both as kp ascends, in O(1) amortized
+    per kp.  Every cost term is nonnegative, so the scan of N(ip) stops
+    once it reaches gain: that kp cannot improve.  The walk ends below the
+    largest cap, where gain is 0 and no exchange improves.  So every kp
+    that can improve is tried in the same ascending order, with the same
+    delta, as by a full scan of both neighbour lists, and the first
+    improving exchange is unchanged.
+
+    A walk scans only the kp whose verdict may have changed since label
+    k's last walk.  ``swaps`` counts the exchanges applied; ``stamp[v]``
+    is its value when a label in v's closed neighbourhood last changed
+    (an exchange of i and ip stamps i, ip and every neighbour of either);
+    ``since`` is its value when k's last walk started.  If
+    ``stamp[i] > since`` (k moved, or a label in N(i) changed), every kp
+    below the largest cap is scanned.  Otherwise i has held k since, its
+    caps and gains are unchanged, and that walk applied no exchange (one
+    would have stamped i), so it rejected every kp.  A kp whose holder ip
+    has ``stamp[ip] <= since`` has the same holder and N(ip) labels, so
+    the same cost, and is rejected again without a scan.  The other kp are
+    the labels in ``changed[mark[since]:]``: each exchange lists the
+    labels of the nodes it stamps, and a label that moved on was moved by
+    a later exchange, which listed it with its new holder.  So every
+    skipped kp is one the full walk would reject, and labelings, values
+    and sweep counts are those of the full walk.
     """
     value = sl_value(g, phi)
     labels = list(phi.labels)
@@ -55,39 +73,51 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
     for v, lab in enumerate(labels):
         inverse[lab - 1] = v
     neighbors = [tuple(x for x, _ in adj) for adj in g.adjacency]
+    swaps = 0
+    stamp = [0] * g.n
+    scanned = [-1] * g.n  # below every stamp: the first walk scans all
+    changed: list[int] = []  # the label of each stamped node, in stamp order
+    mark = [0]  # mark[s]: len(changed) when swaps was s
 
     improved = True
     while improved and time.perf_counter() < deadline:
         improved = False
         for k in range(1, g.n + 1):
             i = inverse[k - 1]
+            since = scanned[k - 1]
+            scanned[k - 1] = swaps
             caps = sorted([k if k < labels[x] else labels[x] for x in neighbors[i]])
-            gain = sum(caps) - len(caps)  # at kp = 1
-            above = len(caps)
-            start = 1
-            for cap in caps:
-                # For kp in [start, cap), exactly `above` caps exceed kp.
-                for kp in range(start, cap):
-                    ip = inverse[kp - 1]
-                    cost = 0
-                    for x in neighbors[ip]:
-                        lx = labels[x]
-                        if lx > kp and x != i:
-                            cost += (k if k < lx else lx) - kp
-                            if cost >= gain:
-                                break
-                    else:
-                        labels[i], labels[ip] = kp, k
-                        inverse[k - 1], inverse[kp - 1] = ip, i
-                        value += cost - gain
-                        improved = True
-                        break
-                    gain -= above
-                else:
-                    start = cap
+            top = caps[-1] if caps else 1
+            if stamp[i] > since:
+                kps = range(1, top)  # k moved or N(i) changed: scan every kp
+            else:
+                kps = sorted({kp for kp in changed[mark[since]:] if kp < top})
+            total, above, j = sum(caps), len(caps), 0
+            for kp in kps:
+                while caps[j] <= kp:
+                    total -= caps[j]
                     above -= 1
-                    continue
-                break  # an exchange was applied: go on to label k + 1
+                    j += 1
+                gain = total - kp * above
+                ip = inverse[kp - 1]
+                cost = 0
+                for x in neighbors[ip]:
+                    lx = labels[x]
+                    if lx > kp and x != i:
+                        cost += (k if k < lx else lx) - kp
+                        if cost >= gain:
+                            break
+                else:
+                    labels[i], labels[ip] = kp, k
+                    inverse[k - 1], inverse[kp - 1] = ip, i
+                    value += cost - gain
+                    improved = True
+                    swaps += 1
+                    for v in (i, ip, *neighbors[i], *neighbors[ip]):
+                        stamp[v] = swaps
+                        changed.append(labels[v])
+                    mark.append(len(changed))
+                    break
     result = Labeling(labels=tuple(labels))
     return result, value
 

@@ -12,7 +12,8 @@ import pytest
 
 from slabel import special_graphs
 from slabel.cli import main
-from slabel.core import sl_value
+from slabel.core import Labeling, sl_value
+from slabel.heuristics import greedy_label
 from slabel.instances import (
     KINDS,
     InstanceSpec,
@@ -248,6 +249,28 @@ class TestJsonKeys:
         report = json.loads(out)
         assert report["dual_bound"] is None and report["gap_percent"] is None
         assert report["proven"] is False
+
+    def test_greedy_under_time_limit_returns_greedy_value(self, tmp_path, capsys):
+        # Local search lowers greedy's value on this tree; with no time
+        # left it runs no sweep.
+        inst = gen(capsys, tmp_path / "tree.sl", "--kind", "tree", "--nodes", 1000,
+                   "--seed", 1)
+        code, out, _ = run(capsys, "solve", inst, "--method", "greedy", "--time-limit", 0,
+                           "--json")
+        assert code == 0
+        report = json.loads(out)
+        g = read_instance(inst.read_text(encoding="ascii"))
+        assert report["primal_value"] == greedy_label(g)[1]
+        assert report["primal_value"] == sl_value(g, Labeling(labels=tuple(report["labeling"])))
+        assert report["time_ms"] < 1000
+
+    def test_dual_extended_under_time_limit_takes_no_step(self, gnm_file, capsys):
+        code, out, _ = run(capsys, "bound", gnm_file, "--method", "dual-extended",
+                           "--time-limit", 0, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["net_changes"] == report["alpha_values"] == []
+        assert report["lower_bound"] == report["edges"]  # every edge costs at least 1
 
     def test_solve_lagrangian_bracket_under_time_limit(self, gnm_file, capsys):
         code, out, _ = run(capsys, "solve", gnm_file, "--method", "lagrangian",
@@ -495,6 +518,19 @@ class TestBench:
             row = by_key[("a-hard", method)]
             assert row["status"] == "timeout"
             assert int(row["lb"]) <= int(row["ub"])
+
+    def test_greedy_and_dual_extended_timeouts(self, suite, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "bench", "--suite", suite, "--out", out,
+                         "--methods", "greedy,dual-extended", "--time-limit", 0)
+        assert code == 0
+        _, rows = read_csv(out)
+        by_key = {(r["name"], r["method"]): r for r in rows}
+        g = gen_gnm(12, 30, 5)  # a-hard
+        greedy_row, dual_row = by_key[("a-hard", "greedy")], by_key[("a-hard", "dual-extended")]
+        assert greedy_row["status"] == dual_row["status"] == "timeout"
+        assert int(greedy_row["ub"]) == greedy_label(g)[1]
+        assert int(dual_row["lb"]) == g.m
 
 
 def test_benchmark_self_test():

@@ -1,9 +1,12 @@
 import random
-from itertools import combinations, permutations
+import time
+from itertools import combinations, count, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slabel import dual_ascent
 from slabel.core import Graph, Labeling, build_graph, max_degree, sl_value
 from slabel.dual_ascent import (
     AscentStep,
@@ -149,6 +152,31 @@ class TestExtendedVariant:
         g = build_graph(3, [])
         _, z, trace = dual_ascent_extended(g)
         assert z == 0 and trace == []
+
+
+class TestDeadline:
+    def test_passed_deadline_takes_no_step(self):
+        g = gen_gnm(30, 70, 9)
+        solution, z, trace = dual_ascent_extended(g, deadline=time.perf_counter())
+        assert trace == [] and z == g.m
+        assert check_dual_feasible(g, solution) == (True, z)
+
+    @pytest.mark.parametrize("g", [gen_gnm(30, 70, 9), gen_grid(6, 8)],
+                             ids=lambda g: f"n{g.n}-m{g.m}")
+    def test_deadline_keeps_the_committed_prefix(self, g, monkeypatch):
+        # A clock that reads 0, 1, 2, ...: the deadline s passes at the
+        # read before step s + 1, so exactly s steps are committed.
+        _, full_z, full_trace = dual_ascent_extended(g)
+        assert len(full_trace) >= 3
+        for steps in range(len(full_trace) + 1):
+            ticks = count()
+            monkeypatch.setattr(dual_ascent, "time",
+                                SimpleNamespace(perf_counter=lambda: next(ticks)))
+            solution, z, trace = dual_ascent_extended(g, deadline=steps)
+            assert trace == full_trace[:steps]
+            assert z == (trace[-1].objective if trace else g.m)
+            assert check_dual_feasible(g, solution) == (True, z)
+        assert z == full_z
 
 
 class TestFeasibility:

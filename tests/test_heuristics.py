@@ -228,6 +228,17 @@ def labeled_graphs(draw, max_nodes=14):
     return build_graph(n, [p for p, k in zip(pairs, keep) if k]), Labeling(labels=tuple(labels))
 
 
+@st.composite
+def larger_labeled_graphs(draw):
+    # Random labelings of 15-40 nodes take several sweeps, so walks that
+    # skip the exchanges whose verdict is known come up often.
+    n = draw(st.integers(15, 40))
+    m = draw(st.integers(n, min(4 * n, n * (n - 1) // 2)))
+    g = gen_gnm(n, m, draw(st.integers(0, 2**64 - 1)))
+    labels = draw(st.permutations(range(1, n + 1)))
+    return g, Labeling(labels=tuple(labels))
+
+
 class TestLocalSearchAgainstReference:
     def test_every_graph_up_to_six_nodes(self):
         checked = 0
@@ -246,6 +257,22 @@ class TestLocalSearchAgainstReference:
     @given(labeled_graphs())
     def test_random_labelings(self, case):
         g, phi = case
+        assert local_search(g, phi) == reference_local_search(g, phi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(larger_labeled_graphs())
+    def test_random_labelings_of_larger_graphs(self, case):
+        g, phi = case
+        assert local_search(g, phi) == reference_local_search(g, phi)
+
+    def test_exchange_found_through_the_first_listed_label(self):
+        # Found by random search: a walk here applies an exchange whose kp
+        # only the first exchange after that walk's previous start listed.
+        g = gen_gnm(42, 112, 2756036333)
+        phi = Labeling(labels=(
+            31, 5, 23, 11, 32, 22, 2, 34, 14, 35, 40, 13, 18, 8, 1, 10, 27, 3, 41, 28, 9,
+            38, 25, 36, 24, 17, 7, 20, 37, 16, 33, 6, 4, 39, 30, 42, 12, 19, 29, 21, 15, 26,
+        ))
         assert local_search(g, phi) == reference_local_search(g, phi)
 
     @pytest.mark.parametrize("kind", sorted(GENERATORS))
@@ -314,10 +341,20 @@ def _lagrangian(g, time_limit):
 
 @pytest.mark.parametrize("solve", [_bnb, _lagrangian])
 def test_time_limit_covers_the_starting_local_search(solve):
-    # Local search on the greedy labeling of this tree takes about 1 s; it
+    # Local search on the greedy labeling of this tree takes about 0.2 s; it
     # reads the deadline before each sweep, so the solver stops soon after.
     g = gen_random_tree(1000, 1)
     started = time.perf_counter()
     lb, ub, phi = solve(g, 0.1)
     assert time.perf_counter() - started < 1.0
+    assert 0 <= lb <= ub == sl_value(g, phi)
+
+
+@pytest.mark.parametrize("solve", [_bnb, _lagrangian])
+def test_passed_deadline_reaches_the_starting_local_search(solve):
+    # Local search lowers greedy's value on this tree; with no time left it
+    # runs no sweep, so the solver's upper bound is greedy's.
+    g = gen_random_tree(1000, 1)
+    lb, ub, phi = solve(g, 0)
+    assert ub == greedy_label(g)[1] > local_search(g, greedy_label(g)[0])[1]
     assert 0 <= lb <= ub == sl_value(g, phi)
