@@ -12,12 +12,33 @@ every step.  That is still O(n^3), but each step costs one pass over the
 unreached columns and no update loop.  Every comparison is the one the
 textbook loop makes, in the same column order, so the result, ties
 included, is the textbook one.
+
+Of the unmatched columns, a search scans only the lowest one of each
+*run*: a maximal stretch of consecutive columns j - 1, j at which no row
+costs less at j than at j - 1.  The textbook loop never reaches the
+others.  A column becomes matched when a search reaches it and stays
+matched, and only reached columns change their potential, so an
+unmatched column is one that no search has reached yet and its
+potential v is still 0.  Its distance is then the least, over the rows
+the search has scanned, of the row's cost at j plus a term that does
+not depend on j, so inside a run it does not fall as j grows: the lowest
+unmatched column of the run is at least as close as every later one at
+every step, and it wins their ties.  A search ends at the first
+unmatched column it reaches, so no later unmatched column of the run is
+ever reached.  The matched columns of a run are therefore a prefix of
+it, and when a search ends at the lowest unmatched column, the next
+column of its run takes its place among the scanned ones.  When each
+row's costs do not decrease from column to column (the Lagrangian
+x-subproblem's, whose columns are labels, mostly do), there is one run
+and each step scans the matched columns plus one.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import insort
+from operator import lt
 from typing import Sequence
 
 
@@ -30,6 +51,10 @@ def hungarian_min(
     Each search step reaches the lowest column among those at the least
     distance, so which of several optimal assignments comes back is fixed
     by the column order; the pinned Lagrangian trajectories rely on this.
+    Unmatched columns past the lowest one of their run (see the module
+    docstring) are skipped: their potential is 0 and their costs do not
+    fall along the run, so the lowest one is at least as close and wins
+    their ties, and the result is the same as with every column scanned.
 
     Stops at ``deadline``, a ``time.perf_counter()`` value (``math.inf``,
     the default, means no limit): the clock is read before each row, and
@@ -47,6 +72,11 @@ def hungarian_min(
     v = [0] * (n + 1)
     p = [-1] * (n + 1)
     way = [0] * (n + 1)
+    # down[j - 1]: some row costs less at column j than at j - 1, so j
+    # starts a run.  cols holds the columns a search scans, in column
+    # order: the matched ones and the lowest unmatched one of each run.
+    down = list(map(any, zip(*(map(lt, row[1:], row) for row in costs))))
+    cols = [j for j in range(n) if j == 0 or down[j - 1]]
     for i in range(n):
         if time.perf_counter() >= deadline:
             return None
@@ -56,7 +86,7 @@ def hungarian_min(
         # is the textbook loop's minv[j] for an unreached column j.
         total = 0
         dist = [big] * n
-        free = list(range(n))
+        free = cols[:]
         reached = []  # (column, total when it was reached)
         while True:
             reached.append((j0, total))
@@ -79,6 +109,8 @@ def hungarian_min(
             j0 = j1
             if p[j0] < 0:
                 break
+        if j0 + 1 < n and not down[j0]:
+            insort(cols, j0 + 1)
         for j, at in reached:
             u[p[j]] += total - at
             v[j] -= total - at

@@ -101,31 +101,42 @@ def solve_d_subproblem(g: Graph, m: Multipliers) -> tuple[list[int], int]:
     """Per edge, the cheapest label level (smallest level on ties), and the
     total of the per-edge minima times SCALE.
 
-    An edge in no weighted triangle costs k * SCALE at every level k with
-    no stored multiplier, so of those levels only the smallest can be
-    cheapest; only it and the stored levels are evaluated."""
+    Let top be the largest prefix with a multiplier among the weighted
+    triangles at an edge (0 when there are none).  Above top the edge
+    costs k * SCALE at every level k with no stored multiplier, so of
+    those levels only the smallest can be cheapest: every level up to top
+    is evaluated, and above it only the stored levels and the smallest
+    unstored one."""
     tri_at_edge: dict[int, list[list[int]]] = {}
     for (_, edges), suffix in _triangle_suffixes(m):
         for e in edges:
             tri_at_edge.setdefault(e, []).append(suffix)
+    scaled = [k * SCALE for k in range(g.n + 2)]  # level k's cost before multipliers
     choices = []
     total = 0
     for e in range(g.m):
         delta_e = m.delta[e]
-        suffix_list = tri_at_edge.get(e, ())
+        suffix_list = tri_at_edge.get(e)
+        best_k, best_cost, top = 1, None, 0
         if suffix_list:
-            levels = range(1, g.n + 1)
-        else:
-            unstored = 1
-            while unstored in delta_e:
-                unstored += 1
-            levels = sorted([unstored, *delta_e] if unstored <= g.n else delta_e)
-        best_k = 1
-        best_cost = None
-        for k in levels:
-            cost = k * SCALE + delta_e.get(k, 0)
-            for suffix in suffix_list:
-                cost += suffix[k]
+            # Multipliers are nonnegative, so a suffix is zero from its
+            # first zero on; searching from level 2 keeps top >= 1.
+            top = max([suffix.index(0, 2) for suffix in suffix_list]) - 1
+            # costs[k] for the levels k = 1..top; costs[0] is unused.
+            costs = list(map(sum, zip(scaled[:top + 1], *suffix_list)))
+            for k, val in delta_e.items():
+                if k <= top:
+                    costs[k] += val
+            best_cost = min(costs[1:])
+            best_k = costs.index(best_cost, 1)
+        unstored = top + 1
+        while unstored in delta_e:
+            unstored += 1
+        levels = [k for k in delta_e if k > top]
+        if unstored <= g.n:
+            levels.append(unstored)
+        for k in sorted(levels):
+            cost = scaled[k] + delta_e.get(k, 0)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_k = k
@@ -172,11 +183,14 @@ def run_subgradient(
     search.  The step is the Polyak rule beta * (incumbent - z) / ||g||^2.
     Stops on the iteration limit, a closed gap, a zero subgradient, a step
     size below STOP_MU, or at ``deadline``, a ``perf_counter`` value
-    (``math.inf``, the default, means no limit).  A deadline passed once
-    the warm start and the starting heuristic are done returns their
-    bracket with no iteration.  The assignment solver reads the clock
-    before each of its rows, so a passed deadline stops the run inside an
-    iteration, and that iteration is dropped.  Local search reads it
+    (``math.inf``, the default, means no limit).  The warm-start ascent
+    reads the clock before each step and keeps the steps committed by
+    then.  A deadline passed once the warm start and the starting
+    heuristic are done returns their bracket with no iteration, so an
+    ascent the deadline cut short never seeds the multipliers.  The
+    assignment solver reads the clock before each of its rows, so a
+    passed deadline stops the run inside an iteration, and that
+    iteration is dropped.  Local search reads it
     before each sweep and keeps the labeling it has reached.  Whatever the
     stop, the bound is the best of the finished iterations and the
     warm-start dual-ascent value, and the bracket is valid.
@@ -185,7 +199,7 @@ def run_subgradient(
     if g.m == 0:
         return LagrangianResult(0, 0, Labeling.from_order(g.n, ()), 0, [], "edgeless")
 
-    dual, warm_start, _ = dual_ascent_extended(g)
+    dual, warm_start, _ = dual_ascent_extended(g, deadline=deadline)
     best_labeling, incumbent = starting_heuristic(g, deadline)
     if time.perf_counter() >= deadline:
         return LagrangianResult(warm_start, incumbent, best_labeling, 0, [], "time")

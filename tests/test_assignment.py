@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from slabel import lagrangian
 from slabel.assignment import hungarian_min
-from slabel.instances import SplitMix64, gen_gnm, gen_random_tree
+from slabel.instances import SplitMix64, gen_bipartite, gen_gnm, gen_random_tree
 from slabel.lagrangian import SubgradientParams, run_subgradient
 
 
@@ -131,6 +131,20 @@ def reference_hungarian_min(costs, deadline=None):
     return perm, sum(costs[i][perm[i]] for i in range(n))
 
 
+def run_count(costs):
+    """Runs of a matrix: a column starts one when some row costs less there
+    than at the column before it."""
+    n = len(costs)
+    return 1 + sum(any(row[j] < row[j - 1] for row in costs) for j in range(1, n))
+
+
+def nondecreasing_row(rng, n, steps):
+    row = [rng.below(3) - 1]
+    for _ in range(n - 1):
+        row.append(row[-1] + steps[rng.below(len(steps))])
+    return row
+
+
 @st.composite
 def small_matrices(draw, max_n=8):
     n = draw(st.integers(0, max_n))
@@ -153,17 +167,53 @@ class TestAgainstReferenceKernel:
                     checked += 1
         assert checked == 2000
 
+    def test_heavy_ties_in_one_run(self):
+        # Rows that never decrease make one run, the shape of the Lagrangian
+        # x-subproblem: each search scans the matched columns plus one.
+        rng = SplitMix64(15)
+        for steps in ((0, 1), (0, 0, 0, 1), (0, 2, 5)):
+            for n in range(1, 11):
+                for _ in range(60):
+                    costs = [nondecreasing_row(rng, n, steps) for _ in range(n)]
+                    assert run_count(costs) == 1
+                    assert hungarian_min(costs) == reference_hungarian_min(costs)
+
+    def test_several_runs_with_duplicated_columns(self):
+        # Blocks of non-decreasing columns side by side, then some columns
+        # copied over others, which joins, splits and flattens runs.
+        rng = SplitMix64(16)
+        seen_runs = set()
+        for n in range(2, 11):
+            for _ in range(150):
+                width = 1 + rng.below(n)
+                costs = [[] for _ in range(n)]
+                while len(costs[0]) < n:
+                    for row in costs:
+                        row.extend(nondecreasing_row(rng, width, (0, 0, 1)))
+                costs = [row[:n] for row in costs]
+                for _ in range(rng.below(3)):
+                    src, dst = rng.below(n), rng.below(n)
+                    for row in costs:
+                        row[dst] = row[src]
+                seen_runs.add(run_count(costs))
+                assert hungarian_min(costs) == reference_hungarian_min(costs)
+        assert seen_runs >= set(range(1, 11))
+
     @settings(max_examples=200, deadline=None)
     @given(small_matrices())
     def test_small_integer_matrices(self, costs):
         assert hungarian_min(costs) == reference_hungarian_min(costs)
 
-    @pytest.mark.parametrize("g", [gen_gnm(60, 150, 2), gen_random_tree(100, 1)],
-                             ids=["gnm60", "tree100"])
-    def test_subgradient_matrices(self, g, monkeypatch):
+    @pytest.mark.parametrize(
+        "g, iterations, most_runs",
+        [(gen_gnm(60, 150, 2), 3, 1), (gen_random_tree(100, 1), 3, 1),
+         (gen_gnm(50, 300, 3), 25, 1), (gen_bipartite(40, 40, 0.08, 5), 5, 32)],
+        ids=["gnm60", "tree100", "gnm50-300", "bipartite40"])
+    def test_subgradient_matrices(self, g, iterations, most_runs, monkeypatch):
         # The x-subproblem matrices of the first iterations of a Lagrangian
         # run: large fixed-point entries, and the ties the dual-ascent warm
-        # start leaves.
+        # start leaves.  gnm50-300 adds the triangle multipliers, and the
+        # subgradient steps of bipartite40 leave rows that decrease.
         seen = []
 
         def recording(costs, deadline=None):
@@ -172,7 +222,8 @@ class TestAgainstReferenceKernel:
             return result
 
         monkeypatch.setattr(lagrangian, "hungarian_min", recording)
-        run_subgradient(g, SubgradientParams(max_iter=3))
-        assert len(seen) == 3
+        run_subgradient(g, SubgradientParams(max_iter=iterations))
+        assert len(seen) == iterations
+        assert max(run_count(costs) for costs, _ in seen) == most_runs
         for costs, result in seen:
             assert result == reference_hungarian_min(costs)

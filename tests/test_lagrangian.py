@@ -50,13 +50,13 @@ class TestSubgradient:
         assert res.incumbent_value == sl_value(g, res.best_labeling)
 
     def test_time_limit_zero_skips_iterations_on_large_tree(self):
-        # One iteration on this tree takes seconds; with no time left the
-        # assignment solver gives up at its first row, so none runs and the
-        # bound is the warm start.
+        # One iteration on this tree takes seconds; with no time left none
+        # runs, and the warm-start ascent takes no step either, so the bound
+        # is the value of its empty prefix: m, one per edge.
         g = gen_random_tree(300, 1)
         res = run_subgradient(g, deadline=time.perf_counter())
         assert res.iterations == 0 and res.stop_reason == "time"
-        assert res.lower_bound == dual_ascent_extended(g)[1]
+        assert res.lower_bound == g.m == 299
         assert res.lower_bound <= res.incumbent_value == sl_value(g, res.best_labeling)
 
     def test_deadline_stops_inside_an_iteration(self):
@@ -76,8 +76,8 @@ class TestSubgradient:
         # neither the multipliers nor any iteration are set up.
         g = gen_gnm(12, 24, 2)  # greedy 72, local search 70, warm start 66
 
-        def slow(h):
-            result = dual_ascent_extended(h)
+        def slow(h, **kwargs):
+            result = dual_ascent_extended(h, **kwargs)
             time.sleep(0.1)
             return result
 
