@@ -1,5 +1,6 @@
 """Ground-truth solvers: a brute-force oracle for tiny instances and a
-combinatorial branch-and-bound with dual-ascent lower bounds.
+combinatorial branch-and-bound with dual-ascent lower bounds and
+neighbourhood domination.
 
 Both assign labels 1, 2, ... in order.  Once the residual graph (edges
 with both endpoints unlabeled) is empty, every edge contribution is
@@ -88,13 +89,16 @@ def brute_force(g: Graph) -> tuple[int, Labeling]:
 
 @dataclass
 class SearchStats:
-    """Counters of one search: ``bound_calls`` dual-ascent runs (a residual
+    """Counters of one search: ``dominated`` children skipped by
+    neighbourhood domination before any bound (never counted in
+    ``pruned_by_bound``), ``bound_calls`` dual-ascent runs (a residual
     bounded again under a higher cutoff counts again), ``cache_hits``
     residual bounds taken from the memo instead, and ``open_bound`` the
     smallest bound left open when a limit stopped the search."""
 
     explored: int = 0
     pruned_by_bound: int = 0
+    dominated: int = 0
     bound_calls: int = 0
     cache_hits: int = 0
     open_bound: int | None = None
@@ -102,6 +106,54 @@ class SearchStats:
 
 
 CACHE_LIMIT = 400_000  # residual bounds kept; the least recently used goes first
+
+
+def _dominated(u: int, gained: int, near: list[int]) -> bool:
+    """Whether neighbourhood domination skips the child that labels u next.
+
+    ``near[v]`` is the node bitmask of R(v), v's unlabeled neighbours, and
+    ``gained`` is |R(u)| >= 1.  Another unlabeled w dominates u when
+    R(u) - {w} is a subset of R(w) - {u} and either |R(w)| > |R(u)|, or the
+    sizes are equal and w < u (Ibaraki 1977, "The power of dominance
+    relations in branch-and-bound algorithms").
+
+    Exchange argument: take any completion that gives u the next label k
+    and w a later label p, and swap the two labels.  An edge's
+    contribution is the smaller label of its ends, and every other
+    unlabeled node gets a label above k.  Edges u-x for x in R(u) - {w} go
+    from k to min(p, l(x)); w's edges to the same nodes go from min(p,
+    l(x)) to k, so those pairs cancel.  w's remaining edges into R(w) - {u}
+    go from min(p, l(y)) > k down to k, and an edge u-w stays at k.  So
+    the swap never costs more, and the best completion that labels w
+    next is at least as good as the best that labels u next.
+
+    The inclusion alone can hold both ways (twins), and skipping both u
+    and w could lose the optimum.  A dominator always ranks strictly
+    higher in the order "larger |R| first, then lower index", which is a
+    strict total order, so domination is acyclic: the top-ranked candidate
+    is never dominated, and following dominators from any skipped child
+    ends at a kept one whose subtree is as good.
+
+    The dominators are the nodes other than u in the intersection of the
+    closed neighbourhoods R(x) + {x} over x in R(u): such a w is x itself
+    or adjacent to x for every x in R(u).  The inclusion forces |R(w)| >=
+    |R(u)|, so u is dominated exactly when that set holds a node below u
+    or one with a larger R.  u itself is in the set, but it is neither.
+    """
+    dominators = -1
+    rest = near[u]
+    while rest:
+        low = rest & -rest
+        dominators &= near[low.bit_length() - 1] | low
+        rest ^= low
+    if dominators & ((1 << u) - 1):
+        return True
+    while dominators:  # u and the nodes above it
+        low = dominators & -dominators
+        if near[low.bit_length() - 1].bit_count() > gained:
+            return True
+        dominators ^= low
+    return False
 
 
 @dataclass
@@ -121,10 +173,14 @@ def branch_and_bound(
     Children of a depth-k node place label k+1 on an unlabeled vertex;
     candidates are restricted to vertices with residual degree >= 1,
     since moving the next label from a residual-isolated vertex onto a
-    residual-non-isolated one never increases the objective.  The search
-    stops after ``node_limit`` expansions or at ``deadline``, a
-    ``perf_counter`` value (``math.inf``, the default for both, means no
-    limit); hitting a limit yields a valid bracket instead of a proof.
+    residual-non-isolated one never increases the objective.  A candidate
+    that another unlabeled vertex dominates (see ``_dominated``) is
+    skipped too, before its bound or memo entry is looked at; the rule
+    only filters children, so the ones left keep their bounds and their
+    order in the heap.  The search stops after ``node_limit`` expansions
+    or at ``deadline``, a ``perf_counter`` value (``math.inf``, the default
+    for both, means no limit); hitting a limit yields a valid bracket
+    instead of a proof.
 
     A residual edge set is an int bitmask over edge indices, and
     ``incident[v]`` masks the edges at v: labeling v leaves the residual
@@ -166,9 +222,12 @@ def branch_and_bound(
         return z
 
     incident = [0] * g.n
+    nbr = [0] * g.n  # node bitmasks of the neighbours
     for e, (u, v) in enumerate(g.edges):
         incident[u] |= 1 << e
         incident[v] |= 1 << e
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
     root_residual = (1 << g.m) - 1
     # (lb, -depth, insertion counter, labeled nodes in label order, fixed cost, residual)
     heap = [(dual_bound(root_residual, math.inf), 0, 0, (), 0, root_residual)]
@@ -190,11 +249,19 @@ def branch_and_bound(
                 best_labeling = Labeling.from_order(g.n, partial)
             continue
 
-        # Labeled nodes have no residual edges, so they are never candidates.
+        # Labeled nodes have no residual edges, so they are never candidates;
+        # an unlabeled v gains one residual edge per node of near[v].
         label = 1 - neg_depth
+        unlabeled = (1 << g.n) - 1
+        for v in partial:
+            unlabeled ^= 1 << v
+        near = [mask & unlabeled for mask in nbr]
         for v in range(g.n):
             gained = (residual & incident[v]).bit_count()
             if not gained:
+                continue
+            if _dominated(v, gained, near):
+                stats.dominated += 1
                 continue
             child_residual = residual & ~incident[v]
             child_fixed = fixed_cost + label * gained

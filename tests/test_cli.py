@@ -29,7 +29,7 @@ SOLVE_KEYS = {
     "instance", "nodes", "edges", "method", "primal_value", "dual_bound",
     "gap_percent", "proven", "time_ms", "labeling",
 }
-SEARCH_KEYS = {"explored", "pruned", "bound_calls", "cache_hits", "open_bound"}
+SEARCH_KEYS = {"explored", "pruned", "dominated", "bound_calls", "cache_hits", "open_bound"}
 BOUND_KEYS = {"instance", "nodes", "edges", "method", "lower_bound", "time_ms"}
 BENCH_HEADER = [
     "name", "nodes", "edges", "method", "lb", "ub", "gap_percent", "time_ms", "status",
@@ -217,6 +217,18 @@ class TestJsonKeys:
             assert search["open_bound"] is None
         else:
             assert set(report) == SOLVE_KEYS
+
+    def test_bnb_proves_complete_graph_through_domination(self, tmp_path, capsys):
+        # Every node of K12 is a twin of every other; a B&B without
+        # neighbourhood domination needs about 24.7 million expansions.
+        inst = tmp_path / "k12.sl"
+        inst.write_text(write_instance(gen_gnm(12, 66, 1)), encoding="ascii")
+        code, out, _ = run(capsys, "solve", inst, "--method", "bnb", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["proven"] and report["primal_value"] == report["dual_bound"] == 286
+        assert report["time_ms"] < 1000
+        assert report["search"]["explored"] == 9 and report["search"]["dominated"] > 0
 
     def test_search_open_bound_under_time_limit(self, tmp_path, capsys):
         inst = tmp_path / "hard.sl"

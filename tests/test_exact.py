@@ -1,11 +1,15 @@
-"""Branch-and-bound against the brute-force oracle: every small graph is
-proven at its optimum, and a search stopped by its node budget still
-returns a valid bracket."""
+"""Branch-and-bound against the brute-force oracle and a subset dynamic
+program: every small graph is proven at its optimum, neighbourhood
+domination skips exactly the children its definition names, and a search
+stopped by its node budget still returns a valid bracket."""
 
 import hashlib
+import heapq
+import math
 import random
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,11 +18,11 @@ from slabel.core import Labeling, build_graph, sl_value
 from slabel.dual_ascent import dual_ascent_extended
 from slabel.exact import branch_and_bound, brute_force
 from slabel.heuristics import greedy_label
-from slabel.instances import gen_gnm
+from slabel.instances import gen_gnm, gen_random_tree
 
 # sha256 over every result of the exhaustive loop below: the labeling and
 # the search counters, so a refactor that changes either one fails.
-EXHAUSTIVE_DIGEST = "7b121f93f9000b2d23f6d30471f53ff4891983fdc971f226aa6e4cf0814fd1ed"
+EXHAUSTIVE_DIGEST = "bf48b4dfd36df2515db3f38c15541b8cdcccf526e5e2ac6eb52ad2c366b2db50"
 
 
 def test_proves_optimum_on_every_graph_up_to_five_nodes():
@@ -35,7 +39,7 @@ def test_proves_optimum_on_every_graph_up_to_five_nodes():
             assert sl_value(g, res.labeling) == opt
             s = res.stats
             digest.update(repr((res.labeling.labels, s.explored, s.pruned_by_bound,
-                                s.bound_calls, s.cache_hits)).encode())
+                                s.dominated, s.bound_calls, s.cache_hits)).encode())
             checked += 1
     assert checked == 1 + 2 + 8 + 64 + 1024
     assert digest.hexdigest() == EXHAUSTIVE_DIGEST
@@ -63,18 +67,26 @@ def test_proves_every_graph_up_to_five_nodes_without_a_starting_incumbent(monkey
     assert checked == 1 + 2 + 8 + 64 + 1024
 
 
-@pytest.mark.parametrize("n, m, seed, explored, pruned", [
-    (18, 40, 1, 136, 1729),
-    (20, 45, 3, 148, 2330),
-    (22, 50, 5, 40, 596),
-    (24, 55, 2, 164, 3105),
-])
-def test_search_counters_are_pinned(n, m, seed, explored, pruned):
+PINNED_COUNTERS = [  # n, m, seed, explored, pruned + dominated, dominated
+    (18, 40, 1, 136, 1729, 599),
+    (20, 45, 3, 148, 2330, 451),
+    (22, 50, 5, 40, 596, 193),
+    (24, 55, 2, 164, 3105, 784),
+]
+
+
+@pytest.mark.parametrize("n, m, seed, explored, pruned, dominated", PINNED_COUNTERS,
+                         ids=["-".join(map(str, row[:5])) for row in PINNED_COUNTERS])
+def test_search_counters_are_pinned(n, m, seed, explored, pruned, dominated):
     # Residual bounds stop at the pruning cutoff; the search they steer
-    # must equal the one with full bounds.
-    res = branch_and_bound(gen_gnm(n, m, seed))
-    assert res.stats.proven_optimal
-    assert (res.stats.explored, res.stats.pruned_by_bound) == (explored, pruned)
+    # must equal the one with full bounds.  On these graphs every child
+    # that domination skips would have been pruned by its bound, so the
+    # explored nodes and the children cut either way are those of the
+    # search without the rule.
+    s = branch_and_bound(gen_gnm(n, m, seed)).stats
+    assert s.proven_optimal
+    assert (s.explored, s.pruned_by_bound + s.dominated) == (explored, pruned)
+    assert s.dominated == dominated
 
 
 def test_every_ascent_goes_through_the_module_name(monkeypatch):
@@ -187,3 +199,186 @@ def test_residual_bound_ignores_isolated_nodes():
                 assert kept_ids == renumbered_ascent(g, chosen), chosen
                 checked += 1
     assert checked >= 450
+
+
+def subset_dp(g):
+    """The optimum by dynamic programming over node sets, sharing no code
+    with the solvers (Held & Karp 1962).  f(S) is the least total of the
+    edges with an end in S when S takes labels 1..|S|: the node v that
+    takes label |S| pays |S| for each edge to a node outside S, so f(S) is
+    the minimum over v in S of f(S - {v}) + |S| * |N(v) - S|."""
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    f = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        k, rest, best = s.bit_count(), s, math.inf
+        while rest:
+            low = rest & -rest
+            cost = f[s ^ low] + k * (nbr[low.bit_length() - 1] & ~s).bit_count()
+            if cost < best:
+                best = cost
+            rest ^= low
+        f[s] = best
+    return f[-1]
+
+
+def all_graphs(max_nodes):
+    for n in range(1, max_nodes + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def test_subset_dp_equals_brute_force_up_to_five_nodes():
+    assert all(subset_dp(g) == brute_force(g)[0] for g in all_graphs(5))
+
+
+def test_subset_dp_certifies_gnm_18_40_1():
+    # The optimum that test_proves_gnm_18_40_1 and the benchmark pin,
+    # certified without branch-and-bound.
+    assert subset_dp(gen_gnm(18, 40, 1)) == 174
+
+
+def random_graphs_12_to_16_nodes():
+    rng = random.Random(16)
+    for n in range(12, 17):
+        for _ in range(2):
+            yield gen_gnm(n, rng.randint(n, 3 * n), rng.randrange(1000))
+    yield gen_gnm(12, 66, 1)  # K12: every node is a twin of every other
+
+
+def test_branch_and_bound_equals_subset_dp_beyond_brute_force(monkeypatch):
+    # The searches need at most 138 expansions; the limit makes one that
+    # has lost the domination rule (K12) fail instead of running for hours.
+    monkeypatch.setattr(exact, "starting_heuristic", no_starting_incumbent)
+    for g in random_graphs_12_to_16_nodes():
+        res = branch_and_bound(g, node_limit=2000)
+        assert res.stats.proven_optimal
+        assert res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == subset_dp(g), g
+
+
+@pytest.mark.parametrize("n, optimum", [(8, 84), (12, 286)])
+def test_complete_graph_is_proven_along_one_branch(n, optimum):
+    # Every labeling of K_n is optimal.  All nodes are twins, so each
+    # expansion keeps only its lowest unlabeled node, and the search stops
+    # once the child's bound meets the starting incumbent.  A search
+    # without the rule needs 2,081 expansions on K8 and about 24.7 million
+    # on K12; the node limit makes such a search fail fast.
+    g = gen_gnm(n, n * (n - 1) // 2, 1)
+    started = time.perf_counter()
+    res = branch_and_bound(g, node_limit=1000)
+    assert time.perf_counter() - started < 1.0
+    assert res.stats.proven_optimal
+    assert res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == optimum
+    assert res.stats.explored == n - 3
+
+
+def unlabeled_neighbours(g, labeled):
+    """R(v) for every unlabeled v, after the nodes of ``labeled``."""
+    unlabeled = set(range(g.n)) - set(labeled)
+    return {v: {x for x, _ in g.adjacency[v] if x in unlabeled} for v in unlabeled}
+
+
+def undominated_candidates(g, labeled):
+    """The children the domination rule keeps, from its pairwise definition."""
+    near = unlabeled_neighbours(g, labeled)
+
+    def dominates(w, u):
+        return (near[u] - {w} <= near[w] - {u}
+                and (len(near[w]), -w) > (len(near[u]), -u))
+
+    return {u for u in near
+            if near[u] and not any(dominates(w, u) for w in near if w != u)}
+
+
+def pushed_children(monkeypatch, g, node_limit=math.inf):
+    """Search g with no starting incumbent, so that no child is pruned
+    before an incumbent is found, and return the result and the label
+    order of every child pushed onto the heap."""
+    pushed = []
+
+    def recording_push(heap, item):
+        pushed.append(item[3])  # the child's labeled nodes in label order
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(exact, "starting_heuristic", no_starting_incumbent)
+    monkeypatch.setattr(exact, "heapq", SimpleNamespace(heappush=recording_push,
+                                                         heappop=heapq.heappop))
+    return branch_and_bound(g, node_limit=node_limit), pushed
+
+
+def test_root_keeps_exactly_the_undominated_children(monkeypatch):
+    # One expansion with no incumbent pushes every child the rule keeps;
+    # the bitmask intersection must agree with the pairwise definition.
+    rng = random.Random(7)
+    graphs = [g for g in all_graphs(5) if g.m]
+    graphs += [gen_gnm(n, rng.randint(1, n * (n - 1) // 2), rng.randrange(1000))
+               for n in range(6, 13) for _ in range(30)]
+    for g in graphs:
+        res, pushed = pushed_children(monkeypatch, g, node_limit=1)
+        kept = undominated_candidates(g, ())
+        assert {order[0] for order in pushed} == kept, g
+        candidates = sum(1 for adj in g.adjacency if adj)
+        assert res.stats.dominated == candidates - len(kept)
+
+
+K33 = build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+
+
+def rule_test_graphs():
+    """Graphs with many twins and leaves: trees, complete bipartite
+    graphs, and random graphs in which some nodes are copied as open or
+    closed twins of others."""
+    yield from (gen_random_tree(n, seed) for n in (9, 12) for seed in range(3))
+    yield K33
+    rng = random.Random(11)
+    for _ in range(12):
+        base = gen_gnm(6, rng.randint(5, 11), rng.randrange(1000))
+        edges = list(base.edges)
+        for copy in range(6, 9):
+            original = rng.randrange(6)
+            edges += [(x, copy) for x, _ in base.adjacency[original]]
+            if rng.random() < 0.5:  # a closed twin: adjacent to its original
+                edges.append((original, copy))
+        yield build_graph(9, edges)
+
+
+def test_only_the_lowest_twin_is_branched_on(monkeypatch):
+    # Twins u, w (R(u) - {w} == R(w) - {u}) can swap labels at no cost, so
+    # only the lower of them is a child; K3,3 keeps one node per side.
+    for g in rule_test_graphs():
+        res, pushed = pushed_children(monkeypatch, g)
+        assert res.stats.proven_optimal and res.stats.dominated > 0
+        for order in pushed:
+            near = unlabeled_neighbours(g, order[:-1])
+            v = order[-1]
+            assert not any(w < v and near[v] - {w} == near[w] - {v} for w in near), (g, order)
+    res, pushed = pushed_children(monkeypatch, K33, node_limit=1)
+    assert {order[0] for order in pushed} == {0, 3}
+
+
+def test_a_leaf_is_branched_on_only_when_its_neighbour_has_no_other(monkeypatch):
+    # Labeling a leaf's neighbour x first never costs more; only when x's
+    # sole unlabeled neighbour is the leaf (an isolated edge) do the two
+    # tie, and then the lower index is kept.
+    for g in rule_test_graphs():
+        res, pushed = pushed_children(monkeypatch, g)
+        for order in pushed:
+            near = unlabeled_neighbours(g, order[:-1])
+            v = order[-1]
+            if len(near[v]) == 1:
+                (x,) = near[v]
+                assert near[x] == {v} and v < x, (g, order)
+
+
+def test_every_pushed_child_is_undominated_in_its_parent_state(monkeypatch):
+    rng = random.Random(5)
+    for n in range(6, 11):
+        for _ in range(4):
+            g = gen_gnm(n, rng.randint(n, n * (n - 1) // 3), rng.randrange(1000))
+            res, pushed = pushed_children(monkeypatch, g)
+            assert res.stats.proven_optimal
+            for order in pushed:
+                assert order[-1] in undominated_candidates(g, order[:-1]), (g, order)
