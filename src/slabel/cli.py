@@ -10,15 +10,17 @@ labeling checks, and CSV benchmarking.
     bench  any of greedy, dual-simple, dual-extended, lagrangian, bnb on
            every file of a suite directory, one CSV row per file and method
 
-``--time-limit`` (seconds, or ``inf``; ``solve``, ``bound`` and ``bench``,
-default 60) becomes the method's deadline, counted from the moment the
-method starts.  It bounds ``bnb``, ``lagrangian``, the ``bnb`` fall-back
-of ``auto``, ``greedy`` (whose local search keeps the labeling it has
-reached) and ``dual-extended`` (which keeps the ascent steps it has
-taken); every other method runs to completion.  ``bench`` runs one call
-after another in this process.  A bench row's status is ``ok``,
-``timeout`` (the method reached its time limit) or ``error`` (the file or
-the method failed; stderr gets ``error: <file> <method>: <reason>``).
+``--time-limit`` (seconds, or ``inf``; ``solve``, ``bound`` and
+``bench``, default 60) becomes the method's deadline, counted from the
+moment the method starts.  It bounds ``bnb``, ``lagrangian``, the
+``bnb`` fall-back of ``auto``, ``greedy`` (whose local search keeps the
+labeling it has reached), ``dual-extended`` (which keeps the ascent
+steps it has taken) and ``oracle`` (which then reports the best labeling
+it has found as an upper bound, with no lower bound); every other method
+runs to completion.  ``bench`` runs one call after another in this
+process.  A bench row's status is ``ok``, ``timeout`` (the method
+reached its time limit) or ``error`` (the file or the method failed;
+stderr gets ``error: <file> <method>: <reason>``).
 
 A B&B run of ``solve`` (``bnb``, or ``auto`` falling back to it) adds
 the ``search`` counters of ``exact.SearchStats`` to its report:
@@ -134,7 +136,9 @@ def _bnb(g: Graph, deadline: float) -> _Result:
 
 
 def _oracle(g: Graph, deadline: float) -> _Result:
-    value, labeling = brute_force(g)
+    value, labeling = brute_force(g, deadline)
+    if time.perf_counter() >= deadline:
+        return _Result(ub=value, labeling=labeling, timed_out=True)
     return _Result(value, value, labeling)
 
 

@@ -27,12 +27,22 @@ class SizeLimitError(RuntimeError):
     """Raised when a brute-force solve would exceed its node limit."""
 
 
-def brute_force(g: Graph) -> tuple[int, Labeling]:
+class _Expired(Exception):
+    """Unwinds the brute-force search once its deadline has passed."""
+
+
+def brute_force(g: Graph, deadline: float = math.inf) -> tuple[int, Labeling]:
     """Exact optimum by depth-first assignment of labels 1, 2, ... with
     closure once the residual graph is edgeless.
 
     Partial assignments are pruned against the incumbent using the fact
     that every residual edge will contribute more than the current depth.
+
+    Stops at ``deadline``, a ``time.perf_counter()`` value (``math.inf``,
+    the default, means no limit): the search reads the clock once per
+    4096 calls and, once the deadline has passed, returns the best
+    labeling found so far (the identity at worst), which is then only an
+    upper bound.  A caller tells the two apart by reading the clock.
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
@@ -47,6 +57,7 @@ def brute_force(g: Graph) -> tuple[int, Labeling]:
 
     residual_degree = [len(adj) for adj in adjacency]
     residual_edges = g.m
+    calls = 0
 
     def complete(depth: int) -> list[int]:
         out = labels.copy()
@@ -58,7 +69,10 @@ def brute_force(g: Graph) -> tuple[int, Labeling]:
         return out
 
     def dfs(depth: int, fixed_cost: int) -> None:
-        nonlocal best_value, best_labels, residual_edges
+        nonlocal best_value, best_labels, residual_edges, calls
+        calls += 1
+        if not calls & 4095 and time.perf_counter() >= deadline:
+            raise _Expired
         if residual_edges == 0:
             if fixed_cost < best_value:
                 best_value = fixed_cost
@@ -83,7 +97,10 @@ def brute_force(g: Graph) -> tuple[int, Labeling]:
             residual_edges += gained
             labels[v] = 0
 
-    dfs(0, 0)
+    try:
+        dfs(0, 0)
+    except _Expired:
+        pass
     return best_value, Labeling(labels=tuple(best_labels))
 
 

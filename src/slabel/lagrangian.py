@@ -74,12 +74,15 @@ def _triangle_suffixes(m: Multipliers) -> Iterator[tuple[Triangle, list[int]]]:
 
 
 def solve_x_subproblem(
-    g: Graph, m: Multipliers, deadline: float = math.inf
+    g: Graph, m: Multipliers, deadline: float = math.inf,
+    potentials: list[int] | None = None,
 ) -> tuple[Labeling, int] | None:
     """Maximum-value assignment of labels to nodes under the multiplier
     coefficients: the assignment as a Labeling and its value times SCALE.
     Stops at ``deadline``, a ``time.perf_counter()`` value (``math.inf``,
-    the default, means no limit), and then returns None."""
+    the default, means no limit), and then returns None.  ``potentials``
+    (one per label) warm-starts the assignment solver and receives its
+    final column potentials; see ``hungarian_min``."""
     costs = [[0] * g.n for _ in range(g.n)]  # negated: hungarian_min minimizes
     for e, (u, v) in enumerate(g.edges):
         for k, val in m.delta[e].items():
@@ -90,7 +93,7 @@ def solve_x_subproblem(
             row = costs[i]
             for k in range(g.n):
                 row[k] -= suffix[k + 1]
-    solved = hungarian_min(costs, deadline)
+    solved = hungarian_min(costs, deadline, potentials)
     if solved is None:
         return None
     perm, total = solved
@@ -181,6 +184,11 @@ def run_subgradient(
     multipliers from zero; the incumbent starts from the greedy-plus-local-
     search heuristic and every assignment solution is improved by local
     search.  The step is the Polyak rule beta * (incumbent - z) / ||g||^2.
+    Each x-subproblem starts from the column potentials the previous one
+    ended with (zeros at the first), so after a small step the assignment
+    solver re-augments only the rows whose tight labels moved; which of
+    several optimal assignments comes back depends on them.
+
     Stops on the iteration limit, a closed gap, a zero subgradient, a step
     size below STOP_MU, or at ``deadline``, a ``perf_counter`` value
     (``math.inf``, the default, means no limit).  The warm-start ascent
@@ -212,6 +220,7 @@ def run_subgradient(
         )
         mult = Multipliers(n=g.n, delta=mult.delta)
 
+    potentials = [0] * g.n  # the x-subproblem's column potentials, carried over
     lower_bound = 0
     beta = BETA_INIT
     non_improving = 0
@@ -219,7 +228,7 @@ def run_subgradient(
     stop_reason = "iterations"
 
     for t in range(1, params.max_iter + 1):
-        x_solved = solve_x_subproblem(g, mult, deadline)
+        x_solved = solve_x_subproblem(g, mult, deadline, potentials)
         if x_solved is None:
             stop_reason = "time"
             break

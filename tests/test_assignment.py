@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from slabel import lagrangian
 from slabel.assignment import hungarian_min
 from slabel.instances import SplitMix64, gen_bipartite, gen_gnm, gen_random_tree
-from slabel.lagrangian import SubgradientParams, run_subgradient
+from slabel.lagrangian import SCALE, SubgradientParams, run_subgradient
 
 
 def brute_min(costs):
@@ -205,25 +205,119 @@ class TestAgainstReferenceKernel:
         assert hungarian_min(costs) == reference_hungarian_min(costs)
 
     @pytest.mark.parametrize(
-        "g, iterations, most_runs",
-        [(gen_gnm(60, 150, 2), 3, 1), (gen_random_tree(100, 1), 3, 1),
-         (gen_gnm(50, 300, 3), 25, 1), (gen_bipartite(40, 40, 0.08, 5), 5, 32)],
-        ids=["gnm60", "tree100", "gnm50-300", "bipartite40"])
-    def test_subgradient_matrices(self, g, iterations, most_runs, monkeypatch):
-        # The x-subproblem matrices of the first iterations of a Lagrangian
-        # run: large fixed-point entries, and the ties the dual-ascent warm
-        # start leaves.  gnm50-300 adds the triangle multipliers, and the
-        # subgradient steps of bipartite40 leave rows that decrease.
+        "g, exact_calls, most_runs",
+        [(gen_gnm(60, 150, 2), 3, (1, 39)), (gen_random_tree(100, 1), 3, (24, 41)),
+         (gen_gnm(50, 300, 3), 25, (1, 45)), (gen_bipartite(40, 40, 0.08, 5), 5, (33, 34)),
+         (gen_gnm(100, 250, 2), 1, (1, 50))],
+        ids=["gnm60", "tree100", "gnm50-300", "bipartite40", "gnm100"])
+    def test_subgradient_matrices(self, g, exact_calls, most_runs, monkeypatch):
+        # The x-subproblem matrices of the bound-mid workload's Lagrangian
+        # runs (25 iterations each): large fixed-point entries, and the ties
+        # the dual-ascent warm start leaves.  gnm50-300 adds the triangle
+        # multipliers, and the subgradient steps leave rows that decrease.
+        # Every call is warm, so it may return another optimum than the
+        # cold kernel: it is checked by its total and its certificate, and
+        # the cold kernel, on the first calls, by the reference's exact
+        # permutation.  most_runs pins the largest run count of the costs
+        # (the cold kernel's runs) and of the reduced costs at the start of
+        # the call (the warm kernel's).
         seen = []
 
-        def recording(costs, deadline=None):
-            result = hungarian_min(costs, deadline)
-            seen.append((costs, result))
+        def recording(costs, deadline, potentials):
+            start = potentials[:]
+            result = hungarian_min(costs, deadline, potentials)
+            seen.append((costs, start, result, potentials[:]))
             return result
 
         monkeypatch.setattr(lagrangian, "hungarian_min", recording)
-        run_subgradient(g, SubgradientParams(max_iter=iterations))
-        assert len(seen) == iterations
-        assert max(run_count(costs) for costs, _ in seen) == most_runs
-        for costs, result in seen:
-            assert result == reference_hungarian_min(costs)
+        run_subgradient(g, SubgradientParams(max_iter=25))
+        assert len(seen) == 25
+        assert seen[0][1] == [0] * g.n
+        assert max(run_count(costs) for costs, *_ in seen) == most_runs[0]
+        assert max(run_count(reduced(costs, start)) for costs, start, *_ in seen) == most_runs[1]
+        for k, (costs, start, (perm, total), final) in enumerate(seen):
+            cold = hungarian_min(costs)
+            if k < exact_calls:
+                assert cold == reference_hungarian_min(costs)
+            assert sorted(perm) == list(range(g.n))
+            assert total == cold[1] == sum(costs[i][perm[i]] for i in range(g.n))
+            assert certifies(costs, final, total)
+
+
+def reduced(costs, potentials):
+    return [[c - v for c, v in zip(row, potentials)] for row in costs]
+
+
+def certifies(costs, potentials, total):
+    """u_i = min_j (c_ij - v_j) is dual-feasible for any v, so u and v
+    prove a total optimal when they sum to it."""
+    return sum(map(min, reduced(costs, potentials))) + sum(potentials) == total
+
+
+def start_potentials(rng, n, kind):
+    if kind == "zero":
+        return [0] * n
+    if kind == "random":
+        return [rng.below(61) - 30 for _ in range(n)]
+    if kind == "large-negative":
+        return [rng.below(5) - 10**15 for _ in range(n)]
+    return [(rng.below(7) - 3) * SCALE for _ in range(n)]
+
+
+POTENTIAL_KINDS = ("zero", "random", "large-negative", "scale")
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("kind", POTENTIAL_KINDS)
+    def test_random_matrices(self, kind):
+        rng = SplitMix64(17)
+        for values in (3, 21, 10**6):
+            for n in range(9):
+                for _ in range(40):
+                    costs = [[rng.below(2 * values + 1) - values for _ in range(n)]
+                             for _ in range(n)]
+                    potentials = start_potentials(rng, n, kind)
+                    perm, total = hungarian_min(costs, potentials=potentials)
+                    assert sorted(perm) == list(range(n))
+                    assert total == reference_hungarian_min(costs)[1]
+                    assert total == sum(costs[i][perm[i]] for i in range(n))
+                    assert certifies(costs, potentials, total)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices(), st.sampled_from(POTENTIAL_KINDS), st.integers(0, 2**32))
+    def test_small_integer_matrices(self, costs, kind, seed):
+        n = len(costs)
+        potentials = start_potentials(SplitMix64(seed), n, kind)
+        perm, total = hungarian_min(costs, potentials=potentials)
+        assert sorted(perm) == list(range(n))
+        assert total == reference_hungarian_min(costs)[1]
+        assert certifies(costs, potentials, total)
+        assert hungarian_min(costs, potentials=None) == reference_hungarian_min(costs)
+
+    @pytest.mark.parametrize("kind", POTENTIAL_KINDS)
+    def test_passed_deadline_leaves_potentials(self, kind):
+        rng = SplitMix64(18)
+        for n in range(1, 9):
+            costs = [[rng.below(41) - 20 for _ in range(n)] for _ in range(n)]
+            potentials = start_potentials(rng, n, kind)
+            before = potentials[:]
+            assert hungarian_min(costs, time.perf_counter() - 1.0, potentials) is None
+            assert potentials == before
+
+    def test_chained_calls(self):
+        # The Lagrangian use: each matrix starts from the previous final
+        # potentials, and the costs move a little between calls.
+        rng = SplitMix64(19)
+        for n in range(1, 9):
+            potentials = [0] * n
+            costs = [[rng.below(21) for _ in range(n)] for _ in range(n)]
+            for _ in range(20):
+                i, j = rng.below(n), rng.below(n)
+                costs[i][j] += rng.below(11) - 5
+                _, total = hungarian_min(costs, potentials=potentials)
+                assert total == reference_hungarian_min(costs)[1]
+                assert certifies(costs, potentials, total)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            hungarian_min([[1, 2], [3, 4]], potentials=[0])

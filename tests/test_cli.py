@@ -6,6 +6,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,19 @@ class TestJsonKeys:
         assert report["proven"] and report["primal_value"] == report["dual_bound"] == 286
         assert report["time_ms"] < 1000
         assert report["search"]["explored"] == 9 and report["search"]["dominated"] > 0
+
+    def test_oracle_stops_at_time_limit(self, tmp_path, capsys):
+        # brute_force cannot finish K12: every order costs the same.
+        g = gen_gnm(12, 66, 1)
+        inst = tmp_path / "k12.sl"
+        inst.write_text(write_instance(g), encoding="ascii")
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "solve", inst, "--method", "oracle", "--time-limit", 0.5,
+                           "--json")
+        assert code == 0 and time.perf_counter() - started < 2.0
+        report = json.loads(out)
+        assert not report["proven"] and report["dual_bound"] is None
+        assert report["primal_value"] == sl_value(g, Labeling(tuple(report["labeling"])))
 
     def test_search_open_bound_under_time_limit(self, tmp_path, capsys):
         inst = tmp_path / "hard.sl"

@@ -153,6 +153,21 @@ def test_time_limit_is_checked_before_every_expansion():
     assert res.lower_bound <= res.upper_bound == sl_value(g, res.labeling)
 
 
+def test_brute_force_stops_at_its_deadline():
+    # On K12 every order costs the same, so the prune fires only one level
+    # above the leaves; the full search did not finish in 10 minutes.
+    g = gen_gnm(12, 66, 1)
+    started = time.perf_counter()
+    value, labeling = brute_force(g, deadline=started + 0.2)
+    assert time.perf_counter() - started < 2.0
+    assert value == sl_value(g, labeling)
+
+
+def test_brute_force_future_deadline_changes_nothing():
+    for g in (gen_gnm(9, 16, 3), gen_random_tree(10, 2)):
+        assert brute_force(g, time.perf_counter() + 3600.0) == brute_force(g)
+
+
 def test_passed_deadline_after_root_bound_returns_its_bracket(monkeypatch):
     # The root bound comes before the starting heuristic.  When it overruns
     # the deadline, local search runs no sweep and no node is expanded, so

@@ -7,7 +7,7 @@ import pytest
 from slabel import lagrangian
 from slabel.core import enumerate_triangles, sl_value
 from slabel.dual_ascent import dual_ascent_extended
-from slabel.exact import brute_force
+from slabel.exact import branch_and_bound, brute_force
 from slabel.heuristics import greedy_label
 from slabel.instances import gen_bipartite, gen_gnm, gen_path, gen_random_tree
 from slabel.lagrangian import (
@@ -125,29 +125,75 @@ def _trajectory_digest(res) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _proven_optimum(g) -> int:
+    res = branch_and_bound(g)
+    assert res.stats.proven_optimal
+    return res.upper_bound
+
+
 # sha256 of every trace record (iteration, repr of each float, bounds,
 # incumbent), the final labeling, bounds, iteration count and stop reason.
 # The multipliers are exact fixed-point integers, so a change to how they
 # are stored or summed must leave these byte-identical; a change of the
 # method itself must re-record them and say why.  The bipartite graph has
-# no triangles, so only edge multipliers move.
+# no triangles, so only edge multipliers move.  The last entry is the
+# optimum the final bracket must contain: a value proven elsewhere (174 in
+# test_exact.py, 341 by the benchmark suite's pinned B&B proof), or a
+# function that computes it.
 PINNED_TRAJECTORIES = [
     (gen_gnm(12, 30, 5), 200,
-     "7a9984e7aa7e3c38e8f9f481669e665a27b1aba680fa231c703972d892e36175"),
+     "eb9a769bb54d55597717c36eb847833f4eaee988f62f3603ab03d6ff96a75949",
+     lambda g: brute_force(g)[0]),
     (gen_gnm(18, 40, 1), 150,
-     "0b24536d051a086aa8d8ccd1f30e3e616c642781dbeedba37b61b97c2d6f6a57"),
+     "7f342334fd431b1e39a8a9bcd63ba3908ac52c6928547cc70706fff14503ca68", 174),
     (gen_gnm(24, 60, 11), 150,
-     "106db5d5dcfac69b640a7c1561954d64c3bdd08d19b6cf622e9b9f2ca8ce69f3"),
+     "3f26ccc6f28a25029bf0f271f6772333a13578ace4ad77f29c9e9fa2f4aff3f1", 341),
     (gen_bipartite(10, 10, 0.3, 1), 150,
-     "d7eeedcd1527655024ed1b469568536063f13f6c28831995628f12851f8bf742"),
+     "766918c251adb3c98d0bbced81f96a40df487418228c657a6add1dfb33a02303",
+     _proven_optimum),
 ]
 
 
-@pytest.mark.parametrize("g, max_iter, expected", PINNED_TRAJECTORIES,
+@pytest.mark.parametrize("g, max_iter, expected, optimum", PINNED_TRAJECTORIES,
                          ids=["gnm12", "gnm18", "gnm24", "bipartite"])
-def test_pinned_trajectory(g, max_iter, expected):
+def test_pinned_trajectory(g, max_iter, expected, optimum):
     res = run_subgradient(g, SubgradientParams(max_iter=max_iter))
     assert _trajectory_digest(res) == expected
+    opt = optimum(g) if callable(optimum) else optimum
+    assert res.lower_bound <= opt <= res.incumbent_value
+    assert sl_value(g, res.best_labeling) == res.incumbent_value
+
+
+def test_x_subproblem_warm_start_keeps_the_value():
+    g = gen_gnm(12, 30, 5)
+    m = Multipliers.from_dual_ascent(g, with_triangles=True)
+    potentials = [0] * g.n
+    warm = lagrangian.solve_x_subproblem(g, m, potentials=potentials)
+    assert warm[1] == lagrangian.solve_x_subproblem(g, m)[1]
+    # From its own final potentials every search finds a path of tight
+    # edges, at distance 0, so the potentials do not move.
+    again = potentials[:]
+    assert lagrangian.solve_x_subproblem(g, m, potentials=again)[1] == warm[1]
+    assert again == potentials
+
+
+def test_potentials_carry_across_iterations(monkeypatch):
+    calls = []
+    kernel = lagrangian.hungarian_min
+
+    def recording(costs, deadline, potentials):
+        start = potentials[:]
+        result = kernel(costs, deadline, potentials)
+        calls.append((potentials, start, potentials[:]))
+        return result
+
+    monkeypatch.setattr(lagrangian, "hungarian_min", recording)
+    run_subgradient(gen_gnm(12, 30, 5), SubgradientParams(max_iter=5))
+    assert len(calls) == 5
+    assert calls[0][1] == [0] * 12
+    assert all(c[0] is calls[0][0] for c in calls)
+    for before, after in zip(calls, calls[1:]):
+        assert after[1] == before[2]
 
 
 def reference_d_subproblem(g, m):
