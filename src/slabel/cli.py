@@ -4,7 +4,7 @@ labeling checks, and CSV benchmarking.
     gen    write one generated instance
     solve  auto (the special solver on a path, cycle or perfect n-ary
            tree, else bnb), greedy, lagrangian, bnb, special, oracle
-           (brute force, at most 12 nodes)
+           (subset dynamic program, at most 20 nodes)
     bound  dual-simple, dual-extended, lagrangian
     check  validate a labeling file and print its value
     bench  any of greedy, dual-simple, dual-extended, lagrangian, bnb on
@@ -15,10 +15,10 @@ labeling checks, and CSV benchmarking.
 moment the method starts.  It bounds ``bnb``, ``lagrangian``, the
 ``bnb`` fall-back of ``auto``, ``greedy`` (whose local search keeps the
 labeling it has reached), ``dual-extended`` (which keeps the ascent
-steps it has taken) and ``oracle`` (which then reports the best labeling
-it has found as an upper bound, with no lower bound); every other method
-runs to completion.  ``bench`` runs one call after another in this
-process.  A bench row's status is ``ok``, ``timeout`` (the method
+steps it has taken) and ``oracle`` (which then reports the labeling of
+the states it has computed as an upper bound, with no lower bound); every
+other method runs to completion.  ``bench`` runs one call after another in
+this process.  A bench row's status is ``ok``, ``timeout`` (the method
 reached its time limit) or ``error`` (the file or the method failed;
 stderr gets ``error: <file> <method>: <reason>``).
 
@@ -48,7 +48,7 @@ from pathlib import Path
 
 from .core import Graph, Labeling, sl_value
 from .dual_ascent import dual_ascent_extended, dual_ascent_simple
-from .exact import SizeLimitError, branch_and_bound, brute_force
+from .exact import SizeLimitError, branch_and_bound, subset_dp
 from .heuristics import starting_heuristic
 from .instances import (
     GENERATORS,
@@ -136,10 +136,8 @@ def _bnb(g: Graph, deadline: float) -> _Result:
 
 
 def _oracle(g: Graph, deadline: float) -> _Result:
-    value, labeling = brute_force(g, deadline)
-    if time.perf_counter() >= deadline:
-        return _Result(ub=value, labeling=labeling, timed_out=True)
-    return _Result(value, value, labeling)
+    value, labeling, finished = subset_dp(g, deadline)
+    return _Result(value if finished else None, value, labeling, timed_out=not finished)
 
 
 def _special(g: Graph, deadline: float) -> _Result:

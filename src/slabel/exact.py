@@ -1,10 +1,9 @@
-"""Ground-truth solvers: a brute-force oracle for tiny instances and a
-combinatorial branch-and-bound with dual-ascent lower bounds and
-neighbourhood domination.
+"""Ground-truth solvers: the exact oracle, a subset dynamic program for up
+to 20 nodes, and a combinatorial branch-and-bound with dual-ascent lower
+bounds and neighbourhood domination.
 
-Both assign labels 1, 2, ... in order.  Once the residual graph (edges
-with both endpoints unlabeled) is empty, every edge contribution is
-fixed and the remaining labels can be handed out in any order.
+Both assign labels 1, 2, ... in order.  Once no edge has both ends
+unlabeled, every contribution is fixed and the rest can go in any order.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -20,88 +20,60 @@ from .dual_ascent import dual_ascent_extended
 from .heuristics import starting_heuristic
 
 
-BRUTE_FORCE_LIMIT = 12  # the most nodes brute_force accepts
+ORACLE_LIMIT = 20  # the most nodes subset_dp accepts: 2**20 states
 
 
 class SizeLimitError(RuntimeError):
-    """Raised when a brute-force solve would exceed its node limit."""
+    """Raised when an oracle solve would exceed its node limit."""
 
 
-class _Expired(Exception):
-    """Unwinds the brute-force search once its deadline has passed."""
+def subset_dp(g: Graph, deadline: float = math.inf) -> tuple[int, Labeling, bool]:
+    """The optimum by dynamic programming over node sets (Held & Karp
+    1962, Bellman 1962), an optimal labeling, and whether it finished.
 
+    f(S) is the least total of the edges with an end in S when the nodes
+    of S take labels 1..|S|: the node v that takes label |S| pays |S| for
+    each edge to a node outside S, so f(S) = min over v in S of f(S - {v})
+    + |S| * |N(v) - S|, and f(V) is the optimum.  One pass in numeric
+    order computes every S - {v} before S.  f is an int64 array, which
+    cannot overflow since f(S) <= |S| * m <= 20 * 190; the argmin nodes,
+    in a bytearray, are walked back from V into the labeling.
 
-def brute_force(g: Graph, deadline: float = math.inf) -> tuple[int, Labeling]:
-    """Exact optimum by depth-first assignment of labels 1, 2, ... with
-    closure once the residual graph is edgeless.
-
-    Partial assignments are pruned against the incumbent using the fact
-    that every residual edge will contribute more than the current depth.
-
-    Stops at ``deadline``, a ``time.perf_counter()`` value (``math.inf``,
-    the default, means no limit): the search reads the clock once per
-    4096 calls and, once the deadline has passed, returns the best
-    labeling found so far (the identity at worst), which is then only an
-    upper bound.  A caller tells the two apart by reading the clock.
+    ``deadline``, a ``time.perf_counter()`` value (``math.inf``, the
+    default, means none), is read once per 4096 states.  Once it has
+    passed, the walk starts from the last state computed, whose nodes take
+    the first labels (the rest follow in index order), and the value is
+    the labeling's, with ``finished`` False.
     """
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(
-            f"{g.n} nodes exceed the brute-force limit of {BRUTE_FORCE_LIMIT}"
-        )
-    n = g.n
-    adjacency = g.adjacency
-    labels = [0] * n
-    best_labels = list(range(1, n + 1))
-    identity = Labeling(labels=tuple(best_labels))
-    best_value = sl_value(g, identity)
-
-    residual_degree = [len(adj) for adj in adjacency]
-    residual_edges = g.m
-    calls = 0
-
-    def complete(depth: int) -> list[int]:
-        out = labels.copy()
-        next_label = depth + 1
-        for v in range(n):
-            if out[v] == 0:
-                out[v] = next_label
-                next_label += 1
-        return out
-
-    def dfs(depth: int, fixed_cost: int) -> None:
-        nonlocal best_value, best_labels, residual_edges, calls
-        calls += 1
-        if not calls & 4095 and time.perf_counter() >= deadline:
-            raise _Expired
-        if residual_edges == 0:
-            if fixed_cost < best_value:
-                best_value = fixed_cost
-                best_labels = complete(depth)
-            return
-        if fixed_cost + (depth + 1) * residual_edges >= best_value:
-            return
-        label = depth + 1
-        for v in range(n):
-            if labels[v] != 0:
-                continue
-            labels[v] = label
-            gained = residual_degree[v]
-            residual_edges -= gained
-            for x, _ in adjacency[v]:
-                if labels[x] == 0:
-                    residual_degree[x] -= 1
-            dfs(depth + 1, fixed_cost + label * gained)
-            for x, _ in adjacency[v]:
-                if labels[x] == 0:
-                    residual_degree[x] += 1
-            residual_edges += gained
-            labels[v] = 0
-
-    try:
-        dfs(0, 0)
-    except _Expired:
-        pass
-    return best_value, Labeling(labels=tuple(best_labels))
+    if g.n > ORACLE_LIMIT:
+        raise SizeLimitError(f"{g.n} nodes exceed the oracle limit of {ORACLE_LIMIT}")
+    nbr = [0] * g.n  # node bitmasks of the neighbours
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    f = array("q", bytes(8 << g.n))
+    last = bytearray(1 << g.n)  # the node that takes label |S| in an optimal order of S
+    full = state = (1 << g.n) - 1
+    for s in range(1, full + 1):
+        if not s & 4095 and time.perf_counter() >= deadline:
+            state = s - 1
+            break
+        k, rest, best = s.bit_count(), s, math.inf
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            cost = f[s ^ low] + k * (nbr[v] & ~s).bit_count()
+            if cost < best:
+                best, node = cost, v
+        f[s], last[s] = best, node
+    finished = state == full
+    order, rest = [], state
+    while rest:
+        order.append(last[rest])
+        rest ^= 1 << last[rest]
+    labeling = Labeling.from_order(g.n, reversed(order))
+    return (f[state] if finished else sl_value(g, labeling)), labeling, finished
 
 
 @dataclass

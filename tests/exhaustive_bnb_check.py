@@ -1,7 +1,8 @@
-"""Exhaustive check of branch-and-bound against the brute-force oracle on
-every labeled graph with 1 to 6 nodes (33,867 graphs), with no starting
-incumbent, so that the search must find each optimum itself.  The tier-1
-tests stop at 5 nodes; this script takes about 10 s, and pytest does not
+"""Exhaustive check of the exact solvers on every labeled graph with 1 to 6
+nodes (33,867 graphs): the subset dynamic program against the brute-force
+reference, and branch-and-bound, with no starting incumbent so that the
+search must find each optimum itself, against the program.  The tier-1
+tests stop at 5 nodes; this script takes about 15 s, and pytest does not
 collect it.
 
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
@@ -13,14 +14,18 @@ import sys
 
 from slabel import exact
 from slabel.core import sl_value
-from test_exact import all_graphs, no_starting_incumbent  # this script's directory
+from test_exact import all_graphs, brute_force, no_starting_incumbent  # this script's directory
 
 
 def main() -> int:
     exact.starting_heuristic = no_starting_incumbent
     checked = 0
     for g in all_graphs(6):
-        opt = exact.brute_force(g)[0]
+        opt, labeling, finished = exact.subset_dp(g)
+        if not (finished and opt == sl_value(g, labeling) == brute_force(g)[0]):
+            print(f"mismatch on n={g.n} edges={list(g.edges)}: subset_dp {opt}, "
+                  f"brute force {brute_force(g)[0]}", file=sys.stderr)
+            return 1
         res = exact.branch_and_bound(g)
         if not (res.stats.proven_optimal
                 and res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == opt):

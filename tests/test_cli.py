@@ -232,17 +232,31 @@ class TestJsonKeys:
         assert report["search"]["explored"] == 9 and report["search"]["dominated"] > 0
 
     def test_oracle_stops_at_time_limit(self, tmp_path, capsys):
-        # brute_force cannot finish K12: every order costs the same.
-        g = gen_gnm(12, 66, 1)
-        inst = tmp_path / "k12.sl"
+        # The program has 2**20 states; the clock stops it after 4095.
+        g = gen_gnm(20, 45, 3)
+        inst = tmp_path / "gnm20.sl"
         inst.write_text(write_instance(g), encoding="ascii")
         started = time.perf_counter()
-        code, out, _ = run(capsys, "solve", inst, "--method", "oracle", "--time-limit", 0.5,
+        code, out, _ = run(capsys, "solve", inst, "--method", "oracle", "--time-limit", 0,
                            "--json")
-        assert code == 0 and time.perf_counter() - started < 2.0
+        assert code == 0 and time.perf_counter() - started < 1.0
         report = json.loads(out)
         assert not report["proven"] and report["dual_bound"] is None
         assert report["primal_value"] == sl_value(g, Labeling(tuple(report["labeling"])))
+
+    @pytest.mark.parametrize("nodes, edges, seed, optimum", [(6, 9, 2, 16), (12, 66, 1, 286)])
+    def test_oracle_reports_a_finished_search_as_proven(self, tmp_path, capsys,
+                                                        nodes, edges, seed, optimum):
+        # With at most 12 nodes the program has fewer than 4096 states, so
+        # it finishes before its first clock read, however short the limit.
+        inst = gen(capsys, tmp_path / "g.sl", "--kind", "gnm", "--nodes", nodes,
+                   "--edges", edges, "--seed", seed)
+        code, out, _ = run(capsys, "solve", inst, "--method", "oracle", "--time-limit", 0,
+                           "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["proven"] and report["primal_value"] == report["dual_bound"] == optimum
+        assert report["time_ms"] < 100
 
     def test_search_open_bound_under_time_limit(self, tmp_path, capsys):
         inst = tmp_path / "hard.sl"
@@ -367,10 +381,10 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_oracle_size_refusal(self, tmp_path, capsys):
-        inst = gen(capsys, tmp_path / "big.sl", "--kind", "path", "--nodes", 13)
+        inst = gen(capsys, tmp_path / "big.sl", "--kind", "path", "--nodes", 21)
         code, _, err = run(capsys, "solve", inst, "--method", "oracle")
         assert code == 3
-        assert "brute-force limit" in err
+        assert "oracle limit" in err
 
     def test_invalid_labeling(self, gnm_file, tmp_path, capsys):
         lab = tmp_path / "dup.lab"

@@ -1,7 +1,8 @@
-"""Branch-and-bound against the brute-force oracle and a subset dynamic
-program: every small graph is proven at its optimum, neighbourhood
-domination skips exactly the children its definition names, and a search
-stopped by its node budget still returns a valid bracket."""
+"""The subset dynamic program against a brute-force reference, and
+branch-and-bound against the program: every small graph is proven at its
+optimum, neighbourhood domination skips exactly the children its
+definition names, and a search stopped by its node budget or an oracle
+stopped by its deadline still returns a valid bound."""
 
 import hashlib
 import heapq
@@ -16,7 +17,7 @@ import pytest
 from slabel import exact
 from slabel.core import Labeling, build_graph, sl_value
 from slabel.dual_ascent import dual_ascent_extended
-from slabel.exact import branch_and_bound, brute_force
+from slabel.exact import branch_and_bound, subset_dp
 from slabel.heuristics import greedy_label
 from slabel.instances import gen_gnm, gen_random_tree
 
@@ -32,7 +33,7 @@ def test_proves_optimum_on_every_graph_up_to_five_nodes():
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-            opt, _ = brute_force(g)
+            opt = subset_dp(g)[0]
             res = branch_and_bound(g)
             assert res.stats.proven_optimal
             assert res.lower_bound == res.upper_bound == opt
@@ -59,7 +60,7 @@ def test_proves_every_graph_up_to_five_nodes_without_a_starting_incumbent(monkey
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-            opt, _ = brute_force(g)
+            opt = subset_dp(g)[0]
             res = branch_and_bound(g)
             assert res.stats.proven_optimal
             assert res.lower_bound == res.upper_bound == opt == sl_value(g, res.labeling)
@@ -153,21 +154,6 @@ def test_time_limit_is_checked_before_every_expansion():
     assert res.lower_bound <= res.upper_bound == sl_value(g, res.labeling)
 
 
-def test_brute_force_stops_at_its_deadline():
-    # On K12 every order costs the same, so the prune fires only one level
-    # above the leaves; the full search did not finish in 10 minutes.
-    g = gen_gnm(12, 66, 1)
-    started = time.perf_counter()
-    value, labeling = brute_force(g, deadline=started + 0.2)
-    assert time.perf_counter() - started < 2.0
-    assert value == sl_value(g, labeling)
-
-
-def test_brute_force_future_deadline_changes_nothing():
-    for g in (gen_gnm(9, 16, 3), gen_random_tree(10, 2)):
-        assert brute_force(g, time.perf_counter() + 3600.0) == brute_force(g)
-
-
 def test_passed_deadline_after_root_bound_returns_its_bracket(monkeypatch):
     # The root bound comes before the starting heuristic.  When it overruns
     # the deadline, local search runs no sweep and no node is expanded, so
@@ -216,27 +202,58 @@ def test_residual_bound_ignores_isolated_nodes():
     assert checked >= 450
 
 
-def subset_dp(g):
-    """The optimum by dynamic programming over node sets, sharing no code
-    with the solvers (Held & Karp 1962).  f(S) is the least total of the
-    edges with an end in S when S takes labels 1..|S|: the node v that
-    takes label |S| pays |S| for each edge to a node outside S, so f(S) is
-    the minimum over v in S of f(S - {v}) + |S| * |N(v) - S|."""
-    nbr = [0] * g.n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    f = [0] * (1 << g.n)
-    for s in range(1, 1 << g.n):
-        k, rest, best = s.bit_count(), s, math.inf
-        while rest:
-            low = rest & -rest
-            cost = f[s ^ low] + k * (nbr[low.bit_length() - 1] & ~s).bit_count()
-            if cost < best:
-                best = cost
-            rest ^= low
-        f[s] = best
-    return f[-1]
+def brute_force(g):
+    """The optimum and an optimal labeling by depth-first assignment of
+    labels 1, 2, ... with closure once the residual graph is edgeless,
+    sharing no code with the solvers: the reference subset_dp is checked
+    against.  Partial assignments are pruned against the incumbent using
+    the fact that every residual edge will contribute more than the
+    current depth."""
+    n = g.n
+    adjacency = g.adjacency
+    labels = [0] * n
+    best_labels = list(range(1, n + 1))
+    best_value = sl_value(g, Labeling(labels=tuple(best_labels)))
+    residual_degree = [len(adj) for adj in adjacency]
+    residual_edges = g.m
+
+    def complete(depth):
+        out = labels.copy()
+        next_label = depth + 1
+        for v in range(n):
+            if out[v] == 0:
+                out[v] = next_label
+                next_label += 1
+        return out
+
+    def dfs(depth, fixed_cost):
+        nonlocal best_value, best_labels, residual_edges
+        if residual_edges == 0:
+            if fixed_cost < best_value:
+                best_value = fixed_cost
+                best_labels = complete(depth)
+            return
+        if fixed_cost + (depth + 1) * residual_edges >= best_value:
+            return
+        label = depth + 1
+        for v in range(n):
+            if labels[v] != 0:
+                continue
+            labels[v] = label
+            gained = residual_degree[v]
+            residual_edges -= gained
+            for x, _ in adjacency[v]:
+                if labels[x] == 0:
+                    residual_degree[x] -= 1
+            dfs(depth + 1, fixed_cost + label * gained)
+            for x, _ in adjacency[v]:
+                if labels[x] == 0:
+                    residual_degree[x] += 1
+            residual_edges += gained
+            labels[v] = 0
+
+    dfs(0, 0)
+    return best_value, Labeling(labels=tuple(best_labels))
 
 
 def all_graphs(max_nodes):
@@ -247,13 +264,44 @@ def all_graphs(max_nodes):
 
 
 def test_subset_dp_equals_brute_force_up_to_five_nodes():
-    assert all(subset_dp(g) == brute_force(g)[0] for g in all_graphs(5))
+    for g in all_graphs(5):
+        value, labeling, finished = subset_dp(g)
+        assert finished and value == brute_force(g)[0] == sl_value(g, labeling), g
 
 
 def test_subset_dp_certifies_gnm_18_40_1():
     # The optimum that test_proves_gnm_18_40_1 and the benchmark pin,
     # certified without branch-and-bound.
-    assert subset_dp(gen_gnm(18, 40, 1)) == 174
+    g = gen_gnm(18, 40, 1)
+    value, labeling, finished = subset_dp(g)
+    assert finished and value == sl_value(g, labeling) == 174
+
+
+def test_subset_dp_proves_complete_graph():
+    # Every order of K12 costs the same, so a depth-first search prunes
+    # only one level above the leaves; the DP visits each of 4096 states once.
+    g = gen_gnm(12, 66, 1)
+    started = time.perf_counter()
+    value, labeling, finished = subset_dp(g)
+    assert time.perf_counter() - started < 0.1
+    assert finished and value == sl_value(g, labeling) == 286
+
+
+def test_subset_dp_stops_at_its_deadline():
+    # The clock is read once per 4096 states, so a passed deadline stops a
+    # 20-node program after 4095 of its 2**20 states.
+    g = gen_gnm(20, 45, 3)
+    started = time.perf_counter()
+    value, labeling, finished = subset_dp(g, deadline=started)
+    assert time.perf_counter() - started < 1.0
+    assert not finished
+    assert value == sl_value(g, labeling) >= 214
+
+
+def test_subset_dp_future_deadline_changes_nothing():
+    # The 14-node graph reads the clock; the smaller two never do.
+    for g in (gen_gnm(9, 16, 3), gen_random_tree(10, 2), gen_gnm(14, 30, 4)):
+        assert subset_dp(g, time.perf_counter() + 3600.0) == subset_dp(g)
 
 
 def random_graphs_12_to_16_nodes():
@@ -271,7 +319,7 @@ def test_branch_and_bound_equals_subset_dp_beyond_brute_force(monkeypatch):
     for g in random_graphs_12_to_16_nodes():
         res = branch_and_bound(g, node_limit=2000)
         assert res.stats.proven_optimal
-        assert res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == subset_dp(g), g
+        assert res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == subset_dp(g)[0], g
 
 
 @pytest.mark.parametrize("n, optimum", [(8, 84), (12, 286)])

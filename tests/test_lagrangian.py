@@ -7,7 +7,7 @@ import pytest
 from slabel import lagrangian
 from slabel.core import enumerate_triangles, sl_value
 from slabel.dual_ascent import dual_ascent_extended
-from slabel.exact import branch_and_bound, brute_force
+from slabel.exact import branch_and_bound, subset_dp
 from slabel.heuristics import greedy_label
 from slabel.instances import gen_bipartite, gen_gnm, gen_path, gen_random_tree
 from slabel.lagrangian import (
@@ -101,7 +101,7 @@ class TestSubgradient:
         monkeypatch.setattr(lagrangian, "TRIANGLE_CAP", 0)
         with pytest.warns(UserWarning, match="triangle"):
             res = run_subgradient(g, SubgradientParams(max_iter=50))
-        assert res.lower_bound <= brute_force(g)[0] <= res.incumbent_value
+        assert res.lower_bound <= subset_dp(g)[0] <= res.incumbent_value
         assert res.incumbent_value == sl_value(g, res.best_labeling)
 
     def test_no_time_limit_runs_to_iteration_limit(self):
@@ -143,7 +143,7 @@ def _proven_optimum(g) -> int:
 PINNED_TRAJECTORIES = [
     (gen_gnm(12, 30, 5), 200,
      "eb9a769bb54d55597717c36eb847833f4eaee988f62f3603ab03d6ff96a75949",
-     lambda g: brute_force(g)[0]),
+     lambda g: subset_dp(g)[0]),
     (gen_gnm(18, 40, 1), 150,
      "7f342334fd431b1e39a8a9bcd63ba3908ac52c6928547cc70706fff14503ca68", 174),
     (gen_gnm(24, 60, 11), 150,

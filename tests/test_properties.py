@@ -1,6 +1,6 @@
 """Property tests on small random graphs: every lower bound is at most the
-brute-force optimum, every upper bound at least it, and branch-and-bound
-proves it."""
+optimum of the subset dynamic program, every upper bound at least it, and
+branch-and-bound proves it."""
 
 from itertools import combinations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from slabel.core import build_graph, sl_value
 from slabel.dual_ascent import dual_ascent_extended, dual_ascent_simple
-from slabel.exact import branch_and_bound, brute_force
+from slabel.exact import branch_and_bound, subset_dp
 from slabel.heuristics import starting_heuristic
 from slabel.lagrangian import SubgradientParams, run_subgradient
 
@@ -26,7 +26,7 @@ def graphs(draw, max_nodes=8):
 @SMALL
 @given(graphs())
 def test_dual_ascent_brackets_optimum(g):
-    opt, _ = brute_force(g)
+    opt = subset_dp(g)[0]
     phi, ub = starting_heuristic(g)
     assert ub == sl_value(g, phi)
     assert dual_ascent_simple(g)[1] <= opt <= ub
@@ -36,7 +36,7 @@ def test_dual_ascent_brackets_optimum(g):
 @SMALL
 @given(graphs())
 def test_lagrangian_brackets_optimum(g):
-    opt, _ = brute_force(g)
+    opt = subset_dp(g)[0]
     res = run_subgradient(g, SubgradientParams(max_iter=30))
     assert res.lower_bound <= opt <= res.incumbent_value
     assert res.incumbent_value == sl_value(g, res.best_labeling)
@@ -45,7 +45,7 @@ def test_lagrangian_brackets_optimum(g):
 @SMALL
 @given(graphs())
 def test_branch_and_bound_proves_optimum(g):
-    opt, _ = brute_force(g)
+    opt = subset_dp(g)[0]
     res = branch_and_bound(g)
     assert res.stats.proven_optimal
     assert res.lower_bound == res.upper_bound == opt

@@ -7,7 +7,7 @@ import pytest
 
 from slabel.core import Labeling, build_graph, sl_value
 from slabel.dual_ascent import dual_ascent_simple
-from slabel.exact import brute_force
+from slabel.exact import subset_dp
 from slabel.instances import (
     gen_cycle,
     gen_grid,
@@ -129,7 +129,7 @@ class TestSolveCycle:
 class TestSolvePerfectNary:
     def test_2_2_matches_oracle(self):
         _, value = solve_perfect_nary(2, 2)
-        assert value == 9 == brute_force(gen_perfect_nary(2, 2))[0]
+        assert value == 9 == subset_dp(gen_perfect_nary(2, 2))[0]
 
     def test_2_3_matches_dual(self):
         _, value = solve_perfect_nary(2, 3)
@@ -195,15 +195,16 @@ class TestFormulas:
                 assert integral == (value.denominator == 1)
 
     def test_nary_formula_equals_algorithm_up_to_40k_nodes(self):
-        # 47 trees: arity 1..6, depth 1..10, at most 40,000 nodes
+        # 47 trees: arity 1..6, depth 1..10, at most 40,000 nodes, and the
+        # paths of depth 11..15; the oracle certifies those of <= 16 nodes
         pairs = [(a, d) for a in range(1, 7) for d in range(1, 11)
                  if nary_node_count(a, d) <= 40_000]
         assert len(pairs) == 47
-        for arity, depth in pairs:
+        for arity, depth in pairs + [(1, d) for d in range(11, 16)]:
             value, integral = formula_nary(arity, depth)
             assert integral and value == solve_perfect_nary(arity, depth)[1], (arity, depth)
-            if nary_node_count(arity, depth) <= 12:
-                assert value == brute_force(gen_perfect_nary(arity, depth))[0], (arity, depth)
+            if nary_node_count(arity, depth) <= 16:
+                assert value == subset_dp(gen_perfect_nary(arity, depth))[0], (arity, depth)
 
 
 class TestPrimalDualEquality:
