@@ -82,7 +82,8 @@ def solve_x_subproblem(
     Stops at ``deadline``, a ``time.perf_counter()`` value (``math.inf``,
     the default, means no limit), and then returns None.  ``potentials``
     (one per label) warm-starts the assignment solver and receives its
-    final column potentials; see ``hungarian_min``."""
+    final column potentials; None starts it from zeros.  See
+    ``hungarian_min``."""
     costs = [[0] * g.n for _ in range(g.n)]  # negated: hungarian_min minimizes
     for e, (u, v) in enumerate(g.edges):
         for k, val in m.delta[e].items():

@@ -1,9 +1,11 @@
 """Exhaustive check of the exact solvers on every labeled graph with 1 to 6
 nodes (33,867 graphs): the subset dynamic program against the brute-force
 reference, and branch-and-bound, with no starting incumbent so that the
-search must find each optimum itself, against the program.  The tier-1
-tests stop at 5 nodes; this script takes about 15 s, and pytest does not
-collect it.
+search must find each optimum itself, against the program.  Then the
+program against its pinned optimum, and B&B against the program, on six
+random graphs with 17 to 20 nodes.  The tier-1 tests stop at 5 nodes and,
+for random graphs, at 16; this script takes about 35 s, and pytest does
+not collect it.
 
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
 
@@ -14,7 +16,22 @@ import sys
 
 from slabel import exact
 from slabel.core import sl_value
+from slabel.instances import gen_gnm
 from test_exact import all_graphs, brute_force, no_starting_incumbent  # this script's directory
+
+# gnm(n, m, seed) and its optimum.
+LARGER_GNM = [((17, 40, 1), 143), ((18, 45, 2), 198), ((19, 50, 3), 246),
+              ((20, 55, 4), 280), ((20, 40, 5), 156), ((20, 70, 6), 371)]
+
+
+def bnb_finds(g, opt):
+    res = exact.branch_and_bound(g)
+    if (res.stats.proven_optimal
+            and res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == opt):
+        return True
+    print(f"mismatch on n={g.n} edges={list(g.edges)}: optimum {opt}, B&B "
+          f"[{res.lower_bound}, {res.upper_bound}]", file=sys.stderr)
+    return False
 
 
 def main() -> int:
@@ -26,15 +43,20 @@ def main() -> int:
             print(f"mismatch on n={g.n} edges={list(g.edges)}: subset_dp {opt}, "
                   f"brute force {brute_force(g)[0]}", file=sys.stderr)
             return 1
-        res = exact.branch_and_bound(g)
-        if not (res.stats.proven_optimal
-                and res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == opt):
-            print(f"mismatch on n={g.n} edges={list(g.edges)}: optimum {opt}, B&B "
-                  f"[{res.lower_bound}, {res.upper_bound}]", file=sys.stderr)
+        if not bnb_finds(g, opt):
+            return 1
+        checked += 1
+    for args, pinned in LARGER_GNM:
+        g = gen_gnm(*args)
+        opt, labeling, finished = exact.subset_dp(g)
+        if not (finished and opt == sl_value(g, labeling) == pinned):
+            print(f"mismatch on gnm{args}: subset_dp {opt}, pinned {pinned}", file=sys.stderr)
+            return 1
+        if not bnb_finds(g, opt):
             return 1
         checked += 1
     print(f"{checked} graphs checked")
-    return 0 if checked == 33_867 else 1
+    return 0 if checked == 33_867 + len(LARGER_GNM) else 1
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import math
 import time
 from itertools import permutations
 
@@ -70,36 +71,43 @@ class TestDeadline:
         assert hungarian_min([]) == ([], 0)
 
 
-# Reference kernel: the textbook loop the production kernel replaced, which
-# scans and updates every column at each search step.  Which optimal
-# assignment comes back depends on its tie-breaks (lowest column first), and
-# the pinned Lagrangian trajectories depend on that, so the production
-# kernel must return exactly what it returns.
+# Reference kernel: the textbook loop, which scans and updates every column
+# at each search step, after the same greedy start as the production
+# kernel.  Which optimal assignment comes back depends on that start and on
+# the loop's tie-breaks (lowest column first), and the pinned Lagrangian
+# trajectories depend on that, so the production kernel must return
+# exactly what it returns, final potentials included.
 
 
-def reference_hungarian_min(costs, deadline=None):
+def reference_hungarian_min(costs, potentials=None):
     n = len(costs)
     for row in costs:
         if len(row) != n:
             raise ValueError("cost matrix must be square")
-    big = max((abs(c) for row in costs for c in row), default=0) * (n + 1) + 1
 
     # 1-based arrays; p[j] is the row currently matched to column j.
     u = [0] * (n + 1)
-    v = [0] * (n + 1)
+    v = [0] + (potentials if potentials is not None else [0] * n)
     p = [0] * (n + 1)
     way = [0] * (n + 1)
+    # Each row starts at u_i = min_j (c_ij - v_j) and, in row order, takes
+    # its lowest tight free column.
     for i in range(1, n + 1):
-        if deadline is not None and time.perf_counter() >= deadline:
-            return None
+        u[i] = min(costs[i - 1][j - 1] - v[j] for j in range(1, n + 1))
+        for j in range(1, n + 1):
+            if p[j] == 0 and costs[i - 1][j - 1] - u[i] - v[j] == 0:
+                p[j] = i
+                break
+    unmatched = sorted(set(range(1, n + 1)) - set(p))
+    for i in unmatched:
         p[0] = i
         j0 = 0
-        minv = [big] * (n + 1)
+        minv = [math.inf] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = big
+            delta = math.inf
             j1 = 0
             row = costs[i0 - 1]
             u_i0 = u[i0]
@@ -125,6 +133,8 @@ def reference_hungarian_min(costs, deadline=None):
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
+    if potentials is not None:
+        potentials[:] = v[1:]
     perm = [0] * n
     for j in range(1, n + 1):
         perm[p[j] - 1] = j - 1
@@ -155,7 +165,8 @@ def small_matrices(draw, max_n=8):
 class TestAgainstReferenceKernel:
     def test_heavy_ties(self):
         # Few distinct values make many optimal assignments, so any change
-        # in which one the kernel returns shows.
+        # in which one the kernel returns shows, and so would any difference
+        # between no potentials and zero ones.
         rng = SplitMix64(2024)
         checked = 0
         for values in ((-1, 0, 1), (0, 1, 2, 3)):
@@ -164,12 +175,13 @@ class TestAgainstReferenceKernel:
                     costs = [[values[rng.below(len(values))] for _ in range(n)]
                              for _ in range(n)]
                     assert hungarian_min(costs) == reference_hungarian_min(costs)
+                    assert hungarian_min(costs) == hungarian_min(costs, potentials=[0] * n)
                     checked += 1
         assert checked == 2000
 
     def test_heavy_ties_in_one_run(self):
         # Rows that never decrease make one run, the shape of the Lagrangian
-        # x-subproblem: each search scans the matched columns plus one.
+        # x-subproblem's costs when its columns are labels.
         rng = SplitMix64(15)
         for steps in ((0, 1), (0, 0, 0, 1), (0, 2, 5)):
             for n in range(1, 11):
@@ -204,6 +216,13 @@ class TestAgainstReferenceKernel:
     def test_small_integer_matrices(self, costs):
         assert hungarian_min(costs) == reference_hungarian_min(costs)
 
+    def test_no_potentials_starts_from_zeros(self):
+        # The greedy step gives rows 0, 1 and 3 their lowest tight free
+        # columns 0, 1 and 2; only row 2 is searched.
+        costs = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
+        assert hungarian_min(costs) == hungarian_min(costs, potentials=[0] * 4) \
+            == ([0, 1, 3, 2], 0)
+
     @pytest.mark.parametrize(
         "g, exact_calls, most_runs",
         [(gen_gnm(60, 150, 2), 3, (1, 39)), (gen_random_tree(100, 1), 3, (24, 41)),
@@ -215,12 +234,12 @@ class TestAgainstReferenceKernel:
         # runs (25 iterations each): large fixed-point entries, and the ties
         # the dual-ascent warm start leaves.  gnm50-300 adds the triangle
         # multipliers, and the subgradient steps leave rows that decrease.
-        # Every call is warm, so it may return another optimum than the
-        # cold kernel: it is checked by its total and its certificate, and
-        # the cold kernel, on the first calls, by the reference's exact
-        # permutation.  most_runs pins the largest run count of the costs
-        # (the cold kernel's runs) and of the reduced costs at the start of
-        # the call (the warm kernel's).
+        # Every call starts from the previous call's potentials.  Each is
+        # checked by its total and its certificate, and the first
+        # exact_calls of them, warm and from zeros, by the reference's exact
+        # permutation, total and final potentials.  most_runs pins the shape
+        # of these matrices: the largest run count of the costs and of the
+        # reduced costs at the start of the call.
         seen = []
 
         def recording(costs, deadline, potentials):
@@ -239,6 +258,9 @@ class TestAgainstReferenceKernel:
             cold = hungarian_min(costs)
             if k < exact_calls:
                 assert cold == reference_hungarian_min(costs)
+                expected = start[:]
+                assert (perm, total) == reference_hungarian_min(costs, expected)
+                assert final == expected
             assert sorted(perm) == list(range(g.n))
             assert total == cold[1] == sum(costs[i][perm[i]] for i in range(g.n))
             assert certifies(costs, final, total)
@@ -277,7 +299,10 @@ class TestWarmStart:
                     costs = [[rng.below(2 * values + 1) - values for _ in range(n)]
                              for _ in range(n)]
                     potentials = start_potentials(rng, n, kind)
+                    expected = potentials[:]
                     perm, total = hungarian_min(costs, potentials=potentials)
+                    assert (perm, total) == reference_hungarian_min(costs, expected)
+                    assert potentials == expected
                     assert sorted(perm) == list(range(n))
                     assert total == reference_hungarian_min(costs)[1]
                     assert total == sum(costs[i][perm[i]] for i in range(n))
@@ -288,7 +313,10 @@ class TestWarmStart:
     def test_small_integer_matrices(self, costs, kind, seed):
         n = len(costs)
         potentials = start_potentials(SplitMix64(seed), n, kind)
+        expected = potentials[:]
         perm, total = hungarian_min(costs, potentials=potentials)
+        assert (perm, total) == reference_hungarian_min(costs, expected)
+        assert potentials == expected
         assert sorted(perm) == list(range(n))
         assert total == reference_hungarian_min(costs)[1]
         assert certifies(costs, potentials, total)
@@ -314,7 +342,10 @@ class TestWarmStart:
             for _ in range(20):
                 i, j = rng.below(n), rng.below(n)
                 costs[i][j] += rng.below(11) - 5
-                _, total = hungarian_min(costs, potentials=potentials)
+                expected = potentials[:]
+                perm, total = hungarian_min(costs, potentials=potentials)
+                assert (perm, total) == reference_hungarian_min(costs, expected)
+                assert potentials == expected
                 assert total == reference_hungarian_min(costs)[1]
                 assert certifies(costs, potentials, total)
 
