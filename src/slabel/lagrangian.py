@@ -1,13 +1,13 @@
 """Lagrangian relaxation of the label-assignment formulation.
 
 The per-(edge, label) linking constraints and the triangle inequalities
-over the label prefixes 1..t (up to TRIANGLE_CAP multipliers) are moved
-into the objective with nonnegative multipliers.  For fixed multipliers
-the relaxation splits into a maximum assignment problem over the
-node-label variables and an independent smallest-coefficient pick per
-edge; a subgradient method maximizes the resulting lower bound while
-every assignment is recycled into a feasible labeling for the upper
-bound.
+over the label prefixes 1..t are moved into the objective with
+nonnegative multipliers (the triangles only while their multipliers stay
+within TRIANGLE_CAP).  For fixed multipliers the relaxation splits into
+a maximum assignment problem over the node-label variables and an
+independent smallest-coefficient pick per edge; a subgradient method
+maximizes the resulting lower bound while every assignment is recycled
+into a feasible labeling for the upper bound.
 
 Multipliers are held in fixed point with denominator SCALE = 2**20 so
 that all assignment costs stay integral and bounds stay exact; both
@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Iterator
 
 from .assignment import hungarian_min
@@ -40,37 +42,43 @@ Triangle = tuple[tuple[int, int, int], tuple[int, int, int]]
 
 @dataclass
 class Multipliers:
-    """Nonnegative multipliers of the relaxed rows, as sparse dicts of
-    fixed-point integers (multiples of 1/SCALE; a missing key is zero):
-    ``delta[e][k]`` for the linking row of edge e and label k, and
-    ``lam[ti][t]`` for prefix t of ``triangles[ti]``."""
+    """Nonnegative multipliers of the relaxed rows, as dense rows of n
+    fixed-point integers (multiples of 1/SCALE): ``delta[e][k - 1]`` for
+    the linking row of edge e and label k, and ``lam[ti][t - 1]`` for
+    prefix t of ``triangles[ti]``.  Prefix n is never relaxed, so
+    ``lam[ti][n - 1]`` stays 0."""
 
     n: int
-    delta: list[dict[int, int]]
-    triangles: tuple[Triangle, ...] = ()
-    lam: list[dict[int, int]] = field(default_factory=list)
+    delta: list[list[int]]
+    triangles: tuple[Triangle, ...]
+    lam: list[list[int]]
 
     @classmethod
     def from_dual_ascent(cls, g: Graph, with_triangles: bool = False,
                          dual: DualSolution | None = None) -> "Multipliers":
-        """Initialize the edge multipliers from the extended dual ascent
-        (``dual`` when given) and the triangle multipliers at zero."""
+        """Edge multipliers from the extended dual ascent (``dual`` when
+        given), max(0, last - k + 1) at label k for an edge last active in
+        step ``last``; triangle multipliers at zero.  When triangles * (n - 1)
+        prefix multipliers would exceed TRIANGLE_CAP, warns and builds no
+        triangle row."""
         dual = dual if dual is not None else dual_ascent_extended(g)[0]
-        delta = [{k: (last - k + 1) * SCALE for k in range(1, last + 1)}
+        scaled = [k * SCALE for k in range(g.n + 1)]  # ints shared by the rows
+        delta = [[scaled[max(0, last - j)] for j in range(g.n)]
                  for last in dual.edge_last_step]
         tris = tuple(enumerate_triangles(g)) if with_triangles else ()
-        return cls(n=g.n, delta=delta, triangles=tris, lam=[{} for _ in tris])
+        if len(tris) * (g.n - 1) > TRIANGLE_CAP:
+            warnings.warn(f"{len(tris)} triangles exceed the multiplier cap; "
+                          "triangle inequalities disabled", stacklevel=2)
+            tris = ()
+        return cls(g.n, delta, tris, [[0] * g.n for _ in tris])
 
 
 def _triangle_suffixes(m: Multipliers) -> Iterator[tuple[Triangle, list[int]]]:
     """(triangle, suffix) for every triangle with a nonzero multiplier;
-    suffix[k] is the sum of its multipliers over the prefixes t >= k."""
+    suffix[k - 1] is the sum of its multipliers over the prefixes t >= k."""
     for tri, lam in zip(m.triangles, m.lam):
-        if lam:
-            suffix = [0] * (m.n + 2)
-            for k in range(m.n, 0, -1):
-                suffix[k] = suffix[k + 1] + lam.get(k, 0)
-            yield tri, suffix
+        if any(lam):
+            yield tri, list(accumulate(reversed(lam)))[::-1]
 
 
 def solve_x_subproblem(
@@ -84,16 +92,15 @@ def solve_x_subproblem(
     (one per label) warm-starts the assignment solver and receives its
     final column potentials; None starts it from zeros.  See
     ``hungarian_min``."""
-    costs = [[0] * g.n for _ in range(g.n)]  # negated: hungarian_min minimizes
-    for e, (u, v) in enumerate(g.edges):
-        for k, val in m.delta[e].items():
-            costs[u][k - 1] -= val
-            costs[v][k - 1] -= val
+    terms: list[list[list[int]]] = [[] for _ in range(g.n)]  # rows per node
+    for (u, v), row in zip(g.edges, m.delta):
+        terms[u].append(row)
+        terms[v].append(row)
     for (nodes, _), suffix in _triangle_suffixes(m):
         for i in nodes:
-            row = costs[i]
-            for k in range(g.n):
-                row[k] -= suffix[k + 1]
+            terms[i].append(suffix)
+    # A node's costs are minus the sum of its rows: hungarian_min minimizes.
+    costs = [[-c for c in map(sum, zip(*t))] if t else [0] * g.n for t in terms]
     solved = hungarian_min(costs, deadline, potentials)
     if solved is None:
         return None
@@ -103,49 +110,22 @@ def solve_x_subproblem(
 
 def solve_d_subproblem(g: Graph, m: Multipliers) -> tuple[list[int], int]:
     """Per edge, the cheapest label level (smallest level on ties), and the
-    total of the per-edge minima times SCALE.
-
-    Let top be the largest prefix with a multiplier among the weighted
-    triangles at an edge (0 when there are none).  Above top the edge
-    costs k * SCALE at every level k with no stored multiplier, so of
-    those levels only the smallest can be cheapest: every level up to top
-    is evaluated, and above it only the stored levels and the smallest
-    unstored one."""
-    tri_at_edge: dict[int, list[list[int]]] = {}
+    total of the per-edge minima times SCALE.  Level k costs k * SCALE
+    plus the edge's linking multiplier for label k and, for every triangle
+    at the edge, its multipliers over the prefixes t >= k."""
+    scaled = [k * SCALE for k in range(1, g.n + 1)]
+    # Level costs before delta, per edge of a triangle with multipliers.
+    base: dict[int, list[int]] = {}
     for (_, edges), suffix in _triangle_suffixes(m):
         for e in edges:
-            tri_at_edge.setdefault(e, []).append(suffix)
-    scaled = [k * SCALE for k in range(g.n + 2)]  # level k's cost before multipliers
+            base[e] = list(map(add, base.get(e, scaled), suffix))
     choices = []
     total = 0
-    for e in range(g.m):
-        delta_e = m.delta[e]
-        suffix_list = tri_at_edge.get(e)
-        best_k, best_cost, top = 1, None, 0
-        if suffix_list:
-            # Multipliers are nonnegative, so a suffix is zero from its
-            # first zero on; searching from level 2 keeps top >= 1.
-            top = max([suffix.index(0, 2) for suffix in suffix_list]) - 1
-            # costs[k] for the levels k = 1..top; costs[0] is unused.
-            costs = list(map(sum, zip(scaled[:top + 1], *suffix_list)))
-            for k, val in delta_e.items():
-                if k <= top:
-                    costs[k] += val
-            best_cost = min(costs[1:])
-            best_k = costs.index(best_cost, 1)
-        unstored = top + 1
-        while unstored in delta_e:
-            unstored += 1
-        levels = [k for k in delta_e if k > top]
-        if unstored <= g.n:
-            levels.append(unstored)
-        for k in sorted(levels):
-            cost = scaled[k] + delta_e.get(k, 0)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_k = k
-        choices.append(best_k)
-        total += best_cost
+    for e, row in enumerate(m.delta):  # one edge's costs at a time
+        costs = list(map(add, base.get(e, scaled), row))
+        best = min(costs)
+        choices.append(costs.index(best) + 1)
+        total += best
     return choices, total
 
 
@@ -213,13 +193,6 @@ def run_subgradient(
     if time.perf_counter() >= deadline:
         return LagrangianResult(warm_start, incumbent, best_labeling, 0, [], "time")
     mult = Multipliers.from_dual_ascent(g, with_triangles=True, dual=dual)
-    if len(mult.triangles) * (g.n - 1) > TRIANGLE_CAP:
-        warnings.warn(
-            f"{len(mult.triangles)} triangles exceed the multiplier cap; "
-            "triangle inequalities disabled",
-            stacklevel=2,
-        )
-        mult = Multipliers(n=g.n, delta=mult.delta)
 
     potentials = [0] * g.n  # the x-subproblem's column potentials, carried over
     lower_bound = 0
@@ -235,7 +208,7 @@ def run_subgradient(
             break
         x_lab, x_scaled = x_solved
         d_choice, d_scaled = solve_d_subproblem(g, mult)
-        z_r_scaled = d_scaled - x_scaled - sum(sum(lam.values()) for lam in mult.lam)
+        z_r_scaled = d_scaled - x_scaled - sum(map(sum, mult.lam))
         z_r = z_r_scaled / SCALE
         improved = False
         candidate = max(0, -(-z_r_scaled // SCALE))  # ceil(z_r), exactly
@@ -276,12 +249,8 @@ def run_subgradient(
             break
 
         step_scaled = round(mu * SCALE)
-        for store, key, gval in updates:
-            new = max(0, store.get(key, 0) - step_scaled * gval)
-            if new:
-                store[key] = new
-            else:
-                store.pop(key, None)
+        for row, index, gval in updates:
+            row[index] = max(0, row[index] - step_scaled * gval)
 
         if improved:
             non_improving = 0
@@ -303,29 +272,25 @@ def run_subgradient(
 
 def _subgradient(
     g: Graph, m: Multipliers, x_lab: Labeling, d_choice: list[int]
-) -> tuple[int, list[tuple[dict[int, int], int, int]]]:
+) -> tuple[int, list[tuple[list[int], int, int]]]:
     """Full subgradient (constraint slack) of the current relaxation.
 
     Returns its squared norm plus the components that can actually move a
-    multiplier, stored entries and zero entries pushed upward, each as
-    (the multiplier's dict in ``m``, its key, the component).
+    multiplier, positive entries and zero entries pushed upward, each as
+    (the multiplier's row in ``m``, its index, the component).
     """
     labels = x_lab.labels
     norm2 = 0
-    updates: list[tuple[dict[int, int], int, int]] = []
-    for e, (u, v) in enumerate(g.edges):
-        gvals: dict[int, int] = {}
-        gvals[labels[u]] = gvals.get(labels[u], 0) + 1
-        gvals[labels[v]] = gvals.get(labels[v], 0) + 1
-        ke = d_choice[e]
+    updates: list[tuple[list[int], int, int]] = []
+    for (u, v), row, ke in zip(g.edges, m.delta, d_choice):
+        gvals = {labels[u]: 1, labels[v]: 1}  # a permutation: labels differ
         gvals[ke] = gvals.get(ke, 0) - 1
-        stored = m.delta[e]
         for k, gval in gvals.items():
             if gval == 0:
                 continue
             norm2 += gval * gval
-            if gval < 0 or stored.get(k, 0) > 0:
-                updates.append((stored, k, gval))
+            if gval < 0 or row[k - 1] > 0:
+                updates.append((row, k - 1, gval))
 
     for (nodes, edges), lam in zip(m.triangles, m.lam):
         node_labels = sorted(labels[i] for i in nodes)
@@ -340,6 +305,6 @@ def _subgradient(
             if gval == 0:
                 continue
             norm2 += gval * gval
-            if gval < 0 or lam.get(t, 0) > 0:
-                updates.append((lam, t, gval))
+            if gval < 0 or lam[t - 1] > 0:
+                updates.append((lam, t - 1, gval))
     return norm2, updates

@@ -9,6 +9,7 @@ from slabel import lagrangian
 from slabel.assignment import hungarian_min
 from slabel.instances import SplitMix64, gen_bipartite, gen_gnm, gen_random_tree
 from slabel.lagrangian import SCALE, SubgradientParams, run_subgradient
+from test_lagrangian import _trajectory_digest  # this test's directory
 
 
 def brute_min(costs):
@@ -224,12 +225,19 @@ class TestAgainstReferenceKernel:
             == ([0, 1, 3, 2], 0)
 
     @pytest.mark.parametrize(
-        "g, exact_calls, most_runs",
-        [(gen_gnm(60, 150, 2), 3, (1, 39)), (gen_random_tree(100, 1), 3, (24, 41)),
-         (gen_gnm(50, 300, 3), 25, (1, 45)), (gen_bipartite(40, 40, 0.08, 5), 5, (33, 34)),
-         (gen_gnm(100, 250, 2), 1, (1, 50))],
+        "g, exact_calls, most_runs, digest",
+        [(gen_gnm(60, 150, 2), 3, (1, 39),
+          "0cfc3aff6f87841d8344c7de0c34c75d4453dca8a276495cedd333d7517972b3"),
+         (gen_random_tree(100, 1), 3, (24, 41),
+          "cef81807e4694e682676e34ef465bebfa8d7a8643c7ea563256cc352d36e3803"),
+         (gen_gnm(50, 300, 3), 25, (1, 45),
+          "b43ffec65c5e6b00a073efb9575ec53b53b6e997adcc6dc45ec26c6590817922"),
+         (gen_bipartite(40, 40, 0.08, 5), 5, (33, 34),
+          "f1088100175251894f7a65fedd13b65ca74ea1c37eaa3440d428f5ea6ded75c4"),
+         (gen_gnm(100, 250, 2), 1, (1, 50),
+          "7eda761c4c0b0f33f7ea9faf599729d47c96948000812836b95258f3735268a3")],
         ids=["gnm60", "tree100", "gnm50-300", "bipartite40", "gnm100"])
-    def test_subgradient_matrices(self, g, exact_calls, most_runs, monkeypatch):
+    def test_subgradient_matrices(self, g, exact_calls, most_runs, digest, monkeypatch):
         # The x-subproblem matrices of the bound-mid workload's Lagrangian
         # runs (25 iterations each): large fixed-point entries, and the ties
         # the dual-ascent warm start leaves.  gnm50-300 adds the triangle
@@ -239,7 +247,8 @@ class TestAgainstReferenceKernel:
         # exact_calls of them, warm and from zeros, by the reference's exact
         # permutation, total and final potentials.  most_runs pins the shape
         # of these matrices: the largest run count of the costs and of the
-        # reduced costs at the start of the call.
+        # reduced costs at the start of the call.  digest pins the run's
+        # whole trajectory, as test_lagrangian.PINNED_TRAJECTORIES does.
         seen = []
 
         def recording(costs, deadline, potentials):
@@ -249,7 +258,8 @@ class TestAgainstReferenceKernel:
             return result
 
         monkeypatch.setattr(lagrangian, "hungarian_min", recording)
-        run_subgradient(g, SubgradientParams(max_iter=25))
+        res = run_subgradient(g, SubgradientParams(max_iter=25))
+        assert _trajectory_digest(res) == digest
         assert len(seen) == 25
         assert seen[0][1] == [0] * g.n
         assert max(run_count(costs) for costs, *_ in seen) == most_runs[0]

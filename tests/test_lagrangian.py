@@ -6,10 +6,10 @@ import pytest
 
 from slabel import lagrangian
 from slabel.core import enumerate_triangles, sl_value
-from slabel.dual_ascent import dual_ascent_extended
+from slabel.dual_ascent import check_dual_feasible, dual_ascent_extended
 from slabel.exact import branch_and_bound, subset_dp
 from slabel.heuristics import greedy_label
-from slabel.instances import gen_bipartite, gen_gnm, gen_path, gen_random_tree
+from slabel.instances import gen_bipartite, gen_cycle, gen_gnm, gen_path, gen_random_tree
 from slabel.lagrangian import (
     SCALE,
     Multipliers,
@@ -196,20 +196,51 @@ def test_potentials_carry_across_iterations(monkeypatch):
         assert after[1] == before[2]
 
 
+class TestStartingMultipliers:
+    @pytest.mark.parametrize("g", [gen_gnm(12, 30, 5), gen_random_tree(20, 1),
+                                   gen_bipartite(6, 6, 0.4, 2), gen_gnm(15, 60, 3),
+                                   gen_cycle(7), gen_gnm(9, 4, 1)],
+                             ids=["gnm12", "tree20", "bipartite6", "gnm15", "cycle7",
+                                  "sparse9"])
+    def test_rows_match_the_dual_ascent(self, g):
+        # The edge rows are the delta that check_dual_feasible verifies,
+        # scaled; the triangle rows start at zero.
+        dual = dual_ascent_extended(g)[0]
+        assert check_dual_feasible(g, dual)[0]
+        expected = [[max(0, last - k + 1) * SCALE for k in range(1, g.n + 1)]
+                    for last in dual.edge_last_step]
+        for m in (Multipliers.from_dual_ascent(g, with_triangles=True),
+                  Multipliers.from_dual_ascent(g, True, dual)):
+            assert m.n == g.n and m.delta == expected
+            assert m.triangles == tuple(enumerate_triangles(g))
+            assert m.lam == [[0] * g.n for _ in m.triangles]
+        edges_only = Multipliers.from_dual_ascent(g, dual=dual)
+        assert edges_only.delta == expected
+        assert edges_only.triangles == () and edges_only.lam == []
+
+    def test_triangle_cap_builds_no_triangle_row(self, monkeypatch):
+        g = gen_gnm(12, 30, 5)
+        assert enumerate_triangles(g)
+        monkeypatch.setattr(lagrangian, "TRIANGLE_CAP", 0)
+        with pytest.warns(UserWarning, match="triangle"):
+            m = Multipliers.from_dual_ascent(g, with_triangles=True)
+        assert m.triangles == () and m.lam == []
+        assert len(m.delta) == g.m
+
+
 def reference_d_subproblem(g, m):
     """The d-subproblem as first written: every level of every edge."""
     tri_at_edge = {}
     for (_, edges), lam in zip(m.triangles, m.lam):
-        if lam:
-            suffix = [0] * (m.n + 2)
-            for k in range(m.n, 0, -1):
-                suffix[k] = suffix[k + 1] + lam.get(k, 0)
-            for e in edges:
-                tri_at_edge.setdefault(e, []).append(suffix)
+        suffix = [0] * (m.n + 2)
+        for k in range(m.n, 0, -1):
+            suffix[k] = suffix[k + 1] + lam[k - 1]
+        for e in edges:
+            tri_at_edge.setdefault(e, []).append(suffix)
     choices = []
     total = 0
     for e in range(g.m):
-        costs = [k * SCALE + m.delta[e].get(k, 0)
+        costs = [k * SCALE + m.delta[e][k - 1]
                  + sum(suffix[k] for suffix in tri_at_edge.get(e, ()))
                  for k in range(1, g.n + 1)]
         best = min(costs)
@@ -220,17 +251,17 @@ def reference_d_subproblem(g, m):
 
 @pytest.mark.parametrize("with_triangles", [False, True])
 def test_d_subproblem_matches_full_scan(with_triangles):
-    # Stored values that are whole multiples of SCALE tie a stored level
-    # with a higher unstored one.  Some edges store every level, and some
+    # Nonzero values that are whole multiples of SCALE tie a level with a
+    # higher zero one.  Some edges are nonzero at every level, and some at
     # every level but the top one, priced so that the top one is cheapest.
-    # Keys go in in random order, as the subgradient updates leave them.
     rng = random.Random(11 + with_triangles)
     values = (1, SCALE, 2 * SCALE, 3 * SCALE, 5 * SCALE + 7, 40 * SCALE)
 
-    def store(levels, value=None):
-        levels = list(levels)
-        rng.shuffle(levels)
-        return {k: value or rng.choice(values) for k in levels}
+    def store(n, levels, value=None):
+        row = [0] * n
+        for k in levels:
+            row[k - 1] = value or rng.choice(values)
+        return row
 
     for trial in range(150):
         n = rng.randint(5, 12)
@@ -239,12 +270,12 @@ def test_d_subproblem_matches_full_scan(with_triangles):
         for _ in range(g.m):
             pattern = rng.randrange(8)
             if pattern == 0:
-                delta.append(store(range(1, n + 1)))
+                delta.append(store(n, range(1, n + 1)))
             elif pattern == 1:
-                delta.append(store(range(1, n), n * SCALE))
+                delta.append(store(n, range(1, n), n * SCALE))
             else:
-                delta.append(store(k for k in range(1, n + 1) if rng.randrange(3) == 0))
+                delta.append(store(n, (k for k in range(1, n + 1) if rng.randrange(3) == 0)))
         tris = tuple(enumerate_triangles(g)) if with_triangles else ()
-        lam = [store(t for t in range(1, n) if rng.randrange(4) == 0) for _ in tris]
+        lam = [store(n, (t for t in range(1, n) if rng.randrange(4) == 0)) for _ in tris]
         m = Multipliers(n=n, delta=delta, triangles=tris, lam=lam)
         assert solve_d_subproblem(g, m) == reference_d_subproblem(g, m)
