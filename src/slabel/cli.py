@@ -25,8 +25,9 @@ stderr gets ``error: <file> <method>: <reason>``).
 A B&B run of ``solve`` (``bnb``, or ``auto`` falling back to it) adds
 the ``search`` counters of ``exact.SearchStats`` to its report:
 ``explored``, ``pruned`` (by bound), ``dominated`` (children skipped by
-neighbourhood domination), ``bound_calls``, ``cache_hits`` and
-``open_bound``.
+neighbourhood domination), ``level_pruned`` (children cut by the
+per-level coverage bound before any dual ascent), ``bound_calls``,
+``cache_hits`` and ``open_bound``.
 
 Exit codes: 0 success, 2 usage or input error (including unreadable,
 malformed or non-ASCII instance files, and output files that cannot be
@@ -129,8 +130,8 @@ def _bnb(g: Graph, deadline: float) -> _Result:
     res = branch_and_bound(g, deadline=deadline)
     s = res.stats
     search = {"explored": s.explored, "pruned": s.pruned_by_bound, "dominated": s.dominated,
-              "bound_calls": s.bound_calls, "cache_hits": s.cache_hits,
-              "open_bound": s.open_bound}
+              "level_pruned": s.level_pruned, "bound_calls": s.bound_calls,
+              "cache_hits": s.cache_hits, "open_bound": s.open_bound}
     return _Result(res.lower_bound, res.upper_bound, res.labeling,
                    timed_out=not s.proven_optimal, details={"search": search})
 

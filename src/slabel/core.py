@@ -132,6 +132,13 @@ def max_degree(g: Graph) -> int:
     return max((len(a) for a in g.adjacency), default=0)
 
 
+def count_triangles(g: Graph) -> int:
+    """The number of triangles, without listing them: each is met once at
+    each of its three edges."""
+    near = [{x for x, _ in adj} for adj in g.adjacency]
+    return sum(len(near[u] & near[v]) for u, v in g.edges) // 3
+
+
 def enumerate_triangles(
     g: Graph,
 ) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:

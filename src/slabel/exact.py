@@ -1,9 +1,18 @@
 """Ground-truth solvers: the exact oracle, a subset dynamic program for up
-to 20 nodes, and a combinatorial branch-and-bound with dual-ascent lower
-bounds and neighbourhood domination.
+to 20 nodes, and a combinatorial branch-and-bound with dual-ascent and
+per-level coverage lower bounds and neighbourhood domination.
 
 Both assign labels 1, 2, ... in order.  Once no edge has both ends
 unlabeled, every contribution is fixed and the rest can go in any order.
+
+Read as an order, S-labeling is min-sum vertex cover (Feige, Lovász &
+Tetali 2004, "Approximating min sum set cover"): an edge contributes the
+smaller label of its ends, the step at which the order first covers it.
+With L_t the nodes labeled <= t and e(X) the number of edges with both
+ends in X, an edge of smallest label k is uncovered at exactly the k steps
+t = 0..k-1, so a labeling's value is the sum over t = 0..n-1 of
+e(V - L_t).  ``coverage_table`` bounds each term from below by g_t, the
+fewest edges any t nodes leave uncovered.
 """
 
 from __future__ import annotations
@@ -14,10 +23,11 @@ import time
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import Graph, Labeling, sl_value
 from .dual_ascent import dual_ascent_extended
-from .heuristics import starting_heuristic
+from .heuristics import greedy_label, starting_heuristic
 
 
 ORACLE_LIMIT = 20  # the most nodes subset_dp accepts: 2**20 states
@@ -25,6 +35,15 @@ ORACLE_LIMIT = 20  # the most nodes subset_dp accepts: 2**20 states
 
 class SizeLimitError(RuntimeError):
     """Raised when an oracle solve would exceed its node limit."""
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    """The node bitmask of each node's neighbours."""
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
 
 
 def subset_dp(g: Graph, deadline: float = math.inf) -> tuple[int, Labeling, bool]:
@@ -47,10 +66,7 @@ def subset_dp(g: Graph, deadline: float = math.inf) -> tuple[int, Labeling, bool
     """
     if g.n > ORACLE_LIMIT:
         raise SizeLimitError(f"{g.n} nodes exceed the oracle limit of {ORACLE_LIMIT}")
-    nbr = [0] * g.n  # node bitmasks of the neighbours
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = _neighbour_masks(g)
     f = array("q", bytes(8 << g.n))
     last = bytearray(1 << g.n)  # the node that takes label |S| in an optimal order of S
     full = state = (1 << g.n) - 1
@@ -76,11 +92,113 @@ def subset_dp(g: Graph, deadline: float = math.inf) -> tuple[int, Labeling, bool
     return (f[state] if finished else sl_value(g, labeling)), labeling, finished
 
 
+TABLE_NODE_LIMIT = 10_000  # children per level of coverage_table (prove-small needs 3,726)
+
+
+def _lightest_set(
+    nbr: list[int], cost: list[int], size: int, best: int, deadline: float
+) -> tuple[int, bool]:
+    """A lower bound on the least w(X) = (sum of cost[v] over X) + e(X)
+    over sets X of ``size`` >= 1 nodes, and whether it is that least value.
+
+    ``best`` is the w of a known set, and the result is at most ``best``.
+    The depth-first search adds one node at a time.  A candidate's key,
+    its cost plus its edges into the chosen nodes, is what adding it next
+    adds to w; later picks only add more when they are adjacent.  So with
+    r picks left and the keys in ascending order, the chosen w plus the r
+    smallest keys bounds every completion, and the r keys from position j
+    on bound those that skip the first j candidates.  Child j adds
+    candidate j and chooses among the candidates after it.
+
+    The search stops once it has made ``TABLE_NODE_LIMIT`` children or at
+    ``deadline``, a ``perf_counter`` value read before the first child and
+    every 256th; it then returns the smallest of ``best`` and the bounds of
+    the subtrees left open.
+    """
+    nodes = 0
+    stopped = False
+    open_bound = math.inf
+
+    def search(weight: int, keyed: list[tuple[int, int]], r: int) -> None:
+        nonlocal best, nodes, stopped, open_bound
+        window = sum(key for key, _ in keyed[:r])
+        last = len(keyed) - r
+        for j in range(last + 1):
+            bound = weight + window
+            if bound >= best:
+                return
+            key, v = keyed[j]
+            if r == 1:
+                best = bound
+                return
+            if nodes >= TABLE_NODE_LIMIT or (not nodes & 255 and time.perf_counter() >= deadline):
+                stopped = True
+            else:
+                nodes += 1
+                mask = nbr[v]
+                search(weight + key, sorted([(k + (mask >> u & 1), u) for k, u in keyed[j + 1:]]),
+                       r - 1)
+            if stopped:
+                open_bound = min(open_bound, bound)
+                return
+            if j < last:
+                window += keyed[j + r][0] - key
+
+    search(0, sorted(zip(cost, range(len(nbr)))), size)
+    return min(best, open_bound), not stopped
+
+
+def coverage_table(g: Graph, deadline: float = math.inf) -> list[int]:
+    """Lower bounds on g_t for t = 0..n-1, where g_t is the fewest edges
+    that any t nodes leave with both ends uncovered; each entry is exact
+    when its level's search finishes (see ``_lightest_set``).
+
+    g_t = m - (the most edges t nodes cover) is also the least e(S) over
+    the sets S of n - t nodes.  Each level searches the smaller side: for
+    2t <= n, the t nodes L covering the most edges, cov(L) = (sum of the
+    degrees over L) - e(L), so w with cost -degree is -cov(L); above that,
+    the n - t nodes with the fewest edges inside, at cost 0.  The greedy
+    labeling's prefixes give every level a starting set.  g never rises
+    with t, so once a level is 0 the rest are.  A last pass from high t to
+    low applies the chain inequality of ``branch_and_bound``.  ``deadline``
+    is a ``perf_counter`` value (``math.inf``, the default, means none).
+    """
+    n, m = g.n, g.m
+    table = [0] * n
+    if not m:
+        return table
+    nbr = _neighbour_masks(g)
+    labels = greedy_label(g)[0].labels
+    first_covered = [0] * n  # edges whose smaller label is t + 1
+    for u, v in g.edges:
+        first_covered[min(labels[u], labels[v]) - 1] += 1
+    greedy = list(accumulate(reversed(first_covered)))[::-1]  # e(V - L_t) of the greedy L_t
+    minus_degree = [-mask.bit_count() for mask in nbr]
+    zeros = [0] * n
+    table[0] = m
+    for t in range(1, n):
+        if not greedy[t]:
+            break
+        if 2 * t <= n:
+            low, finished = _lightest_set(nbr, minus_degree, t, greedy[t] - m, deadline)
+            low += m
+        else:
+            low, finished = _lightest_set(nbr, zeros, n - t, greedy[t], deadline)
+        table[t] = low
+        if finished and not low:
+            break
+    for t in range(n - 3, 0, -1):
+        k = n - t
+        table[t] = max(table[t], -(-table[t + 1] * k // (k - 2)))
+    return table
+
+
 @dataclass
 class SearchStats:
     """Counters of one search: ``dominated`` children skipped by
-    neighbourhood domination before any bound (never counted in
-    ``pruned_by_bound``), ``bound_calls`` dual-ascent runs (a residual
+    neighbourhood domination before any bound and ``level_pruned``
+    children cut by the coverage-table bound before any ascent (neither is
+    counted in ``pruned_by_bound``), ``bound_calls`` dual-ascent runs (a residual
     bounded again under a higher cutoff counts again), ``cache_hits``
     residual bounds taken from the memo instead, and ``open_bound`` the
     smallest bound left open when a limit stopped the search."""
@@ -88,6 +206,7 @@ class SearchStats:
     explored: int = 0
     pruned_by_bound: int = 0
     dominated: int = 0
+    level_pruned: int = 0
     bound_calls: int = 0
     cache_hits: int = 0
     open_bound: int | None = None
@@ -186,9 +305,33 @@ def branch_and_bound(
     (bound, exact), exact when the bound is below its cutoff; a hit is used
     when it is exact or reaches the new cutoff, else the ascent runs again.
     The memo is built per call, holds ``CACHE_LIMIT`` entries (read at that
-    time) and drops the least recently used first.  The root bound, uncut,
-    precedes the starting heuristic; the clock is read before each
-    expansion.
+    time) and drops the least recently used first.
+
+    The coverage table gives a second bound.  A child at depth d (its
+    label) with fixed cost F and residual R has its labels <= d fixed, so
+    by the identity of the module docstring each completion is worth
+    F + d|R| + (the sum over t >= d of e(V - L_t)): the steps t < d count
+    each fixed edge once per step before its label, F in all, and each
+    residual edge d times.  The t = d term is |R| itself; g_d <= |R|, so it
+    is max(|R|, g_d), and each later term is at least g_t.  So
+    F + d|R| + max(|R|, g_d) + (the sum of g_t over t > d) bounds every
+    completion, one lookup in the table's suffix sums.  A child it cuts is
+    counted in ``level_pruned`` and runs no ascent; the others carry the
+    larger of the two bounds, and the root the larger of its ascent and the
+    table's sum.  Any lower bounds on the g_t keep this valid, which lets
+    a level whose search stopped early enter the table with its open bound.
+    The chain inequality g_t >= ceil(g_{t+1} (n-t) / (n-t-2)) for
+    n - t >= 3 then lifts such a level from the one above it: an optimal
+    set S of k = n - t nodes with g_t edges inside has a node of degree at
+    least the average 2 g_t / k within S, and S without it has k - 1 nodes
+    and at most g_t (k-2) / k edges inside, so g_{t+1} <= g_t (k-2) / k.
+    It holds with any lower bound in place of g_{t+1}.
+
+    The table, then the uncut root bound, precede the starting heuristic.
+    The table gets at most half the time left before ``deadline``: its
+    levels can take minutes on a few hundred nodes, where local search
+    takes well under a second and would otherwise get no sweep.  The clock
+    is read before each expansion.
     """
     if g.m == 0:
         return BnBResult(0, 0, Labeling.from_order(g.n, ()), SearchStats(proven_optimal=True))
@@ -211,15 +354,17 @@ def branch_and_bound(
         return z
 
     incident = [0] * g.n
-    nbr = [0] * g.n  # node bitmasks of the neighbours
     for e, (u, v) in enumerate(g.edges):
         incident[u] |= 1 << e
         incident[v] |= 1 << e
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = _neighbour_masks(g)
+    # suffix[t]: the sum of the table's g_u over u >= t
+    now = time.perf_counter()
+    table = coverage_table(g, now + (deadline - now) / 2)
+    suffix = list(accumulate(reversed(table), initial=0))[::-1]
     root_residual = (1 << g.m) - 1
     # (lb, -depth, insertion counter, labeled nodes in label order, fixed cost, residual)
-    heap = [(dual_bound(root_residual, math.inf), 0, 0, (), 0, root_residual)]
+    heap = [(max(suffix[0], dual_bound(root_residual, math.inf)), 0, 0, (), 0, root_residual)]
     best_labeling, incumbent = starting_heuristic(g, deadline)
     counter = 0
 
@@ -254,9 +399,14 @@ def branch_and_bound(
                 continue
             child_residual = residual & ~incident[v]
             child_fixed = fixed_cost + label * gained
-            child_lb = child_fixed + label * child_residual.bit_count()
+            size = child_residual.bit_count()
+            base = child_fixed + label * size
+            child_lb = base + size + suffix[label + 1]
+            if child_lb >= incumbent:
+                stats.level_pruned += 1
+                continue
             if child_residual:
-                child_lb += dual_bound(child_residual, incumbent - child_lb)
+                child_lb = max(child_lb, base + dual_bound(child_residual, incumbent - base))
             if child_lb >= incumbent:
                 stats.pruned_by_bound += 1
                 continue

@@ -25,7 +25,7 @@ from operator import add
 from typing import Iterator
 
 from .assignment import hungarian_min
-from .core import Graph, Labeling, enumerate_triangles
+from .core import Graph, Labeling, count_triangles, enumerate_triangles
 from .dual_ascent import DualSolution, dual_ascent_extended
 from .heuristics import local_search, starting_heuristic
 
@@ -59,17 +59,20 @@ class Multipliers:
         """Edge multipliers from the extended dual ascent (``dual`` when
         given), max(0, last - k + 1) at label k for an edge last active in
         step ``last``; triangle multipliers at zero.  When triangles * (n - 1)
-        prefix multipliers would exceed TRIANGLE_CAP, warns and builds no
-        triangle row."""
+        prefix multipliers would exceed TRIANGLE_CAP, warns and neither
+        lists the triangles nor builds a triangle row."""
         dual = dual if dual is not None else dual_ascent_extended(g)[0]
         scaled = [k * SCALE for k in range(g.n + 1)]  # ints shared by the rows
         delta = [[scaled[max(0, last - j)] for j in range(g.n)]
                  for last in dual.edge_last_step]
-        tris = tuple(enumerate_triangles(g)) if with_triangles else ()
-        if len(tris) * (g.n - 1) > TRIANGLE_CAP:
-            warnings.warn(f"{len(tris)} triangles exceed the multiplier cap; "
-                          "triangle inequalities disabled", stacklevel=2)
-            tris = ()
+        tris: tuple[Triangle, ...] = ()
+        if with_triangles:
+            count = count_triangles(g)  # the cap is tested before any triangle is listed
+            if count * (g.n - 1) > TRIANGLE_CAP:
+                warnings.warn(f"{count} triangles exceed the multiplier cap; "
+                              "triangle inequalities disabled", stacklevel=2)
+            else:
+                tris = tuple(enumerate_triangles(g))
         return cls(g.n, delta, tris, [[0] * g.n for _ in tris])
 
 

@@ -1,11 +1,13 @@
 """Exhaustive check of the exact solvers on every labeled graph with 1 to 6
 nodes (33,867 graphs): the subset dynamic program against the brute-force
-reference, and branch-and-bound, with no starting incumbent so that the
-search must find each optimum itself, against the program.  Then the
-program against its pinned optimum, and B&B against the program, on six
-random graphs with 17 to 20 nodes.  The tier-1 tests stop at 5 nodes and,
-for random graphs, at 16; this script takes about 35 s, and pytest does
-not collect it.
+reference, the coverage table's sum (a lower bound) against the program,
+and branch-and-bound, with no starting incumbent so that the search must
+find each optimum itself, against the program.  Then the program against
+its pinned optimum, and B&B against the program, on six random graphs
+with 17 to 20 nodes, once with the coverage table's node limit and once
+with a limit of one child per level, whose levels stop early.  The tier-1
+tests stop at 5 nodes and, for random graphs, at 16; this script takes
+about 40 s, and pytest does not collect it.
 
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
 
@@ -30,7 +32,8 @@ def bnb_finds(g, opt):
             and res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == opt):
         return True
     print(f"mismatch on n={g.n} edges={list(g.edges)}: optimum {opt}, B&B "
-          f"[{res.lower_bound}, {res.upper_bound}]", file=sys.stderr)
+          f"[{res.lower_bound}, {res.upper_bound}] at table node limit "
+          f"{exact.TABLE_NODE_LIMIT}", file=sys.stderr)
     return False
 
 
@@ -43,17 +46,25 @@ def main() -> int:
             print(f"mismatch on n={g.n} edges={list(g.edges)}: subset_dp {opt}, "
                   f"brute force {brute_force(g)[0]}", file=sys.stderr)
             return 1
+        if sum(exact.coverage_table(g)) > opt:
+            print(f"coverage table above the optimum {opt} on n={g.n} edges={list(g.edges)}: "
+                  f"{exact.coverage_table(g)}", file=sys.stderr)
+            return 1
         if not bnb_finds(g, opt):
             return 1
         checked += 1
+    limit = exact.TABLE_NODE_LIMIT
     for args, pinned in LARGER_GNM:
         g = gen_gnm(*args)
         opt, labeling, finished = exact.subset_dp(g)
         if not (finished and opt == sl_value(g, labeling) == pinned):
             print(f"mismatch on gnm{args}: subset_dp {opt}, pinned {pinned}", file=sys.stderr)
             return 1
-        if not bnb_finds(g, opt):
-            return 1
+        for table_limit in (limit, 1):
+            exact.TABLE_NODE_LIMIT = table_limit
+            if not bnb_finds(g, opt):
+                return 1
+        exact.TABLE_NODE_LIMIT = limit
         checked += 1
     print(f"{checked} graphs checked")
     return 0 if checked == 33_867 + len(LARGER_GNM) else 1

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from slabel import special_graphs
+from slabel import exact, special_graphs
 from slabel.cli import main
 from slabel.core import Labeling, sl_value
 from slabel.heuristics import greedy_label
@@ -30,7 +30,8 @@ SOLVE_KEYS = {
     "instance", "nodes", "edges", "method", "primal_value", "dual_bound",
     "gap_percent", "proven", "time_ms", "labeling",
 }
-SEARCH_KEYS = {"explored", "pruned", "dominated", "bound_calls", "cache_hits", "open_bound"}
+SEARCH_KEYS = {"explored", "pruned", "dominated", "level_pruned", "bound_calls", "cache_hits",
+               "open_bound"}
 BOUND_KEYS = {"instance", "nodes", "edges", "method", "lower_bound", "time_ms"}
 BENCH_HEADER = [
     "name", "nodes", "edges", "method", "lb", "ub", "gap_percent", "time_ms", "status",
@@ -219,11 +220,18 @@ class TestJsonKeys:
         else:
             assert set(report) == SOLVE_KEYS
 
-    def test_bnb_proves_complete_graph_through_domination(self, tmp_path, capsys):
+    def test_bnb_proves_complete_graph_through_domination(self, tmp_path, capsys,
+                                                          monkeypatch):
         # Every node of K12 is a twin of every other; a B&B without
         # neighbourhood domination needs about 24.7 million expansions.
+        # The coverage table alone proves K12 at the root, so the rule is
+        # run without it.
         inst = tmp_path / "k12.sl"
         inst.write_text(write_instance(gen_gnm(12, 66, 1)), encoding="ascii")
+        code, out, _ = run(capsys, "solve", inst, "--method", "bnb", "--json")
+        report = json.loads(out)
+        assert code == 0 and report["proven"] and report["search"]["explored"] == 0
+        monkeypatch.setattr(exact, "coverage_table", lambda g, deadline: [0] * g.n)
         code, out, _ = run(capsys, "solve", inst, "--method", "bnb", "--json")
         assert code == 0
         report = json.loads(out)

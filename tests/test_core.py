@@ -3,6 +3,7 @@ import pytest
 from slabel.core import (
     Labeling,
     build_graph,
+    count_triangles,
     enumerate_triangles,
     exchange_delta,
     max_degree,
@@ -174,3 +175,9 @@ class TestEnumerateTriangles:
             assert g.edges[e1] == (a, b)
             assert g.edges[e2] == (a, c)
             assert g.edges[e3] == (b, c)
+
+    def test_count_equals_the_list_length(self):
+        graphs = [complete_graph(n) for n in range(7)] + [gen_grid(3, 3)]
+        graphs += [gen_gnm(n, m, seed) for n, m, seed in ((12, 30, 5), (30, 200, 7), (50, 300, 3))]
+        for g in graphs:
+            assert count_triangles(g) == len(enumerate_triangles(g))

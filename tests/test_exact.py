@@ -1,8 +1,9 @@
-"""The subset dynamic program against a brute-force reference, and
-branch-and-bound against the program: every small graph is proven at its
-optimum, neighbourhood domination skips exactly the children its
-definition names, and a search stopped by its node budget or an oracle
-stopped by its deadline still returns a valid bound."""
+"""The subset dynamic program against a brute-force reference, the
+coverage table against enumeration, and branch-and-bound against the
+program: every small graph is proven at its optimum, neighbourhood
+domination skips exactly the children its definition names, and a search
+stopped by its node budget, a table stopped by its node limit, or an
+oracle stopped by its deadline still returns a valid bound."""
 
 import hashlib
 import heapq
@@ -17,13 +18,13 @@ import pytest
 from slabel import exact
 from slabel.core import Labeling, build_graph, sl_value
 from slabel.dual_ascent import dual_ascent_extended
-from slabel.exact import branch_and_bound, subset_dp
-from slabel.heuristics import greedy_label
+from slabel.exact import branch_and_bound, coverage_table, subset_dp
+from slabel.heuristics import greedy_label, starting_heuristic
 from slabel.instances import gen_gnm, gen_random_tree
 
 # sha256 over every result of the exhaustive loop below: the labeling and
 # the search counters, so a refactor that changes either one fails.
-EXHAUSTIVE_DIGEST = "bf48b4dfd36df2515db3f38c15541b8cdcccf526e5e2ac6eb52ad2c366b2db50"
+EXHAUSTIVE_DIGEST = "e192f075b7e10a1c51311556ca5226c5119bc1c90fd9dfeb8f87e29c2edee6b3"
 
 
 def test_proves_optimum_on_every_graph_up_to_five_nodes():
@@ -40,7 +41,8 @@ def test_proves_optimum_on_every_graph_up_to_five_nodes():
             assert sl_value(g, res.labeling) == opt
             s = res.stats
             digest.update(repr((res.labeling.labels, s.explored, s.pruned_by_bound,
-                                s.dominated, s.bound_calls, s.cache_hits)).encode())
+                                s.dominated, s.level_pruned, s.bound_calls,
+                                s.cache_hits)).encode())
             checked += 1
     assert checked == 1 + 2 + 8 + 64 + 1024
     assert digest.hexdigest() == EXHAUSTIVE_DIGEST
@@ -68,26 +70,29 @@ def test_proves_every_graph_up_to_five_nodes_without_a_starting_incumbent(monkey
     assert checked == 1 + 2 + 8 + 64 + 1024
 
 
-PINNED_COUNTERS = [  # n, m, seed, explored, pruned + dominated, dominated
-    (18, 40, 1, 136, 1729, 599),
-    (20, 45, 3, 148, 2330, 451),
-    (22, 50, 5, 40, 596, 193),
-    (24, 55, 2, 164, 3105, 784),
+# n, m, seed, explored, pruned + level-pruned + dominated, dominated, level-pruned
+PINNED_COUNTERS = [
+    (18, 40, 1, 17, 187, 66, 6),
+    (20, 45, 3, 0, 1, 0, 0),  # the table's sum is the optimum: proven at the root
+    (22, 50, 5, 0, 1, 0, 0),
+    (24, 55, 2, 0, 1, 0, 0),
+    (24, 60, 11, 18, 252, 75, 0),
+    (26, 60, 4, 1494, 19483, 8032, 5689),
 ]
 
 
-@pytest.mark.parametrize("n, m, seed, explored, pruned, dominated", PINNED_COUNTERS,
-                         ids=["-".join(map(str, row[:5])) for row in PINNED_COUNTERS])
-def test_search_counters_are_pinned(n, m, seed, explored, pruned, dominated):
+@pytest.mark.parametrize("n, m, seed, explored, cut, dominated, level_pruned", PINNED_COUNTERS,
+                         ids=["-".join(map(str, row[:3])) for row in PINNED_COUNTERS])
+def test_search_counters_are_pinned(n, m, seed, explored, cut, dominated, level_pruned):
     # Residual bounds stop at the pruning cutoff; the search they steer
     # must equal the one with full bounds.  On these graphs every child
-    # that domination skips would have been pruned by its bound, so the
+    # that domination skips would have been cut by a bound, so the
     # explored nodes and the children cut either way are those of the
     # search without the rule.
     s = branch_and_bound(gen_gnm(n, m, seed)).stats
     assert s.proven_optimal
-    assert (s.explored, s.pruned_by_bound + s.dominated) == (explored, pruned)
-    assert s.dominated == dominated
+    assert (s.explored, s.pruned_by_bound + s.level_pruned + s.dominated) == (explored, cut)
+    assert (s.dominated, s.level_pruned) == (dominated, level_pruned)
 
 
 def test_every_ascent_goes_through_the_module_name(monkeypatch):
@@ -154,11 +159,22 @@ def test_time_limit_is_checked_before_every_expansion():
     assert res.lower_bound <= res.upper_bound == sl_value(g, res.labeling)
 
 
+def test_table_leaves_the_starting_heuristic_half_the_time():
+    # Unlimited, this graph's table takes about 27 s; one that took the
+    # whole limit would leave local search no sweep and the incumbent at
+    # greedy's value.  No node is expanded: one expansion here runs up to
+    # 150 residual bounds.
+    g = gen_gnm(150, 400, 1)
+    res = branch_and_bound(g, deadline=time.perf_counter() + 0.4, node_limit=0)
+    assert res.upper_bound <= starting_heuristic(g)[1] < greedy_label(g)[1]
+
+
 def test_passed_deadline_after_root_bound_returns_its_bracket(monkeypatch):
-    # The root bound comes before the starting heuristic.  When it overruns
-    # the deadline, local search runs no sweep and no node is expanded, so
-    # the bracket is (root bound, greedy value).
-    g = gen_gnm(12, 24, 2)  # greedy 72, local search 70, root bound 66
+    # The table and the root bound come before the starting heuristic.
+    # When the root ascent overruns the deadline, local search runs no
+    # sweep and no node is expanded, so the bracket is (the larger of the
+    # ascent and the table's sum, greedy value).
+    g = gen_gnm(12, 24, 2)  # greedy 72, local search 70, ascent 66, table sum 70
 
     def slow(*args):
         result = dual_ascent_extended(*args)
@@ -168,7 +184,8 @@ def test_passed_deadline_after_root_bound_returns_its_bracket(monkeypatch):
     monkeypatch.setattr(exact, "dual_ascent_extended", slow)
     res = branch_and_bound(g, deadline=time.perf_counter() + 0.05)
     assert res.stats.explored == 0 and not res.stats.proven_optimal
-    assert res.lower_bound == res.stats.open_bound == dual_ascent_extended(g)[1] == 66
+    assert dual_ascent_extended(g)[1] == 66 and sum(coverage_table(g)) == 70
+    assert res.lower_bound == res.stats.open_bound == 70
     assert res.upper_bound == greedy_label(g)[1] == sl_value(g, res.labeling) == 72
 
 
@@ -313,23 +330,91 @@ def random_graphs_12_to_16_nodes():
 
 
 def test_branch_and_bound_equals_subset_dp_beyond_brute_force(monkeypatch):
-    # The searches need at most 138 expansions; the limit makes one that
-    # has lost the domination rule (K12) fail instead of running for hours.
+    # The searches need at most 12 expansions (138 without the coverage
+    # table); the limit makes one that has lost a bound or the domination
+    # rule fail instead of running for hours.
     monkeypatch.setattr(exact, "starting_heuristic", no_starting_incumbent)
     for g in random_graphs_12_to_16_nodes():
+        opt = subset_dp(g)[0]
+        assert sum(coverage_table(g)) <= opt, g
         res = branch_and_bound(g, node_limit=2000)
         assert res.stats.proven_optimal
-        assert res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == subset_dp(g)[0], g
+        assert res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == opt, g
+
+
+def enumerated_table(g):
+    """g_t for t = 0..n-1 by trying every set of t nodes: the fewest edges
+    left with both ends outside it."""
+    return [min(sum(1 for u, v in g.edges if u not in chosen and v not in chosen)
+                for chosen in map(set, combinations(range(g.n), t)))
+            for t in range(g.n)]
+
+
+def test_coverage_table_equals_enumeration():
+    rng = random.Random(21)
+    graphs = list(all_graphs(5))
+    graphs += [gen_gnm(n, rng.randint(n, n * (n - 1) // 2), rng.randrange(1000))
+               for n in range(8, 13) for _ in range(3)]
+    for g in graphs:
+        assert coverage_table(g) == enumerated_table(g), g
+
+
+STOPPED_TABLE_GRAPHS = [(30, 70, 9), (26, 60, 4), (40, 90, 5)]
+
+
+@pytest.mark.parametrize("limit", [0, 1, 30, 300])
+def test_table_stopped_by_its_node_limit_is_below_the_exact_one(monkeypatch, limit):
+    graphs = [gen_gnm(*args) for args in STOPPED_TABLE_GRAPHS]
+    full = [coverage_table(g) for g in graphs]
+    monkeypatch.setattr(exact, "TABLE_NODE_LIMIT", limit)
+    stopped = [coverage_table(g) for g in graphs]
+    for low, high in zip(stopped, full):
+        assert all(a <= b for a, b in zip(low, high)), (low, high)
+    assert stopped != full
+
+
+def test_table_stopped_by_its_deadline_is_below_the_exact_one():
+    # The clock is read before each level's first child, so a passed
+    # deadline leaves every level at the bound of its search's root, which
+    # the chain pass may raise.
+    for args in STOPPED_TABLE_GRAPHS:
+        g = gen_gnm(*args)
+        full = coverage_table(g)
+        for delay in (0.0, 0.002, 0.02):
+            low = coverage_table(g, time.perf_counter() + delay)
+            assert all(a <= b for a, b in zip(low, full)), (args, delay, low, full)
+        assert coverage_table(g, time.perf_counter()) != full
+
+
+def test_proves_every_graph_up_to_five_nodes_with_a_stopped_table(monkeypatch):
+    # One child per level stops 87 of these 1,099 tables early; the bound
+    # they give must still never cut an optimal branch.
+    monkeypatch.setattr(exact, "starting_heuristic", no_starting_incumbent)
+    monkeypatch.setattr(exact, "TABLE_NODE_LIMIT", 1)
+    for g in all_graphs(5):
+        opt = subset_dp(g)[0]
+        res = branch_and_bound(g)
+        assert res.stats.proven_optimal
+        assert res.lower_bound == res.upper_bound == opt == sl_value(g, res.labeling), g
+
+
+def no_table(g, deadline):
+    return [0] * g.n
 
 
 @pytest.mark.parametrize("n, optimum", [(8, 84), (12, 286)])
-def test_complete_graph_is_proven_along_one_branch(n, optimum):
+def test_complete_graph_is_proven_along_one_branch(monkeypatch, n, optimum):
     # Every labeling of K_n is optimal.  All nodes are twins, so each
     # expansion keeps only its lowest unlabeled node, and the search stops
     # once the child's bound meets the starting incumbent.  A search
     # without the rule needs 2,081 expansions on K8 and about 24.7 million
-    # on K12; the node limit makes such a search fail fast.
+    # on K12; the node limit makes such a search fail fast.  The table's
+    # sum alone proves K_n at the root, so the rule is run without it.
     g = gen_gnm(n, n * (n - 1) // 2, 1)
+    res = branch_and_bound(g)
+    assert res.stats.proven_optimal and res.stats.explored == 0
+    assert res.lower_bound == res.upper_bound == sum(coverage_table(g)) == optimum
+    monkeypatch.setattr(exact, "coverage_table", no_table)
     started = time.perf_counter()
     res = branch_and_bound(g, node_limit=1000)
     assert time.perf_counter() - started < 1.0

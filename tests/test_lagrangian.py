@@ -219,13 +219,21 @@ class TestStartingMultipliers:
         assert edges_only.triangles == () and edges_only.lam == []
 
     def test_triangle_cap_builds_no_triangle_row(self, monkeypatch):
+        # The cap is tested on the triangle count, so the list is never
+        # built; the edge rows are those of an uncapped start.
         g = gen_gnm(12, 30, 5)
         assert enumerate_triangles(g)
+        uncapped = Multipliers.from_dual_ascent(g, with_triangles=True)
+
+        def not_listed(g):
+            raise AssertionError("triangles listed above the cap")
+
         monkeypatch.setattr(lagrangian, "TRIANGLE_CAP", 0)
-        with pytest.warns(UserWarning, match="triangle"):
+        monkeypatch.setattr(lagrangian, "enumerate_triangles", not_listed)
+        with pytest.warns(UserWarning, match=f"{len(uncapped.triangles)} triangles"):
             m = Multipliers.from_dual_ascent(g, with_triangles=True)
         assert m.triangles == () and m.lam == []
-        assert len(m.delta) == g.m
+        assert m.delta == uncapped.delta
 
 
 def reference_d_subproblem(g, m):
