@@ -89,6 +89,17 @@ def dual_ascent_extended(
     has dropped more edges than a winner may.  Each trial is undone from
     its removal log.
 
+    The visit order comes from degree buckets: ``bucket[d]`` holds the
+    nodes of degree d >= 2, and only a committed step moves a node between
+    buckets.  Trials undo their own degree changes, so the buckets always
+    hold the degrees at the start of the step, which the order is by.  The
+    ranking is built lazily as alpha descends: before a trial at alpha,
+    ``sorted(bucket[d])`` is appended for each d not yet appended down to
+    alpha + 1.  That is degree descending, ties by index, and it holds
+    exactly the nodes the trial may visit.  The capped sum drops by the
+    count of nodes of degree >= alpha, a running sum of bucket sizes.  So
+    a step costs the buckets and nodes it reads, not a sort of every node.
+
     ``residual``, an int bitmask over g's edge ids, restricts the ascent
     to the subgraph of those edges without building it: g's node ids and
     edge order are kept, so the steps equal those on
@@ -126,26 +137,36 @@ def dual_ascent_extended(
     last_step = [0 if flag else -1 for flag in flags]
     trace: list[AscentStep] = []
     z = active
-    # Isolated nodes keep degree 0: the ascent never looks at them.
-    touched = [v for v in range(g.n) if deg[v]]
+    # Nodes of degree 0 or 1 are never visited and have no bucket.  `top`
+    # is the maximum degree while it is at least 2.
+    top = max(deg, default=0)
+    bucket: list[set[int]] = [set() for _ in range(top + 1)]
+    for v, d in enumerate(deg):
+        if d > 1:
+            bucket[d].add(v)
     for step in range(1, g.n + 1):
         if time.perf_counter() >= deadline:
             break
-        # Only nodes of degree > alpha >= 1 are ever visited.
-        ranked = sorted([(-d, v) for v in touched if (d := deg[v]) > 1])
+        while top > 1 and not bucket[top]:
+            top -= 1
+        ranked: list[int] = []  # bucket[top], ..., bucket[filled], each sorted
+        filled = top + 1
         best_net = 0
         best: tuple[int, list[int]] | None = None
         capped = 2 * active  # sum over v of min(deg_v, alpha)
-        above = 0  # ranked[:above] have degree > alpha (degree <= 1 never has)
-        # The maximum degree: ranked[0]'s, else 1 while an edge is active.
-        for alpha in range(-ranked[0][0] if ranked else min(active, 1), 0, -1):
+        above = 0  # nodes of degree >= alpha >= 2
+        # The maximum degree, else 1 while an edge is active.
+        for alpha in range(top if top > 1 else min(active, 1), 0, -1):
             need = max(best_net, 1)
             # The most edges a trial may remove and still net `need`.
             budget = active - step * alpha - need
             if capped // 2 - step * alpha >= need:
+                while filled > alpha + 1:
+                    filled -= 1
+                    ranked += sorted(bucket[filled])
                 removed: list[int] = []
-                for neg_d, v in ranked:
-                    if -neg_d <= alpha or len(removed) > budget:
+                for v in ranked:
+                    if len(removed) > budget:
                         break
                     excess = deg[v] - alpha
                     if excess <= 0:
@@ -164,8 +185,8 @@ def dual_ascent_extended(
                     u, v = edges[e]
                     deg[u] += 1
                     deg[v] += 1
-            while above < len(ranked) and -ranked[above][0] >= alpha:
-                above += 1
+            if alpha > 1:
+                above += len(bucket[alpha])
             capped -= above
         if best is None:
             break
@@ -173,9 +194,13 @@ def dual_ascent_extended(
         for e in removed:
             flags[e] = False
             last_step[e] = step - 1
-            u, v = edges[e]
-            deg[u] -= 1
-            deg[v] -= 1
+            for x in edges[e]:
+                d = deg[x]
+                deg[x] = d - 1
+                if d > 1:
+                    bucket[d].remove(x)
+                    if d > 2:
+                        bucket[d - 1].add(x)
         active -= len(removed)
         z += best_net
         trace.append(AscentStep(step, alpha, active, best_net, z))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 
@@ -14,15 +15,27 @@ def greedy_label(g: Graph) -> tuple[Labeling, int]:
 
     Ties go to the lowest node index.  Returns the labeling and its
     objective value.
+
+    A min-heap of (-residual degree, node) pops the lowest-index node of
+    maximum residual degree.  Removing a node pushes a fresh entry for each
+    unlabeled neighbour and leaves its old one in the heap.  Degrees only
+    fall, so an old entry is stale: it pops before the fresh one and is
+    skipped, as is every entry of a labeled node (degree -1).
     """
     residual_degree = [len(adj) for adj in g.adjacency]
+    heap = [(-d, v) for v, d in enumerate(residual_degree)]
+    heapq.heapify(heap)
     order = []
-    for _ in range(g.n):
-        best = residual_degree.index(max(residual_degree))
-        order.append(best)
-        residual_degree[best] = -g.n  # neighbours lower it by < n: below any unlabeled node
-        for x, _ in g.adjacency[best]:
-            residual_degree[x] -= 1
+    while heap:
+        neg_d, v = heapq.heappop(heap)
+        if -neg_d != residual_degree[v]:
+            continue
+        order.append(v)
+        residual_degree[v] = -1
+        for x, _ in g.adjacency[v]:
+            if residual_degree[x] > 0:
+                residual_degree[x] -= 1
+                heapq.heappush(heap, (-residual_degree[x], x))
     phi = Labeling.from_order(g.n, order)
     return phi, sl_value(g, phi)
 

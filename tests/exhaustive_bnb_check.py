@@ -1,8 +1,10 @@
 """Exhaustive check of the exact solvers on every labeled graph with 1 to 6
 nodes (33,867 graphs): the subset dynamic program against the brute-force
 reference, the coverage table's sum (a lower bound) against the program,
-and branch-and-bound, with no starting incumbent so that the search must
-find each optimum itself, against the program.  Then the program against
+branch-and-bound, with no starting incumbent so that the search must
+find each optimum itself, against the program, and the extended dual
+ascent against its reference kernel.  Then the ascent against its
+reference on gnm(500, 1500, 7), and the program against
 its pinned optimum, and B&B against the program, on six random graphs
 with 17 to 20 nodes, once with the coverage table's node limit and once
 with a limit of one child per level, whose levels stop early.  The tier-1
@@ -18,8 +20,10 @@ import sys
 
 from slabel import exact
 from slabel.core import sl_value
+from slabel.dual_ascent import dual_ascent_extended
 from slabel.instances import gen_gnm
-from test_exact import all_graphs, brute_force, no_starting_incumbent  # this script's directory
+from test_dual_ascent import reference_dual_ascent_extended  # this script's directory
+from test_exact import all_graphs, brute_force, no_starting_incumbent
 
 # gnm(n, m, seed) and its optimum.
 LARGER_GNM = [((17, 40, 1), 143), ((18, 45, 2), 198), ((19, 50, 3), 246),
@@ -37,6 +41,14 @@ def bnb_finds(g, opt):
     return False
 
 
+def ascent_matches(g):
+    if dual_ascent_extended(g) == reference_dual_ascent_extended(g):
+        return True
+    print(f"dual ascent differs from its reference on n={g.n} edges={list(g.edges)}",
+          file=sys.stderr)
+    return False
+
+
 def main() -> int:
     exact.starting_heuristic = no_starting_incumbent
     checked = 0
@@ -50,9 +62,11 @@ def main() -> int:
             print(f"coverage table above the optimum {opt} on n={g.n} edges={list(g.edges)}: "
                   f"{exact.coverage_table(g)}", file=sys.stderr)
             return 1
-        if not bnb_finds(g, opt):
+        if not (bnb_finds(g, opt) and ascent_matches(g)):
             return 1
         checked += 1
+    if not ascent_matches(gen_gnm(500, 1500, 7)):
+        return 1
     limit = exact.TABLE_NODE_LIMIT
     for args, pinned in LARGER_GNM:
         g = gen_gnm(*args)

@@ -45,6 +45,17 @@ FAMILIES = [
 ]
 
 
+# heuristic-large's graphs that are not special (gnm(500,1500,7) is left
+# to tests/exhaustive_bnb_check.py: its reference ascent takes about 1.2 s).
+LARGE = [
+    gen_random_tree(1000, 2),
+    gen_grid(20, 20),
+    gen_bipartite(100, 100, 0.03, 5),
+    gen_caterpillar(300, 0.6, 3),
+    gen_lobster(200, 0.7, 0.5, 4),
+]
+
+
 def star(leaves):
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
@@ -431,6 +442,41 @@ class TestAgainstReferenceKernel:
     @pytest.mark.parametrize("g", FAMILIES, ids=lambda g: f"n{g.n}-m{g.m}-maxdeg{max_degree(g)}")
     def test_generator_families(self, g):
         assert dual_ascent_extended(g) == reference_dual_ascent_extended(g)
+
+    @pytest.mark.parametrize("g", LARGE, ids=lambda g: f"n{g.n}-m{g.m}-maxdeg{max_degree(g)}")
+    def test_large_graphs(self, g):
+        assert dual_ascent_extended(g) == reference_dual_ascent_extended(g)
+
+    def test_perfect_matching_has_no_bucket(self):
+        # Every degree is 1: no node is ranked, and each step keeps every
+        # edge at alpha 1, netting 6 - step.
+        g = build_graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
+        solution, z, trace = dual_ascent_extended(g)
+        assert [(s.alpha_value, s.net_change) for s in trace] == [(1, 6 - k) for k in range(1, 6)]
+        assert z == 6 + 15
+        assert (solution, z, trace) == reference_dual_ascent_extended(g)
+
+    def test_star_fills_one_bucket(self):
+        # The centre is the one ranked node.  Alphas 18 down to 1 pass the
+        # capped test and are tried, but every alpha nets 0: no step.
+        g = star(20)
+        result = dual_ascent_extended(g)
+        assert result[1:] == (20, [])
+        assert result == reference_dual_ascent_extended(g)
+
+    def test_winning_alpha_one_reads_every_bucket(self):
+        # Step 2 starts with degrees 2, 3 and 4 and wins at alpha 1, so its
+        # ranking holds every bucket.
+        g = gen_gnm(6, 9, 8)
+        solution, z, trace = dual_ascent_extended(g)
+        assert [s.alpha_value for s in trace] == [4, 1]
+        degrees = [0] * g.n
+        for e, (u, v) in enumerate(g.edges):
+            if solution.edge_last_step[e] >= 1:  # active when step 2 starts
+                degrees[u] += 1
+                degrees[v] += 1
+        assert {d for d in degrees if d > 1} == {2, 3, 4}
+        assert (solution, z, trace) == reference_dual_ascent_extended(g)
 
 
 def residual_masks(g: Graph, seed: int, count: int) -> list[int]:

@@ -19,6 +19,7 @@ from slabel.instances import (
     gen_random_tree,
 )
 from slabel.lagrangian import SubgradientParams, run_subgradient
+from test_dual_ascent import LARGE  # this test's directory
 
 GRID_OPT = Labeling(labels=(5, 1, 6, 2, 7, 3, 8, 4, 9))
 
@@ -123,6 +124,10 @@ class TestGreedyAgainstReference:
     @pytest.mark.parametrize("kind", sorted(GENERATORS))
     def test_generator_families(self, kind):
         g = InstanceSpec(kind, FAMILY_SPECS[kind], seed=3).generate()
+        assert greedy_label(g) == reference_greedy_label(g)
+
+    @pytest.mark.parametrize("g", LARGE + [gen_gnm(500, 1500, 7)], ids=lambda g: f"n{g.n}-m{g.m}")
+    def test_large_graphs(self, g):
         assert greedy_label(g) == reference_greedy_label(g)
 
 
