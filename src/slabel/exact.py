@@ -23,7 +23,8 @@ import time
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, and_, getitem, mul
 
 from .core import Graph, Labeling, sl_value
 from .dual_ascent import dual_ascent_extended
@@ -92,16 +93,20 @@ def subset_dp(g: Graph, deadline: float = math.inf) -> tuple[int, Labeling, bool
     return (f[state] if finished else sl_value(g, labeling)), labeling, finished
 
 
-TABLE_NODE_LIMIT = 10_000  # children per level of coverage_table (prove-small needs 3,726)
+TABLE_NODE_LIMIT = 10_000  # children per level of coverage_table (prove-small needs 3,638)
 
 
 def _lightest_set(
-    nbr: list[int], cost: list[int], size: int, best: int, deadline: float
+    rows: list[bytearray], cost: list[int], size: int, best: int, floor: int, deadline: float
 ) -> tuple[int, bool]:
     """A lower bound on the least w(X) = (sum of cost[v] over X) + e(X)
     over sets X of ``size`` >= 1 nodes, and whether it is that least value.
 
-    ``best`` is the w of a known set, and the result is at most ``best``.
+    ``rows[v][u]`` is 1 when u and v are adjacent, else 0.  ``best`` is
+    the w of a known set, and the result is at most ``best``.  ``floor``
+    is a known lower bound on the least w: once the incumbent reaches it,
+    the incumbent is the least value and the search stops.
+
     The depth-first search adds one node at a time.  A candidate's key,
     its cost plus its edges into the chosen nodes, is what adding it next
     adds to w; later picks only add more when they are adjacent.  So with
@@ -110,24 +115,36 @@ def _lightest_set(
     on bound those that skip the first j candidates.  Child j adds
     candidate j and chooses among the candidates after it.
 
+    A candidate is the single int ``(key << shift) + node``, with
+    ``shift = 2 * n.bit_length() + 1``.  Ints sort as the pairs (key,
+    node) would.  The node parts of any r <= n candidates sum to less than
+    n**2 < 2**shift, so the sum of r candidates shifted right by ``shift``
+    is exactly the sum of their keys, negative keys included.  A child's
+    list adds ``1 << shift`` to each candidate adjacent to the new node.
+
     The search stops once it has made ``TABLE_NODE_LIMIT`` children or at
     ``deadline``, a ``perf_counter`` value read before the first child and
     every 256th; it then returns the smallest of ``best`` and the bounds of
     the subtrees left open.
     """
+    if best <= floor:
+        return best, True
+    shift = 2 * len(rows).bit_length() + 1
+    unit = 1 << shift  # adds 1 to a candidate's key
+    low = unit - 1  # candidate & low is its node
+    lows, units = repeat(low), repeat(unit)
     nodes = 0
     stopped = False
     open_bound = math.inf
 
-    def search(weight: int, keyed: list[tuple[int, int]], r: int) -> None:
+    def search(weight: int, keyed: list[int], r: int) -> None:
         nonlocal best, nodes, stopped, open_bound
-        window = sum(key for key, _ in keyed[:r])
+        window = sum(keyed[:r])  # the r smallest candidates, keys and nodes
         last = len(keyed) - r
         for j in range(last + 1):
-            bound = weight + window
+            bound = weight + (window >> shift)
             if bound >= best:
                 return
-            key, v = keyed[j]
             if r == 1:
                 best = bound
                 return
@@ -135,16 +152,20 @@ def _lightest_set(
                 stopped = True
             else:
                 nodes += 1
-                mask = nbr[v]
-                search(weight + key, sorted([(k + (mask >> u & 1), u) for k, u in keyed[j + 1:]]),
-                       r - 1)
+                candidate = keyed[j]
+                rest = keyed[j + 1:]
+                adjacent = map(getitem, repeat(rows[candidate & low]), map(and_, rest, lows))
+                search(weight + (candidate >> shift),
+                       sorted(map(add, rest, map(mul, adjacent, units))), r - 1)
+                if best <= floor:
+                    return
             if stopped:
                 open_bound = min(open_bound, bound)
                 return
             if j < last:
-                window += keyed[j + r][0] - key
+                window += keyed[j + r] - keyed[j]
 
-    search(0, sorted(zip(cost, range(len(nbr)))), size)
+    search(0, sorted((c << shift) + v for v, c in enumerate(cost)), size)
     return min(best, open_bound), not stopped
 
 
@@ -158,38 +179,43 @@ def coverage_table(g: Graph, deadline: float = math.inf) -> list[int]:
     2t <= n, the t nodes L covering the most edges, cov(L) = (sum of the
     degrees over L) - e(L), so w with cost -degree is -cov(L); above that,
     the n - t nodes with the fewest edges inside, at cost 0.  The greedy
-    labeling's prefixes give every level a starting set.  g never rises
-    with t, so once a level is 0 the rest are.  A last pass from high t to
-    low applies the chain inequality of ``branch_and_bound``.  ``deadline``
-    is a ``perf_counter`` value (``math.inf``, the default, means none).
+    labeling's prefixes give every level a starting set, and a level
+    whose greedy set leaves no edge is 0 with no search.
+
+    The levels run from t = n - 2 down to 1 (g_{n-1} = 0 and g_0 = m).
+    By the chain inequality of ``branch_and_bound``, with the entry above
+    in place of g_{t+1}, g_t is at least the floor ceil(g_{t+1} k / (k-2))
+    for k = n - t >= 3.  A search whose incumbent reaches the floor has
+    proved its level and stops; one stopped by ``TABLE_NODE_LIMIT`` or the
+    deadline enters as the larger of its open bound and the floor.
+    ``deadline`` is a ``perf_counter`` value (``math.inf``, the default,
+    means none).
     """
     n, m = g.n, g.m
     table = [0] * n
     if not m:
         return table
-    nbr = _neighbour_masks(g)
+    rows = [bytearray(n) for _ in range(n)]  # rows[v][u]: 1 when u and v are adjacent
+    for u, v in g.edges:
+        rows[u][v] = rows[v][u] = 1
     labels = greedy_label(g)[0].labels
     first_covered = [0] * n  # edges whose smaller label is t + 1
     for u, v in g.edges:
         first_covered[min(labels[u], labels[v]) - 1] += 1
     greedy = list(accumulate(reversed(first_covered)))[::-1]  # e(V - L_t) of the greedy L_t
-    minus_degree = [-mask.bit_count() for mask in nbr]
+    minus_degree = [-len(adjacency) for adjacency in g.adjacency]
     zeros = [0] * n
     table[0] = m
-    for t in range(1, n):
+    for t in range(n - 2, 0, -1):
         if not greedy[t]:
-            break
-        if 2 * t <= n:
-            low, finished = _lightest_set(nbr, minus_degree, t, greedy[t] - m, deadline)
-            low += m
-        else:
-            low, finished = _lightest_set(nbr, zeros, n - t, greedy[t], deadline)
-        table[t] = low
-        if finished and not low:
-            break
-    for t in range(n - 3, 0, -1):
+            continue
         k = n - t
-        table[t] = max(table[t], -(-table[t + 1] * k // (k - 2)))
+        floor = -(-table[t + 1] * k // (k - 2)) if k > 2 else 0
+        if 2 * t <= n:
+            low = _lightest_set(rows, minus_degree, t, greedy[t] - m, floor - m, deadline)[0] + m
+        else:
+            low = _lightest_set(rows, zeros, k, greedy[t], floor, deadline)[0]
+        table[t] = max(low, floor)
     return table
 
 
@@ -321,11 +347,12 @@ def branch_and_bound(
     table's sum.  Any lower bounds on the g_t keep this valid, which lets
     a level whose search stopped early enter the table with its open bound.
     The chain inequality g_t >= ceil(g_{t+1} (n-t) / (n-t-2)) for
-    n - t >= 3 then lifts such a level from the one above it: an optimal
-    set S of k = n - t nodes with g_t edges inside has a node of degree at
-    least the average 2 g_t / k within S, and S without it has k - 1 nodes
-    and at most g_t (k-2) / k edges inside, so g_{t+1} <= g_t (k-2) / k.
-    It holds with any lower bound in place of g_{t+1}.
+    n - t >= 3 gives ``coverage_table`` each level's floor from the level
+    above it: an optimal set S of k = n - t nodes with g_t edges inside
+    has a node of degree at least the average 2 g_t / k within S, and S
+    without it has k - 1 nodes and at most g_t (k-2) / k edges inside, so
+    g_{t+1} <= g_t (k-2) / k.  It holds with any lower bound in place of
+    g_{t+1}.
 
     The table, then the uncut root bound, precede the starting heuristic.
     The table gets at most half the time left before ``deadline``: its

@@ -1,6 +1,7 @@
 """Exhaustive check of the exact solvers on every labeled graph with 1 to 6
 nodes (33,867 graphs): the subset dynamic program against the brute-force
-reference, the coverage table's sum (a lower bound) against the program,
+reference, the coverage table entry by entry against enumeration of
+every node set and its sum (a lower bound) against the program,
 branch-and-bound, with no starting incumbent so that the search must
 find each optimum itself, against the program, and the extended dual
 ascent against its reference kernel.  Then the ascent against its
@@ -8,8 +9,8 @@ reference on gnm(500, 1500, 7), and the program against
 its pinned optimum, and B&B against the program, on six random graphs
 with 17 to 20 nodes, once with the coverage table's node limit and once
 with a limit of one child per level, whose levels stop early.  The tier-1
-tests stop at 5 nodes and, for random graphs, at 16; this script takes
-about 40 s, and pytest does not collect it.
+tests of B&B stop at 5 nodes and, for random graphs, at 16; this script takes
+about 45 s, and pytest does not collect it.
 
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
 
@@ -23,7 +24,7 @@ from slabel.core import sl_value
 from slabel.dual_ascent import dual_ascent_extended
 from slabel.instances import gen_gnm
 from test_dual_ascent import reference_dual_ascent_extended  # this script's directory
-from test_exact import all_graphs, brute_force, no_starting_incumbent
+from test_exact import all_graphs, brute_force, enumerated_table, no_starting_incumbent
 
 # gnm(n, m, seed) and its optimum.
 LARGER_GNM = [((17, 40, 1), 143), ((18, 45, 2), 198), ((19, 50, 3), 246),
@@ -58,9 +59,10 @@ def main() -> int:
             print(f"mismatch on n={g.n} edges={list(g.edges)}: subset_dp {opt}, "
                   f"brute force {brute_force(g)[0]}", file=sys.stderr)
             return 1
-        if sum(exact.coverage_table(g)) > opt:
-            print(f"coverage table above the optimum {opt} on n={g.n} edges={list(g.edges)}: "
-                  f"{exact.coverage_table(g)}", file=sys.stderr)
+        table = exact.coverage_table(g)
+        if table != enumerated_table(g) or sum(table) > opt:
+            print(f"coverage table {table} on n={g.n} edges={list(g.edges)}: enumeration "
+                  f"{enumerated_table(g)}, optimum {opt}", file=sys.stderr)
             return 1
         if not (bnb_finds(g, opt) and ascent_matches(g)):
             return 1

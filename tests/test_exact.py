@@ -359,6 +359,61 @@ def test_coverage_table_equals_enumeration():
         assert coverage_table(g) == enumerated_table(g), g
 
 
+# The coverage table of each prove-small graph of the benchmark.  The
+# search of branch-and-bound, and so its pinned counters, follows every
+# entry, so a faster table must leave each one as it is.
+PINNED_TABLES = {
+    (18, 40, 1): [40, 33, 27, 21, 17, 13, 9, 6, 4, 2, 1] + [0] * 7,
+    (20, 45, 3): [45, 38, 31, 25, 20, 16, 12, 9, 7, 5, 3, 2, 1] + [0] * 7,
+    (22, 50, 5): [50, 40, 33, 26, 21, 16, 12, 9, 6, 3, 2, 1] + [0] * 10,
+    (24, 55, 2): [55, 45, 38, 31, 26, 21, 17, 13, 10, 8, 6, 4, 3, 2, 1] + [0] * 9,
+    (24, 60, 11): [60, 51, 44, 38, 33, 28, 23, 19, 15, 11, 8, 5, 3, 2, 1] + [0] * 9,
+    (26, 60, 4): [60, 53, 46, 40, 34, 29, 24, 19, 15, 12, 9, 6, 4, 2, 1] + [0] * 11,
+    (30, 70, 9): [70, 61, 53, 47, 41, 36, 31, 27, 23, 19, 16, 13, 11, 8, 6, 4, 2, 1]
+    + [0] * 12,
+}
+
+
+@pytest.mark.parametrize("args", PINNED_TABLES, ids=["-".join(map(str, a)) for a in PINNED_TABLES])
+def test_coverage_table_is_pinned(args):
+    assert coverage_table(gen_gnm(*args)) == PINNED_TABLES[args]
+
+
+def test_coverage_table_sum_is_pinned_at_the_default_node_limit():
+    # One level of this table stops at TABLE_NODE_LIMIT, so the sum
+    # depends on where the search stands when it stops.
+    assert sum(coverage_table(gen_gnm(40, 90, 5))) == 734
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_coverage_table_equals_enumeration_where_the_key_shift_grows(n):
+    # A candidate is (key << shift) + node with shift = 2 * n.bit_length()
+    # + 1: 9 for n = 15, 11 for n = 16 and 17.
+    rng = random.Random(n)
+    g = gen_gnm(n, rng.randint(n, 3 * n), rng.randrange(1000))
+    assert coverage_table(g) == enumerated_table(g), g
+
+
+def test_a_floor_at_the_least_value_ends_the_search(monkeypatch):
+    # The 13 nodes of gnm(30, 70, 9) with the fewest edges inside have 1
+    # (the table's level t = 17).  100 children find such a set but do not
+    # prove it least; given 1 as the floor, the search stops there with
+    # its answer, and without one it stops at the node limit.  A floor
+    # that the starting set already meets settles the level with no child.
+    g = gen_gnm(30, 70, 9)
+    rows = [bytearray(g.n) for _ in range(g.n)]
+    for u, v in g.edges:
+        rows[u][v] = rows[v][u] = 1
+    zeros = [0] * g.n
+    assert exact._lightest_set(rows, zeros, 13, g.m, -math.inf, math.inf) == (1, True)
+    monkeypatch.setattr(exact, "TABLE_NODE_LIMIT", 100)
+    assert exact._lightest_set(rows, zeros, 13, g.m, 1, math.inf) == (1, True)
+    low, finished = exact._lightest_set(rows, zeros, 13, g.m, -math.inf, math.inf)
+    assert not finished and low < 1
+    monkeypatch.setattr(exact, "TABLE_NODE_LIMIT", 0)
+    assert exact._lightest_set(rows, zeros, 13, 1, 1, math.inf) == (1, True)
+
+
 STOPPED_TABLE_GRAPHS = [(30, 70, 9), (26, 60, 4), (40, 90, 5)]
 
 
@@ -375,8 +430,8 @@ def test_table_stopped_by_its_node_limit_is_below_the_exact_one(monkeypatch, lim
 
 def test_table_stopped_by_its_deadline_is_below_the_exact_one():
     # The clock is read before each level's first child, so a passed
-    # deadline leaves every level at the bound of its search's root, which
-    # the chain pass may raise.
+    # deadline leaves every level that its starting set does not settle at
+    # the larger of its search's root bound and its floor.
     for args in STOPPED_TABLE_GRAPHS:
         g = gen_gnm(*args)
         full = coverage_table(g)
@@ -386,9 +441,23 @@ def test_table_stopped_by_its_deadline_is_below_the_exact_one():
         assert coverage_table(g, time.perf_counter()) != full
 
 
+@pytest.mark.parametrize("limit", [0, 1])
+def test_table_stopped_by_its_node_limit_keeps_the_chain_inequality(monkeypatch, limit):
+    # A level whose search stops enters the table no lower than the floor
+    # that the level above it gives.
+    monkeypatch.setattr(exact, "TABLE_NODE_LIMIT", limit)
+    for args in STOPPED_TABLE_GRAPHS:
+        table = coverage_table(gen_gnm(*args))
+        n = len(table)
+        for t in range(1, n - 2):
+            k = n - t
+            assert table[t] * (k - 2) >= table[t + 1] * k, (args, t, table)
+
+
 def test_proves_every_graph_up_to_five_nodes_with_a_stopped_table(monkeypatch):
-    # One child per level stops 87 of these 1,099 tables early; the bound
-    # they give must still never cut an optimal branch.
+    # One child per level stops a level in 122 of these 1,099 tables and
+    # leaves 87 of them below the exact table; the bound they give must
+    # still never cut an optimal branch.
     monkeypatch.setattr(exact, "starting_heuristic", no_starting_incumbent)
     monkeypatch.setattr(exact, "TABLE_NODE_LIMIT", 1)
     for g in all_graphs(5):
