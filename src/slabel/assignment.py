@@ -1,35 +1,47 @@
 """Exact minimum-cost perfect assignment on square integer matrices.
 
-The Hungarian method in its shortest-augmenting-path form (Jonker &
-Volgenant 1987): rows enter one at a time, and a Dijkstra search over
-reduced costs finds each row's augmenting path.  Potentials are integers,
-so exactness is preserved for arbitrarily large (scaled) integer costs.
-
-The search scans only the columns it has not yet reached, keeps their
-tentative distances relative to a running offset, and applies the
-potential changes of the reached columns once per row instead of after
-every step.  That is still O(n^3), but each step costs one pass over the
-unreached columns and no update loop.  Every comparison is the one the
-textbook loop makes, in the same column order, so the result, ties
-included, is the textbook one.
+The shortest-augmenting-path method in the form of Jonker & Volgenant
+(1987): rows enter one at a time, and a Dijkstra search over reduced
+costs finds each row's augmenting path.  Potentials are integers, so
+exactness is preserved for arbitrarily large (scaled) integer costs.
 
 A call starts from given column potentials v (a warm start), or from
 zeros.  Each row then starts at u_i = min_j (c_ij - v_j), so every
 reduced cost c_ij - u_i - v_j is >= 0 and each row has a tight (zero)
 one; in row order, each row takes its lowest tight free column, and the
-searches augment only the rows this leaves unmatched.  The searches then
-run exactly as they would on the costs c_ij - u_i - v_j from zero
-potentials.  An entering row keeps its starting u_i and an unmatched
-column its starting v_j, so the row's first step finds an unmatched
-column at a distance of at most the largest of these costs: that bound
-plus one, not a bound on the raw costs, is the ``big`` sentinel.
+searches augment only the rows this leaves unmatched.  Matched edges stay
+tight, so a matched row's potential is c_ij - v_j at its column and is
+never stored.
+
+A search from a free row keeps each column's distance d_j and splits the
+columns into three parts: ready (scanned at a smaller distance than the
+current minimum), scan (at the current minimum, their rows not yet
+scanned) and todo (farther).  When the scan part is empty, every todo
+column at the new minimum distance moves into it, and the search ends at
+once if one of them is free.  Scanning a column's row lowers the todo
+distances through that row; a column whose distance drops to the minimum
+ends the search if it is free and joins the scan part if not.  So each
+search stops at the first free column that reaches the least distance,
+instead of settling every other column at that distance first, which on
+the zero plateaus a warm start leaves is most of them.  Ties go to the
+lowest column: the todo part stays in column order, and so the scan part
+is entered in that order.
+
+When the search ends at distance m, only the ready columns' potentials
+move, v_j += d_j - m (a column scanned at m has d_j = m).  That keeps
+every reduced cost >= 0 and every matched edge tight, and makes the path
+to the free row tight, so flipping it along ``pred`` keeps the matching
+tight.  After the last row, u_i = min_j (c_ij - v_j) and v are thus
+dual-feasible with sum(u) + sum(v) equal to the total, which proves the
+assignment optimal.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from operator import sub
+from itertools import compress, repeat
+from operator import eq, not_, sub
 from typing import Sequence
 
 
@@ -41,10 +53,12 @@ def hungarian_min(
     """Minimum-cost perfect assignment: perm[i] = column of row i, and the
     minimal total cost.  Deterministic for equal inputs.
 
-    Each search step reaches the lowest column among those at the least
-    distance, so which of several optimal assignments comes back is fixed
-    by the column order (and by ``potentials``); the pinned Lagrangian
-    trajectories rely on this.
+    Each search moves the columns at the least distance into its scan
+    list in column order and ends at the first free column that reaches
+    that distance, so which of several optimal assignments comes back is
+    fixed by the column order (and by ``potentials``); the pinned
+    Lagrangian trajectories rely on this.  Only the columns scanned below
+    the final distance change their potentials.
 
     ``potentials``, when given, is a list of n integer column potentials v
     to start from (a warm start): each row starts at u_i = min_j (c_ij -
@@ -64,76 +78,72 @@ def hungarian_min(
         if len(row) != n:
             raise ValueError("cost matrix must be square")
     if potentials is None:
-        start = [0] * n
+        v = [0] * n
     elif len(potentials) != n:
         raise ValueError("need one potential per column")
     else:
-        start = potentials
+        v = potentials[:]
 
-    # Columns 0..n-1, and n, the virtual column the entering row starts
-    # from; p[j] is the row matched to column j, -1 if none.
-    p = [-1] * (n + 1)
-    way = [0] * (n + 1)
-    matched = [False] * n  # rows the greedy step matched
-    v = [*start, 0]
-    u = []
-    # The searches run on c_ij - v_j - u_i >= 0 from zero potentials, so
-    # big only has to exceed the largest of these.
-    big = 1
+    columns = range(n)
+    x = [-1] * n  # x[i]: the column of row i, -1 if none
+    y = [-1] * n  # y[j]: the row of column j, -1 if none
     for i, row in enumerate(costs):
-        reduced = list(map(sub, row, start))
-        ui = min(reduced)
-        u.append(ui)
-        big = max(big, max(reduced) - ui + 1)
-        for j, r in enumerate(reduced):
-            if r == ui and p[j] < 0:  # the lowest tight free column
-                p[j] = i
-                matched[i] = True
+        reduced = list(map(sub, row, v))
+        for j in compress(columns, map(eq, reduced, repeat(min(reduced)))):
+            if y[j] < 0:  # the lowest tight free column
+                x[i] = j
+                y[j] = i
                 break
-    for i in range(n):
+    for f in columns:
         if time.perf_counter() >= deadline:
             return None
-        if matched[i]:
+        if x[f] >= 0:
             continue
-        p[n] = i
-        j0 = n
-        # total is the distance of the latest column reached; dist[j] - total
-        # is the textbook loop's minv[j] for an unreached column j.
-        total = 0
-        dist = [big] * n
-        free = list(range(n))
-        reached = []  # (column, total when it was reached)
-        while True:
-            reached.append((j0, total))
-            i0 = p[j0]
-            row = costs[i0]
-            h = total - u[i0]
-            best = big + total
-            j1 = -1
-            for j in free:
-                c = row[j] - v[j] + h
-                d = dist[j]
-                if c < d:
-                    dist[j] = d = c
-                    way[j] = j0
-                if d < best:
-                    best = d
-                    j1 = j
-            total = best
-            free.remove(j1)
-            j0 = j1
-            if p[j0] < 0:
-                break
-        for j, at in reached:
-            u[p[j]] += total - at
-            v[j] -= total - at
-        while j0 != n:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
+        d = list(map(sub, costs[f], v))  # distances, up to the row's potential
+        pred = [f] * n
+        todo = list(columns)
+        reached: list[int] = []  # the ready part, then the scan part
+        scanned = 0
+        end = -1
+        while end < 0:
+            if scanned == len(reached):
+                dist = list(map(d.__getitem__, todo))
+                mind = min(dist)
+                at_min = list(map(eq, dist, repeat(mind)))
+                fresh = list(compress(todo, at_min))
+                todo = list(compress(todo, map(not_, at_min)))
+                for j in fresh:
+                    if y[j] < 0:
+                        end = j
+                        break
+                reached += fresh
+                continue
+            j1 = reached[scanned]
+            scanned += 1
+            i = y[j1]
+            row = costs[i]
+            # Row i's potential, less the distance to its column j1.
+            h = row[j1] - v[j1] - mind
+            joined = len(reached)
+            for j in todo:
+                c = row[j] - v[j] - h
+                if c < d[j]:
+                    d[j] = c
+                    pred[j] = i
+                    if c == mind:
+                        if y[j] < 0:
+                            end = j
+                            break
+                        reached.append(j)
+            if len(reached) > joined:
+                todo = [j for j in todo if d[j] != mind]
+        for j in reached[:scanned]:
+            v[j] += d[j] - mind
+        i = -1
+        while i != f:
+            i = pred[end]
+            y[end] = i
+            x[i], end = end, x[i]
     if potentials is not None:
-        potentials[:] = v[:n]
-    perm = [0] * n
-    for j in range(n):
-        perm[p[j]] = j
-    return perm, sum(costs[i][perm[i]] for i in range(n))
+        potentials[:] = v
+    return x, sum(costs[i][x[i]] for i in columns)

@@ -27,7 +27,11 @@ the ``search`` counters of ``exact.SearchStats`` to its report:
 ``explored``, ``pruned`` (by bound), ``dominated`` (children skipped by
 neighbourhood domination), ``level_pruned`` (children cut by the
 per-level coverage bound before any dual ascent), ``bound_calls``,
-``cache_hits`` and ``open_bound``.
+``cache_hits`` and ``open_bound``.  A ``lagrangian`` run of ``bound``
+reports ``iterations``, ``incumbent``, ``stop_reason`` and ``phase_ms``:
+the milliseconds its iterations spent in ``x_subproblem`` (the
+assignment), ``d_subproblem`` and ``local_search``, each summed over the
+iterations.
 
 Exit codes: 0 success, 2 usage or input error (including unreadable,
 malformed or non-ASCII instance files, and output files that cannot be
@@ -123,7 +127,9 @@ def _lagrangian(g: Graph, deadline: float) -> _Result:
     lb, ub = res.lower_bound, res.incumbent_value
     return _Result(lb, ub, res.best_labeling, timed_out=res.stop_reason == "time",
                    details={"iterations": res.iterations, "incumbent": ub,
-                            "stop_reason": res.stop_reason})
+                            "stop_reason": res.stop_reason,
+                            "phase_ms": {name: round(1000.0 * seconds, 3)
+                                         for name, seconds in res.phase_s.items()}})
 
 
 def _bnb(g: Graph, deadline: float) -> _Result:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add
 from typing import Iterator
@@ -38,6 +38,9 @@ STOP_MU = 1e-5  # stop once the step size falls below this
 TRIANGLE_CAP = 10**6
 
 Triangle = tuple[tuple[int, int, int], tuple[int, int, int]]
+
+# The timed phases of a subgradient iteration; see LagrangianResult.phase_s.
+PHASES = ("x_subproblem", "d_subproblem", "local_search")
 
 
 @dataclass
@@ -149,12 +152,16 @@ class IterationRecord:
 
 @dataclass
 class LagrangianResult:
+    """``phase_s`` holds the seconds spent in each of PHASES, summed over
+    the iterations (a call the deadline stopped included)."""
+
     lower_bound: int
     incumbent_value: int
     best_labeling: Labeling
     iterations: int
     trace: list[IterationRecord]
     stop_reason: str
+    phase_s: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
 
 def run_subgradient(
@@ -203,14 +210,19 @@ def run_subgradient(
     non_improving = 0
     trace: list[IterationRecord] = []
     stop_reason = "iterations"
+    phase_s = dict.fromkeys(PHASES, 0.0)
 
     for t in range(1, params.max_iter + 1):
+        started = time.perf_counter()
         x_solved = solve_x_subproblem(g, mult, deadline, potentials)
+        x_done = time.perf_counter()
+        phase_s["x_subproblem"] += x_done - started
         if x_solved is None:
             stop_reason = "time"
             break
         x_lab, x_scaled = x_solved
         d_choice, d_scaled = solve_d_subproblem(g, mult)
+        phase_s["d_subproblem"] += time.perf_counter() - x_done
         z_r_scaled = d_scaled - x_scaled - sum(map(sum, mult.lam))
         z_r = z_r_scaled / SCALE
         improved = False
@@ -219,7 +231,9 @@ def run_subgradient(
             lower_bound = candidate
             improved = True
 
+        started = time.perf_counter()
         ls_lab, ls_val = local_search(g, x_lab, deadline)
+        phase_s["local_search"] += time.perf_counter() - started
         if ls_val < incumbent:
             incumbent = ls_val
             best_labeling = ls_lab
@@ -270,6 +284,7 @@ def run_subgradient(
         iterations=len(trace),
         trace=trace,
         stop_reason=stop_reason,
+        phase_s=phase_s,
     )
 
 

@@ -8,27 +8,65 @@ ascent against its reference kernel.  Then the ascent against its
 reference on gnm(500, 1500, 7), and the program against
 its pinned optimum, and B&B against the program, on six random graphs
 with 17 to 20 nodes, once with the coverage table's node limit and once
-with a limit of one child per level, whose levels stop early.  The tier-1
-tests of B&B stop at 5 nodes and, for random graphs, at 16; this script takes
-about 45 s, and pytest does not collect it.
+with a limit of one child per level, whose levels stop early.  First of
+all, the assignment kernel on every matrix with 1 to 3 rows and entries
+0, 1 and 2 (19,767 matrices), from no potentials and from four fixed
+ones: its total against brute force, its permutation, the certificate
+of its final potentials, and its exact output against the tests'
+reference kernel.  The tier-1 tests of B&B stop at 5 nodes and, for
+random graphs, at 16; this script takes about 35-50 s, and pytest does not
+collect it.
 
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
 
-It prints the number of graphs checked and exits 1 on the first mismatch.
+It prints the number of matrices and graphs checked and exits 1 on the
+first mismatch.
 """
 
 import sys
+from itertools import product
 
 from slabel import exact
+from slabel.assignment import hungarian_min
 from slabel.core import sl_value
 from slabel.dual_ascent import dual_ascent_extended
 from slabel.instances import gen_gnm
-from test_dual_ascent import reference_dual_ascent_extended  # this script's directory
+from test_assignment import brute_min, certifies, reference_hungarian_min  # this script's directory
+from test_dual_ascent import reference_dual_ascent_extended
 from test_exact import all_graphs, brute_force, enumerated_table, no_starting_incumbent
 
 # gnm(n, m, seed) and its optimum.
 LARGER_GNM = [((17, 40, 1), 143), ((18, 45, 2), 198), ((19, 50, 3), 246),
               ((20, 55, 4), 280), ((20, 40, 5), 156), ((20, 70, 6), 371)]
+
+# Starting column potentials of the kernel check, cut to n entries.
+KERNEL_POTENTIALS = [(0, 0, 0), (1, 0, 2), (-2, 3, -1), (10**12, -10**12, 3)]
+
+
+def all_matrices(max_n, values=(0, 1, 2)):
+    for n in range(1, max_n + 1):
+        for entries in product(values, repeat=n * n):
+            yield [list(entries[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def kernel_matches(costs):
+    n = len(costs)
+    optimum = brute_min(costs)
+    for start in (None, *KERNEL_POTENTIALS):
+        potentials = None if start is None else list(start[:n])
+        expected = None if start is None else list(start[:n])
+        perm, total = hungarian_min(costs, potentials=potentials)
+        if not (total == optimum == sum(costs[i][perm[i]] for i in range(n))
+                and sorted(perm) == list(range(n))
+                and (perm, total) == reference_hungarian_min(costs, expected)
+                and potentials == expected
+                and (potentials is None or certifies(costs, potentials, total))):
+            print(f"assignment kernel differs on {costs} from potentials {start}: "
+                  f"{(perm, total)}, final {potentials}; optimum {optimum}, reference "
+                  f"{reference_hungarian_min(costs, expected)}, final {expected}",
+                  file=sys.stderr)
+            return False
+    return True
 
 
 def bnb_finds(g, opt):
@@ -51,6 +89,12 @@ def ascent_matches(g):
 
 
 def main() -> int:
+    matrices = 0
+    for costs in all_matrices(3):
+        if not kernel_matches(costs):
+            return 1
+        matrices += 1
+    print(f"{matrices} matrices checked")
     exact.starting_heuristic = no_starting_incumbent
     checked = 0
     for g in all_graphs(6):
@@ -83,7 +127,7 @@ def main() -> int:
         exact.TABLE_NODE_LIMIT = limit
         checked += 1
     print(f"{checked} graphs checked")
-    return 0 if checked == 33_867 + len(LARGER_GNM) else 1
+    return 0 if matrices == 19_767 and checked == 33_867 + len(LARGER_GNM) else 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,3 @@
-import math
 import time
 from itertools import permutations
 
@@ -72,12 +71,15 @@ class TestDeadline:
         assert hungarian_min([]) == ([], 0)
 
 
-# Reference kernel: the textbook loop, which scans and updates every column
-# at each search step, after the same greedy start as the production
-# kernel.  Which optimal assignment comes back depends on that start and on
-# the loop's tie-breaks (lowest column first), and the pinned Lagrangian
-# trajectories depend on that, so the production kernel must return
-# exactly what it returns, final potentials included.
+# Reference kernel: Jonker & Volgenant's "augment each free row" loop,
+# after the same greedy start as the production kernel, with its column
+# list kept as three lists (ready, scan, todo) in column order.  It scans
+# only the todo columns and updates the potentials of the ready ones, as
+# the 1987 loop does.  Which optimal assignment comes back depends on that
+# start and on the loop's tie-breaks (lowest column first, first free
+# column at the least distance), and the pinned Lagrangian trajectories
+# depend on that, so the production kernel must return exactly what it
+# returns, final potentials included.
 
 
 def reference_hungarian_min(costs, potentials=None):
@@ -86,60 +88,62 @@ def reference_hungarian_min(costs, potentials=None):
         if len(row) != n:
             raise ValueError("cost matrix must be square")
 
-    # 1-based arrays; p[j] is the row currently matched to column j.
-    u = [0] * (n + 1)
-    v = [0] + (potentials if potentials is not None else [0] * n)
-    p = [0] * (n + 1)
-    way = [0] * (n + 1)
+    v = list(potentials) if potentials is not None else [0] * n
+    x = [None] * n  # x[i]: the column of row i
+    y = [None] * n  # y[j]: the row of column j
     # Each row starts at u_i = min_j (c_ij - v_j) and, in row order, takes
     # its lowest tight free column.
-    for i in range(1, n + 1):
-        u[i] = min(costs[i - 1][j - 1] - v[j] for j in range(1, n + 1))
-        for j in range(1, n + 1):
-            if p[j] == 0 and costs[i - 1][j - 1] - u[i] - v[j] == 0:
-                p[j] = i
+    for i in range(n):
+        u_i = min(costs[i][j] - v[j] for j in range(n))
+        for j in range(n):
+            if y[j] is None and costs[i][j] - v[j] == u_i:
+                x[i], y[j] = j, i
                 break
-    unmatched = sorted(set(range(1, n + 1)) - set(p))
-    for i in unmatched:
-        p[0] = i
-        j0 = 0
-        minv = [math.inf] * (n + 1)
-        used = [False] * (n + 1)
+    for f in [i for i in range(n) if x[i] is None]:
+        d = [costs[f][j] - v[j] for j in range(n)]
+        pred = [f] * n
+        ready, scan, todo = [], [], list(range(n))
+        scanned = []  # the columns scanned at the current minimum
+        end = None
+        while end is None:
+            if not scan:
+                ready += scanned
+                scanned = []
+                least = min(d[j] for j in todo)
+                scan = [j for j in todo if d[j] == least]
+                todo = [j for j in todo if d[j] != least]
+                for j in scan:
+                    if y[j] is None:
+                        end = j
+                        break
+                if end is not None:
+                    break
+            j1 = scan.pop(0)
+            scanned.append(j1)
+            i = y[j1]
+            h = costs[i][j1] - v[j1] - least
+            for j in list(todo):
+                c = costs[i][j] - v[j] - h
+                if c < d[j]:
+                    d[j] = c
+                    pred[j] = i
+                    if c == least:
+                        if y[j] is None:
+                            end = j
+                            break
+                        todo.remove(j)
+                        scan.append(j)
+        for j in ready:
+            v[j] += d[j] - least
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = math.inf
-            j1 = 0
-            row = costs[i0 - 1]
-            u_i0 = u[i0]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u_i0 - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            i = pred[end]
+            y[end] = i
+            x[i], end = end, x[i]
+            if i == f:
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
     if potentials is not None:
-        potentials[:] = v[1:]
-    perm = [0] * n
-    for j in range(1, n + 1):
-        perm[p[j] - 1] = j - 1
-    return perm, sum(costs[i][perm[i]] for i in range(n))
+        potentials[:] = v
+    return x, sum(costs[i][x[i]] for i in range(n))
 
 
 def run_count(costs):
@@ -224,18 +228,30 @@ class TestAgainstReferenceKernel:
         assert hungarian_min(costs) == hungarian_min(costs, potentials=[0] * 4) \
             == ([0, 1, 3, 2], 0)
 
+    def test_first_free_column_at_the_least_distance_ends_the_search(self):
+        # Rows 2 and 3 are left free.  Row 2's search scans row 0, which
+        # brings columns 1 (matched) and 3 (free) to distance 0, and ends at
+        # column 3.  A search that settles the lowest column at the least
+        # distance first walks the plateau through column 1 and row 1 to
+        # column 2, and returns ([1, 2, 0, 3], 5).
+        costs = [[0, 0, 1, 0], [5, 0, 0, 5], [0, 5, 5, 5], [0, 5, 5, 5]]
+        potentials = [0] * 4
+        assert hungarian_min(costs, potentials=potentials) == ([3, 1, 0, 2], 5)
+        assert potentials == [-5, 0, 0, 0]
+        assert hungarian_min(costs) == reference_hungarian_min(costs)
+
     @pytest.mark.parametrize(
         "g, exact_calls, most_runs, digest",
         [(gen_gnm(60, 150, 2), 3, (1, 39),
           "0cfc3aff6f87841d8344c7de0c34c75d4453dca8a276495cedd333d7517972b3"),
-         (gen_random_tree(100, 1), 3, (24, 41),
-          "cef81807e4694e682676e34ef465bebfa8d7a8643c7ea563256cc352d36e3803"),
+         (gen_random_tree(100, 1), 3, (3, 41),
+          "dece9fda12e464ba8864e061ecbb2a2c29374cef51757e5630b8200b17264e3b"),
          (gen_gnm(50, 300, 3), 25, (1, 45),
           "b43ffec65c5e6b00a073efb9575ec53b53b6e997adcc6dc45ec26c6590817922"),
          (gen_bipartite(40, 40, 0.08, 5), 5, (33, 34),
-          "f1088100175251894f7a65fedd13b65ca74ea1c37eaa3440d428f5ea6ded75c4"),
+          "f1549da7be52def5e920e550ba7b4784bcb86d5df9ffa07a1304fa3ab3c84037"),
          (gen_gnm(100, 250, 2), 1, (1, 50),
-          "7eda761c4c0b0f33f7ea9faf599729d47c96948000812836b95258f3735268a3")],
+          "9c10e90615af12dbd98edf27435cee96bea925b888c00b2469fc712018510b4a")],
         ids=["gnm60", "tree100", "gnm50-300", "bipartite40", "gnm100"])
     def test_subgradient_matrices(self, g, exact_calls, most_runs, digest, monkeypatch):
         # The x-subproblem matrices of the bound-mid workload's Lagrangian

@@ -282,7 +282,7 @@ class TestJsonKeys:
         [
             ("dual-simple", set()),
             ("dual-extended", {"net_changes", "alpha_values"}),
-            ("lagrangian", {"iterations", "incumbent", "stop_reason"}),
+            ("lagrangian", {"iterations", "incumbent", "stop_reason", "phase_ms"}),
         ],
     )
     def test_bound_keys(self, gnm_file, capsys, method, extra):
@@ -291,6 +291,14 @@ class TestJsonKeys:
         report = json.loads(out)
         assert set(report) == BOUND_KEYS | extra
         assert report["method"] == method
+
+    def test_bound_lagrangian_phase_times(self, gnm_file, capsys):
+        _, out, _ = run(capsys, "bound", gnm_file, "--method", "lagrangian", "--json")
+        report = json.loads(out)
+        phases = report["phase_ms"]
+        assert set(phases) == {"x_subproblem", "d_subproblem", "local_search"}
+        assert min(phases.values()) >= 0
+        assert sum(phases.values()) <= report["time_ms"]
 
     def test_greedy_has_no_dual_bound(self, gnm_file, capsys):
         _, out, _ = run(capsys, "solve", gnm_file, "--method", "greedy", "--json")
