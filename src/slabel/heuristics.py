@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import bisect_right
 
 from .core import Graph, Labeling, sl_value
 
@@ -63,6 +64,35 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
     delta, as by a full scan of both neighbour lists, and the first
     improving exchange is unchanged.
 
+    ``nlab[v]`` holds the labels of v's neighbours, so the scans read
+    labels without a lookup, and x = i in the cost becomes l_x = k.  An
+    exchange rewrites it as two moves of one label: a k becomes kp in the
+    row of each x in N(i), then a kp becomes k in the row of each x in
+    N(ip).  Rows are multisets, so a common neighbour, whose row holds
+    two kp between the moves, ends right.  Their order does not matter:
+    the scan's partial sums only grow, so it rejects a kp exactly when
+    the whole cost reaches gain.
+
+    Most kp are rejected before the scan by a floor on the cost.  For
+    the node v holding label l, ``uc[l]`` counts v's neighbours labelled
+    above l and ``um[l]`` is the least of their labels (n + 1 if there is
+    none); indexed by label, they reject a kp without looking up ip.  The
+    cost's terms are those of ip's upper neighbours other than i, and each
+    is at least min(k, um[kp]) - kp > 0, so cost is at least
+    (uc[kp] - a) * (min(k, um[kp]) - kp), with a = 1 if ip is adjacent to
+    i (k > kp, so i is then one of them) and 0 if not.  When that reaches
+    gain, kp is rejected as the scan would reject it.  The test of
+    adjacency is free: ip is in N(i) exactly when ``last``, the largest
+    cap the pointer has passed, is kp, as c_x = kp < k only for l_x = kp.
+
+    After an exchange, the summaries of i and ip are recomputed from
+    their rows.  A neighbour x of i, whose upper set loses k, gains kp if
+    l_x < kp (so um = min(um, kp)), loses one member if kp < l_x < k, and
+    is unchanged if l_x > k; then a neighbour x of ip, whose upper set
+    loses kp, gains k if kp < l_x < k (uc + 1, um = min(um, k)), keeps
+    its count if l_x < kp, and is unchanged if l_x > k.  Only when the
+    label that left was um is x recomputed from its row.
+
     A walk scans only the kp whose verdict may have changed since label
     k's last walk.  ``swaps`` counts the exchanges applied; ``stamp[v]``
     is its value when a label in v's closed neighbourhood last changed
@@ -86,10 +116,22 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
     for v, lab in enumerate(labels):
         inverse[lab - 1] = v
     neighbors = [tuple(x for x, _ in adj) for adj in g.adjacency]
+    nlab = [[labels[x] for x in nb] for nb in neighbors]
+    none_above = g.n + 1
+
+    def upper(v):  # uc and um of v's label, from v's row
+        row = sorted(nlab[v])
+        p = bisect_right(row, labels[v])
+        return len(row) - p, row[p] if p < len(row) else none_above
+
+    uc = [0] * (g.n + 1)
+    um = [none_above] * (g.n + 1)
+    for v in range(g.n):
+        uc[labels[v]], um[labels[v]] = upper(v)
     swaps = 0
     stamp = [0] * g.n
     scanned = [-1] * g.n  # below every stamp: the first walk scans all
-    changed: list[int] = []  # the label of each stamped node, in stamp order
+    changed: list[int] = []  # per exchange, the new labels of the nodes it stamps
     mark = [0]  # mark[s]: len(changed) when swaps was s
 
     improved = True
@@ -99,37 +141,72 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
             i = inverse[k - 1]
             since = scanned[k - 1]
             scanned[k - 1] = swaps
-            caps = sorted([k if k < labels[x] else labels[x] for x in neighbors[i]])
-            top = caps[-1] if caps else 1
+            caps = sorted([k if k < lx else lx for lx in nlab[i]])
+            if not caps:
+                continue
+            top = caps[-1]
             if stamp[i] > since:
                 kps = range(1, top)  # k moved or N(i) changed: scan every kp
             else:
                 kps = sorted({kp for kp in changed[mark[since]:] if kp < top})
             total, above, j = sum(caps), len(caps), 0
+            nxt, last = caps[0], 0
             for kp in kps:
-                while caps[j] <= kp:
-                    total -= caps[j]
-                    above -= 1
-                    j += 1
+                if kp >= nxt:
+                    while caps[j] <= kp:
+                        total -= caps[j]
+                        above -= 1
+                        j += 1
+                    nxt, last = caps[j], caps[j - 1]
                 gain = total - kp * above
+                m = um[kp]
+                if (uc[kp] - (kp == last)) * ((k if k < m else m) - kp) >= gain:
+                    continue
                 ip = inverse[kp - 1]
                 cost = 0
-                for x in neighbors[ip]:
-                    lx = labels[x]
-                    if lx > kp and x != i:
+                for lx in nlab[ip]:
+                    if lx > kp and lx != k:
                         cost += (k if k < lx else lx) - kp
                         if cost >= gain:
                             break
                 else:
+                    swaps += 1
+                    for x in neighbors[i]:
+                        row = nlab[x]
+                        row[row.index(k)] = kp
+                        lx = labels[x]
+                        stamp[x] = swaps
+                        changed.append(lx)
+                        if lx < kp:
+                            if um[lx] > kp:
+                                um[lx] = kp
+                        elif kp < lx < k:
+                            if um[lx] == k:
+                                uc[lx], um[lx] = upper(x)
+                            else:
+                                uc[lx] -= 1
+                    for x in neighbors[ip]:
+                        row = nlab[x]
+                        row[row.index(kp)] = k
+                        lx = labels[x]
+                        stamp[x] = swaps
+                        changed.append(lx)
+                        if lx < kp:
+                            if um[lx] == kp:
+                                uc[lx], um[lx] = upper(x)
+                        elif kp < lx < k:
+                            uc[lx] += 1
+                            if um[lx] > k:
+                                um[lx] = k
                     labels[i], labels[ip] = kp, k
                     inverse[k - 1], inverse[kp - 1] = ip, i
+                    uc[kp], um[kp] = upper(i)
+                    uc[k], um[k] = upper(ip)
+                    stamp[i] = stamp[ip] = swaps
+                    changed += (kp, k)
+                    mark.append(len(changed))
                     value += cost - gain
                     improved = True
-                    swaps += 1
-                    for v in (i, ip, *neighbors[i], *neighbors[ip]):
-                        stamp[v] = swaps
-                        changed.append(labels[v])
-                    mark.append(len(changed))
                     break
     result = Labeling(labels=tuple(labels))
     return result, value

@@ -13,27 +13,32 @@ all, the assignment kernel on every matrix with 1 to 3 rows and entries
 0, 1 and 2 (19,767 matrices), from no potentials and from four fixed
 ones: its total against brute force, its permutation, the certificate
 of its final potentials, and its exact output against the tests'
-reference kernel.  The tier-1 tests of B&B stop at 5 nodes and, for
-random graphs, at 16; this script takes about 35-50 s, and pytest does not
+reference kernel.  Next, local search against the tests' full-scan
+reference from every labeling of every graph with 0 to 5 nodes (124,470
+starts, about 10-13 s).  The tier-1 tests of B&B stop at 5 nodes and, for
+random graphs, at 16; this script takes about 45-65 s, and pytest does not
 collect it.
 
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
 
-It prints the number of matrices and graphs checked and exits 1 on the
-first mismatch.
+It prints the number of matrices, local search starts and graphs checked
+and exits 1 on the first mismatch.
 """
 
+import math
 import sys
-from itertools import product
+from itertools import permutations, product
 
 from slabel import exact
 from slabel.assignment import hungarian_min
-from slabel.core import sl_value
+from slabel.core import Labeling, build_graph, sl_value
 from slabel.dual_ascent import dual_ascent_extended
+from slabel.heuristics import local_search
 from slabel.instances import gen_gnm
 from test_assignment import brute_min, certifies, reference_hungarian_min  # this script's directory
 from test_dual_ascent import reference_dual_ascent_extended
 from test_exact import all_graphs, brute_force, enumerated_table, no_starting_incumbent
+from test_heuristics import reference_local_search
 
 # gnm(n, m, seed) and its optimum.
 LARGER_GNM = [((17, 40, 1), 143), ((18, 45, 2), 198), ((19, 50, 3), 246),
@@ -88,6 +93,16 @@ def ascent_matches(g):
     return False
 
 
+def local_search_matches(g):
+    for labels in permutations(range(1, g.n + 1)):
+        phi = Labeling(labels=labels)
+        if local_search(g, phi) != reference_local_search(g, phi):
+            print(f"local search differs from its reference on n={g.n} "
+                  f"edges={list(g.edges)} from {labels}", file=sys.stderr)
+            return False
+    return True
+
+
 def main() -> int:
     matrices = 0
     for costs in all_matrices(3):
@@ -95,6 +110,12 @@ def main() -> int:
             return 1
         matrices += 1
     print(f"{matrices} matrices checked")
+    starts = 0
+    for g in (build_graph(0, []), *all_graphs(5)):
+        if not local_search_matches(g):
+            return 1
+        starts += math.factorial(g.n)
+    print(f"{starts} local search starts checked")
     exact.starting_heuristic = no_starting_incumbent
     checked = 0
     for g in all_graphs(6):
@@ -127,7 +148,8 @@ def main() -> int:
         exact.TABLE_NODE_LIMIT = limit
         checked += 1
     print(f"{checked} graphs checked")
-    return 0 if matrices == 19_767 and checked == 33_867 + len(LARGER_GNM) else 1
+    return 0 if (matrices == 19_767 and starts == 124_470
+                 and checked == 33_867 + len(LARGER_GNM)) else 1
 
 
 if __name__ == "__main__":

@@ -222,11 +222,18 @@ class TestAgainstReferenceKernel:
         assert hungarian_min(costs) == reference_hungarian_min(costs)
 
     def test_no_potentials_starts_from_zeros(self):
-        # The greedy step gives rows 0, 1 and 3 their lowest tight free
-        # columns 0, 1 and 2; only row 2 is searched.
-        costs = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
-        assert hungarian_min(costs) == hungarian_min(costs, potentials=[0] * 4) \
-            == ([0, 1, 3, 2], 0)
+        # Rows 0 and 1 both have column 0 as their only tight column, so the
+        # greedy step leaves row 1 free, and its search lowers column 0's
+        # potential to -1 on its way to column 1.
+        costs = [[0, 2, 5], [0, 1, 5], [3, 4, 0]]
+        zeros = [0] * 3
+        assert hungarian_min(costs) == hungarian_min(costs, potentials=zeros) \
+            == ([0, 1, 2], 1)
+        assert zeros == [-1, 0, 0]
+        # None has no list to write the potentials to, and the call leaves
+        # its costs alone, so a second call from None starts from zeros again.
+        assert costs == [[0, 2, 5], [0, 1, 5], [3, 4, 0]]
+        assert hungarian_min(costs) == ([0, 1, 2], 1)
 
     def test_first_free_column_at_the_least_distance_ends_the_search(self):
         # Rows 2 and 3 are left free.  Row 2's search scans row 0, which

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations, permutations
@@ -280,6 +281,26 @@ class TestLocalSearchAgainstReference:
         ))
         assert local_search(g, phi) == reference_local_search(g, phi)
 
+    def test_exchange_of_adjacent_nodes(self):
+        # The centre of this star (label 2) takes label 1 from its
+        # neighbour.  ip = 1 is adjacent to i = 0, and i is ip's only upper
+        # neighbour, so the cost floor must leave i out: counted, it would
+        # reach the gain, 1, and reject the exchange.
+        g = build_graph(3, [(0, 1), (0, 2)])
+        phi = Labeling(labels=(2, 1, 3))
+        assert local_search(g, phi) == reference_local_search(g, phi) \
+            == (Labeling(labels=(1, 2, 3)), 2)
+
+    def test_exchange_of_nodes_with_a_common_neighbour(self):
+        # On the path 3-0-1-2, nodes 0 (label 3) and 2 (label 1) exchange
+        # first; node 1 is next to both, so its row of neighbour labels
+        # goes from {3, 1} through {1, 1} to {1, 3}.  The second exchange,
+        # of nodes 1 (label 4) and 0 (now 1), is found from that row.
+        g = build_graph(4, [(0, 1), (0, 3), (1, 2)])
+        phi = Labeling(labels=(3, 4, 1, 2))
+        assert local_search(g, phi) == reference_local_search(g, phi) \
+            == (Labeling(labels=(4, 1, 3, 2)), 4)
+
     @pytest.mark.parametrize("kind", sorted(GENERATORS))
     def test_generator_families(self, kind):
         g = InstanceSpec(kind, FAMILY_SPECS[kind], seed=3).generate()
@@ -306,6 +327,32 @@ class TestLocalSearchAgainstReference:
 
 
 class TestStartingHeuristic:
+    # heuristic-large's graphs other than the special ones, as InstanceSpec
+    # arguments, with the value and the sha256 of repr(labels) of greedy
+    # plus local search.
+    PINNED = [
+        ("tree", {"n": 1000}, 2, 163767,
+         "9b14b2866d3eef7288eb87ab0986d77d2e5d4a0f34981041b11cf6ef7616eb08"),
+        ("gnm", {"n": 500, "m": 1500}, 7, 154546,
+         "7b99ae658fd5efe9681c75f9d068129813be6fba483917b893abfbf602df66c0"),
+        ("grid", {"rows": 20, "cols": 20}, 0, 73104,
+         "3d00d723a0ae668e5308db63054830ad9d80525e25a43904d9fa579294c239c9"),
+        ("bipartite", {"n1": 100, "n2": 100, "p": 0.03}, 5, 10667,
+         "537f8796139d8db8cab336d5a84fbecf30729d43a7e5981c2fbee7590073a5cc"),
+        ("caterpillar", {"backbone": 300, "p1": 0.6}, 3, 8929,
+         "5233473e294b9ffbab1d9637cb18d6d5883434a57609091e3c5b5ad1faf87364"),
+        ("lobster", {"backbone": 200, "p1": 0.7, "p2": 0.5}, 4, 1658,
+         "ad94fde65d96b26da157795473df78ecf37447a296a6200c122a3caf5123f66f"),
+    ]
+
+    @pytest.mark.parametrize("kind, params, seed, value, digest", PINNED,
+                             ids=[kind for kind, *_ in PINNED])
+    def test_benchmark_graphs_pinned(self, kind, params, seed, value, digest):
+        g = InstanceSpec(kind, params, seed=seed).generate()
+        phi, found = starting_heuristic(g)
+        assert found == value == sl_value(g, phi)
+        assert hashlib.sha256(repr(phi.labels).encode()).hexdigest() == digest
+
     def test_grid_at_least_optimum(self):
         g = gen_grid(3, 3)
         phi, value = starting_heuristic(g)
