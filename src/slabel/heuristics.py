@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 
 from .core import Graph, Labeling, sl_value
 
@@ -64,14 +64,12 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
     delta, as by a full scan of both neighbour lists, and the first
     improving exchange is unchanged.
 
-    ``nlab[v]`` holds the labels of v's neighbours, so the scans read
-    labels without a lookup, and x = i in the cost becomes l_x = k.  An
-    exchange rewrites it as two moves of one label: a k becomes kp in the
-    row of each x in N(i), then a kp becomes k in the row of each x in
-    N(ip).  Rows are multisets, so a common neighbour, whose row holds
-    two kp between the moves, ends right.  Their order does not matter:
-    the scan's partial sums only grow, so it rejects a kp exactly when
-    the whole cost reaches gain.
+    ``nlab[v]`` holds the labels of v's neighbours in ascending order, so
+    the scans read labels without a lookup, x = i in the cost becomes
+    l_x = k, and i's caps come out sorted.  An exchange moves k to kp in
+    the row of each x in N(i), then kp to k in the row of each x in N(ip),
+    each by a bisect, a deletion and an insort; a common neighbour holds
+    two kp between the moves and ends right.
 
     Most kp are rejected before the scan by a floor on the cost.  For
     the node v holding label l, ``uc[l]`` counts v's neighbours labelled
@@ -84,28 +82,26 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
     gain, kp is rejected as the scan would reject it.  The test of
     adjacency is free: ip is in N(i) exactly when ``last``, the largest
     cap the pointer has passed, is kp, as c_x = kp < k only for l_x = kp.
-
-    After an exchange, the summaries of i and ip are recomputed from
-    their rows.  A neighbour x of i, whose upper set loses k, gains kp if
-    l_x < kp (so um = min(um, kp)), loses one member if kp < l_x < k, and
-    is unchanged if l_x > k; then a neighbour x of ip, whose upper set
-    loses kp, gains k if kp < l_x < k (uc + 1, um = min(um, k)), keeps
-    its count if l_x < kp, and is unchanged if l_x > k.  Only when the
-    label that left was um is x recomputed from its row.
+    A node's summary is one bisect of its sorted row at its own label.
+    After an exchange, i, ip and their neighbours re-read theirs, except a
+    node labelled above k: its own label stays, and only k and kp, both
+    below it, moved in its row, so its upper neighbours are unchanged.
 
     A walk scans only the kp whose verdict may have changed since label
-    k's last walk.  ``swaps`` counts the exchanges applied; ``stamp[v]``
-    is its value when a label in v's closed neighbourhood last changed
-    (an exchange of i and ip stamps i, ip and every neighbour of either);
-    ``since`` is its value when k's last walk started.  If
+    k's last walk.  ``changed`` lists, per exchange, the labels of the
+    nodes it stamps (i, ip and every neighbour of either), and its length
+    is the clock: ``stamp[v]`` is ``len(changed) + 1`` at the exchange
+    that last changed a label in v's closed neighbourhood, and ``since``
+    is ``len(changed)`` when k's last walk started.  An exchange lists at
+    least i and ip, so its stamp is above the ``since`` of every walk
+    started before it and at most that of every walk started after.  If
     ``stamp[i] > since`` (k moved, or a label in N(i) changed), every kp
     below the largest cap is scanned.  Otherwise i has held k since, its
     caps and gains are unchanged, and that walk applied no exchange (one
     would have stamped i), so it rejected every kp.  A kp whose holder ip
     has ``stamp[ip] <= since`` has the same holder and N(ip) labels, so
     the same cost, and is rejected again without a scan.  The other kp are
-    the labels in ``changed[mark[since]:]``: each exchange lists the
-    labels of the nodes it stamps, and a label that moved on was moved by
+    the labels in ``changed[since:]``: a label that moved on was moved by
     a later exchange, which listed it with its new holder.  So every
     skipped kp is one the full walk would reject, and labelings, values
     and sweep counts are those of the full walk.
@@ -116,11 +112,11 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
     for v, lab in enumerate(labels):
         inverse[lab - 1] = v
     neighbors = [tuple(x for x, _ in adj) for adj in g.adjacency]
-    nlab = [[labels[x] for x in nb] for nb in neighbors]
+    nlab = [sorted([labels[x] for x in nb]) for nb in neighbors]
     none_above = g.n + 1
 
     def upper(v):  # uc and um of v's label, from v's row
-        row = sorted(nlab[v])
+        row = nlab[v]
         p = bisect_right(row, labels[v])
         return len(row) - p, row[p] if p < len(row) else none_above
 
@@ -128,11 +124,9 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
     um = [none_above] * (g.n + 1)
     for v in range(g.n):
         uc[labels[v]], um[labels[v]] = upper(v)
-    swaps = 0
     stamp = [0] * g.n
     scanned = [-1] * g.n  # below every stamp: the first walk scans all
-    changed: list[int] = []  # per exchange, the new labels of the nodes it stamps
-    mark = [0]  # mark[s]: len(changed) when swaps was s
+    changed: list[int] = []  # per exchange, the labels of the nodes it stamps
 
     improved = True
     while improved and time.perf_counter() < deadline:
@@ -140,15 +134,15 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
         for k in range(1, g.n + 1):
             i = inverse[k - 1]
             since = scanned[k - 1]
-            scanned[k - 1] = swaps
-            caps = sorted([k if k < lx else lx for lx in nlab[i]])
+            scanned[k - 1] = len(changed)
+            caps = [k if k < lx else lx for lx in nlab[i]]
             if not caps:
                 continue
             top = caps[-1]
             if stamp[i] > since:
                 kps = range(1, top)  # k moved or N(i) changed: scan every kp
             else:
-                kps = sorted({kp for kp in changed[mark[since]:] if kp < top})
+                kps = sorted({kp for kp in changed[since:] if kp < top})
             total, above, j = sum(caps), len(caps), 0
             nxt, last = caps[0], 0
             for kp in kps:
@@ -170,41 +164,23 @@ def local_search(g: Graph, phi: Labeling, deadline: float = math.inf) -> tuple[L
                         if cost >= gain:
                             break
                 else:
-                    swaps += 1
                     for x in neighbors[i]:
                         row = nlab[x]
-                        row[row.index(k)] = kp
-                        lx = labels[x]
-                        stamp[x] = swaps
-                        changed.append(lx)
-                        if lx < kp:
-                            if um[lx] > kp:
-                                um[lx] = kp
-                        elif kp < lx < k:
-                            if um[lx] == k:
-                                uc[lx], um[lx] = upper(x)
-                            else:
-                                uc[lx] -= 1
+                        del row[bisect_left(row, k)]
+                        insort(row, kp)
                     for x in neighbors[ip]:
                         row = nlab[x]
-                        row[row.index(kp)] = k
-                        lx = labels[x]
-                        stamp[x] = swaps
-                        changed.append(lx)
-                        if lx < kp:
-                            if um[lx] == kp:
-                                uc[lx], um[lx] = upper(x)
-                        elif kp < lx < k:
-                            uc[lx] += 1
-                            if um[lx] > k:
-                                um[lx] = k
+                        del row[bisect_left(row, kp)]
+                        insort(row, k)
                     labels[i], labels[ip] = kp, k
                     inverse[k - 1], inverse[kp - 1] = ip, i
-                    uc[kp], um[kp] = upper(i)
-                    uc[k], um[k] = upper(ip)
-                    stamp[i] = stamp[ip] = swaps
-                    changed += (kp, k)
-                    mark.append(len(changed))
+                    now = len(changed) + 1
+                    for x in (i, ip, *neighbors[i], *neighbors[ip]):
+                        lx = labels[x]
+                        stamp[x] = now
+                        changed.append(lx)
+                        if lx <= k:  # above k: its upper neighbours are unchanged
+                            uc[lx], um[lx] = upper(x)
                     value += cost - gain
                     improved = True
                     break
