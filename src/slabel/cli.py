@@ -27,11 +27,14 @@ the ``search`` counters of ``exact.SearchStats`` to its report:
 ``explored``, ``pruned`` (by bound), ``dominated`` (children skipped by
 neighbourhood domination), ``level_pruned`` (children cut by the
 per-level coverage bound before any dual ascent), ``bound_calls``,
-``cache_hits`` and ``open_bound``.  A ``lagrangian`` run of ``bound``
-reports ``iterations``, ``incumbent``, ``stop_reason`` and ``phase_ms``:
-the milliseconds its iterations spent in ``x_subproblem`` (the
-assignment), ``d_subproblem`` and ``local_search``, each summed over the
-iterations.
+``cache_hits`` and ``open_bound``.  A ``dual-extended`` run of
+``bound`` reports ``alpha_values`` and ``net_changes``, the per-label
+amount and the net change of each committed ascent step; its
+``lower_bound`` is ``edges`` plus the sum of ``net_changes``.  A
+``lagrangian`` run of ``bound`` reports ``iterations``, ``incumbent``,
+``stop_reason`` and ``phase_ms``: the milliseconds its iterations spent
+in ``x_subproblem`` (the assignment), ``d_subproblem`` and
+``local_search``, each summed over the iterations.
 
 Exit codes: 0 success, 2 usage or input error (including unreadable,
 malformed or non-ASCII instance files, and output files that cannot be
@@ -117,8 +120,8 @@ def _dual_simple(g: Graph, deadline: float) -> _Result:
 def _dual_extended(g: Graph, deadline: float) -> _Result:
     _, bound, trace = dual_ascent_extended(g, deadline=deadline)
     return _Result(lb=bound, timed_out=time.perf_counter() >= deadline, details={
-        "net_changes": [step.net_change for step in trace],
-        "alpha_values": [step.alpha_value for step in trace],
+        "net_changes": [net for _, net in trace],
+        "alpha_values": [alpha for alpha, _ in trace],
     })
 
 

@@ -28,24 +28,12 @@ from .core import Graph, max_degree
 class DualSolution:
     """Feasible dual candidate with compact delta storage."""
 
-    n_labels: int
     alpha: tuple[int, ...]
     gamma: tuple[int, ...]
     edge_last_step: tuple[int, ...]
 
     def objective(self) -> int:
         return sum(self.gamma) - sum(self.alpha)
-
-
-@dataclass(frozen=True)
-class AscentStep:
-    """One committed step of the extended ascent."""
-
-    step: int
-    alpha_value: int
-    active_edges: int
-    net_change: int
-    objective: int
 
 
 def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
@@ -62,13 +50,13 @@ def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
     steps = (m - 1) // delta_max if delta_max else 0
     z = m * (steps + 1) - delta_max * steps * (steps + 1) // 2
     alpha = tuple(delta_max * (steps - k) for k in range(steps)) + (0,) * (g.n - steps)
-    return DualSolution(g.n, alpha, (1 + steps,) * m, (steps,) * m), z
+    return DualSolution(alpha, (1 + steps,) * m, (steps,) * m), z
 
 
 def dual_ascent_extended(
     g: Graph, residual: int | None = None, cutoff: float = math.inf,
     deadline: float = math.inf,
-) -> tuple[DualSolution | None, int, list[AscentStep]]:
+) -> tuple[DualSolution | None, int, list[tuple[int, int]]]:
     """Ascent that may pay less than the maximum degree per step by
     deactivating edges; deactivated edges stop earning in later steps.
 
@@ -79,14 +67,15 @@ def dual_ascent_extended(
     start of the step (descending, ties by index), up to the first one of
     degree <= alpha; a node whose current degree d still exceeds alpha
     drops its first d - alpha active edges in order of the other
-    endpoint's current degree (descending, ties by edge index).
+    endpoint's current degree (descending, ties by edge index).  The
+    trace holds each committed step's (alpha, net change); the bound is
+    the residual's edge count plus the sum of the net changes.
 
     Alpha runs downwards and a trial wins with a positive net change at
     least the best so far, so cheap trials set the best early and ties
-    keep the smallest alpha.  Two exact skips: alpha is passed over when
+    keep the smallest alpha.  An exact skip: alpha is passed over when
     floor(sum over v of min(deg_v, alpha) / 2) - step * alpha cannot win
-    (after the cap no degree exceeds alpha), and a trial stops once it
-    has dropped more edges than a winner may.  Each trial is undone from
+    (after the cap no degree exceeds alpha).  Each trial is undone from
     its removal log.
 
     The visit order comes from degree buckets: ``bucket[d]`` holds the
@@ -135,7 +124,7 @@ def dual_ascent_extended(
     # An edge dropped when step s commits was last active in step s - 1.
     # An edge outside the residual was never active: its gamma is 0.
     last_step = [0 if flag else -1 for flag in flags]
-    trace: list[AscentStep] = []
+    trace: list[tuple[int, int]] = []
     z = active
     # Nodes of degree 0 or 1 are never visited and have no bucket.  `top`
     # is the maximum degree while it is at least 2.
@@ -158,16 +147,12 @@ def dual_ascent_extended(
         # The maximum degree, else 1 while an edge is active.
         for alpha in range(top if top > 1 else min(active, 1), 0, -1):
             need = max(best_net, 1)
-            # The most edges a trial may remove and still net `need`.
-            budget = active - step * alpha - need
             if capped // 2 - step * alpha >= need:
                 while filled > alpha + 1:
                     filled -= 1
                     ranked += sorted(bucket[filled])
                 removed: list[int] = []
                 for v in ranked:
-                    if len(removed) > budget:
-                        break
                     excess = deg[v] - alpha
                     if excess <= 0:
                         continue
@@ -177,8 +162,9 @@ def dual_ascent_extended(
                         deg[x] -= 1
                         removed.append(e)
                     deg[v] = alpha
-                if len(removed) <= budget:
-                    best_net = active - len(removed) - step * alpha
+                net = active - len(removed) - step * alpha
+                if net >= need:
+                    best_net = net
                     best = (alpha, removed)
                 for e in removed:
                     flags[e] = True
@@ -203,7 +189,7 @@ def dual_ascent_extended(
                         bucket[d - 1].add(x)
         active -= len(removed)
         z += best_net
-        trace.append(AscentStep(step, alpha, active, best_net, z))
+        trace.append((alpha, best_net))
         if z >= cutoff:
             break
     if cutoff < math.inf:
@@ -213,9 +199,9 @@ def dual_ascent_extended(
     alpha = [0] * g.n
     suffix = 0
     for k in range(steps, 0, -1):
-        suffix += trace[k - 1].alpha_value
+        suffix += trace[k - 1][0]
         alpha[k - 1] = suffix
-    solution = DualSolution(g.n, tuple(alpha), tuple(1 + k for k in last), last)
+    solution = DualSolution(tuple(alpha), tuple(1 + k for k in last), last)
     return solution, z, trace
 
 
@@ -225,12 +211,7 @@ def check_dual_feasible(g: Graph, d: DualSolution) -> tuple[bool, int]:
     Verifies the per-(label, node) and per-(edge, label) constraints for
     every label 1..n and returns (feasible, recomputed objective).
     """
-    if (
-        d.n_labels != g.n
-        or len(d.alpha) != g.n
-        or len(d.gamma) != g.m
-        or len(d.edge_last_step) != g.m
-    ):
+    if len(d.alpha) != g.n or len(d.gamma) != g.m or len(d.edge_last_step) != g.m:
         raise ValueError("dual solution dimensions do not match the graph")
     feasible = True
     for k in range(1, g.n + 1):

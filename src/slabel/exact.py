@@ -179,8 +179,9 @@ def coverage_table(g: Graph, deadline: float = math.inf) -> list[int]:
     2t <= n, the t nodes L covering the most edges, cov(L) = (sum of the
     degrees over L) - e(L), so w with cost -degree is -cov(L); above that,
     the n - t nodes with the fewest edges inside, at cost 0.  The greedy
-    labeling's prefixes give every level a starting set, and a level
-    whose greedy set leaves no edge is 0 with no search.
+    labeling's prefixes give every level a starting set.  A level whose
+    greedy set leaves no edge has the floor 0 (see below), which that
+    set reaches, so its search stops at once with the entry 0.
 
     The levels run from t = n - 2 down to 1 (g_{n-1} = 0 and g_0 = m).
     By the chain inequality of ``branch_and_bound``, with the entry above
@@ -207,8 +208,6 @@ def coverage_table(g: Graph, deadline: float = math.inf) -> list[int]:
     zeros = [0] * n
     table[0] = m
     for t in range(n - 2, 0, -1):
-        if not greedy[t]:
-            continue
         k = n - t
         floor = -(-table[t + 1] * k // (k - 2)) if k > 2 else 0
         if 2 * t <= n:

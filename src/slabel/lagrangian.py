@@ -51,7 +51,6 @@ class Multipliers:
     prefix t of ``triangles[ti]``.  Prefix n is never relaxed, so
     ``lam[ti][n - 1]`` stays 0."""
 
-    n: int
     delta: list[list[int]]
     triangles: tuple[Triangle, ...]
     lam: list[list[int]]
@@ -76,7 +75,7 @@ class Multipliers:
                               "triangle inequalities disabled", stacklevel=2)
             else:
                 tris = tuple(enumerate_triangles(g))
-        return cls(g.n, delta, tris, [[0] * g.n for _ in tris])
+        return cls(delta, tris, [[0] * g.n for _ in tris])
 
 
 def _triangle_suffixes(m: Multipliers) -> Iterator[tuple[Triangle, list[int]]]:

@@ -14,6 +14,7 @@ import pytest
 from slabel import exact, special_graphs
 from slabel.cli import main
 from slabel.core import Labeling, sl_value
+from slabel.dual_ascent import dual_ascent_extended
 from slabel.heuristics import greedy_label
 from slabel.instances import (
     KINDS,
@@ -327,6 +328,17 @@ class TestJsonKeys:
         report = json.loads(out)
         assert report["net_changes"] == report["alpha_values"] == []
         assert report["lower_bound"] == report["edges"]  # every edge costs at least 1
+
+    def test_dual_extended_reports_the_kernel_trace(self, gnm_file, capsys):
+        code, out, _ = run(capsys, "bound", gnm_file, "--method", "dual-extended", "--json")
+        assert code == 0
+        report = json.loads(out)
+        g = read_instance(gnm_file.read_text(encoding="ascii"))
+        _, z, trace = dual_ascent_extended(g)
+        assert trace  # at least one step, so the lists below are not trivially equal
+        assert report["alpha_values"] == [alpha for alpha, _ in trace]
+        assert report["net_changes"] == [net for _, net in trace]
+        assert report["lower_bound"] == z == report["edges"] + sum(report["net_changes"])
 
     def test_solve_lagrangian_bracket_under_time_limit(self, gnm_file, capsys):
         code, out, _ = run(capsys, "solve", gnm_file, "--method", "lagrangian",

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations, count, permutations
+from itertools import accumulate, combinations, count, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from slabel import dual_ascent
 from slabel.core import Graph, Labeling, build_graph, max_degree, sl_value
 from slabel.dual_ascent import (
-    AscentStep,
     DualSolution,
     check_dual_feasible,
     dual_ascent_extended,
@@ -102,7 +101,6 @@ def reference_dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
     for k in range(1, steps + 1):
         alpha[k - 1] = delta_max * (steps - k + 1)
     solution = DualSolution(
-        n_labels=g.n,
         alpha=tuple(alpha),
         gamma=(1 + steps,) * m,
         edge_last_step=(steps,) * m,
@@ -131,7 +129,7 @@ class TestExtendedVariant:
         g = gen_grid(3, 3)
         sol, z, trace = dual_ascent_extended(g)
         assert z == 27
-        assert [s.net_change for s in trace] == [8, 5, 2]
+        assert [net for _, net in trace] == [8, 5, 2]
         # the edge (B, E) = (1, 4) leaves the active set in step 1
         be = g.edges.index((1, 4))
         assert sol.edge_last_step[be] == 0
@@ -155,7 +153,7 @@ class TestExtendedVariant:
             m = 1 + rng.below(n * (n - 1) // 2)
             g = gen_gnm(n, m, rng.next_u64())
             _, _, trace = dual_ascent_extended(g)
-            nets = [s.net_change for s in trace]
+            nets = [net for _, net in trace]
             assert all(x > 0 for x in nets)
             assert all(a >= b for a, b in zip(nets, nets[1:]))
 
@@ -185,7 +183,7 @@ class TestDeadline:
                                 SimpleNamespace(perf_counter=lambda: next(ticks)))
             solution, z, trace = dual_ascent_extended(g, deadline=steps)
             assert trace == full_trace[:steps]
-            assert z == (trace[-1].objective if trace else g.m)
+            assert z == g.m + sum(net for _, net in trace)
             assert check_dual_feasible(g, solution) == (True, z)
         assert z == full_z
 
@@ -207,7 +205,6 @@ class TestFeasibility:
     def test_all_zero_duals_with_unit_gamma(self):
         g = gen_grid(3, 3)
         sol = DualSolution(
-            n_labels=g.n,
             alpha=(0,) * g.n,
             gamma=(1,) * g.m,
             edge_last_step=(0,) * g.m,
@@ -221,7 +218,6 @@ class TestFeasibility:
         gamma = list(sol.gamma)
         gamma[0] += 1
         bumped = DualSolution(
-            n_labels=sol.n_labels,
             alpha=sol.alpha,
             gamma=tuple(gamma),
             edge_last_step=sol.edge_last_step,
@@ -316,7 +312,6 @@ class TestMaxDegreeRefutation:
 
 def _zero_solution(g: Graph) -> DualSolution:
     return DualSolution(
-        n_labels=g.n,
         alpha=(0,) * g.n,
         gamma=(),
         edge_last_step=(),
@@ -349,13 +344,14 @@ def _enforce_degree_cap(
     return flags, deg
 
 
-def reference_dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[AscentStep]]:
+def reference_dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[tuple[int, int]]]:
     """Ascent that may pay less than the maximum degree per step by
     deactivating edges; deactivated edges stop earning in later steps.
 
     Each step tries every per-label amount up to the current maximum
     active degree, keeps the one with the largest positive net change
     (smallest amount on ties), and commits its surviving active set.
+    The trace holds each step's (amount, net change).
     """
     m = g.m
     if m == 0:
@@ -363,47 +359,36 @@ def reference_dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[As
     flags = [True] * m
     degrees = [len(adj) for adj in g.adjacency]
     last_step = [0] * m
-    step_alphas: list[int] = []
-    trace: list[AscentStep] = []
+    trace: list[tuple[int, int]] = []
     z = m
     for step in range(1, g.n + 1):
         delta_active = max(degrees)
         if delta_active == 0:
             break
         best_net = 0
-        best: tuple[int, list[bool], list[int], int] | None = None
+        best: tuple[int, list[bool], list[int]] | None = None
         for alpha_bar in range(1, delta_active + 1):
             cand_flags, cand_deg = _enforce_degree_cap(g, flags, degrees, alpha_bar)
             count = sum(cand_flags)
             net = count - step * alpha_bar
             if net > best_net:
                 best_net = net
-                best = (alpha_bar, cand_flags, cand_deg, count)
+                best = (alpha_bar, cand_flags, cand_deg)
         if best is None:
             break
-        alpha_bar, flags, degrees, count = best
-        step_alphas.append(alpha_bar)
+        alpha_bar, flags, degrees = best
         z += best_net
         for e in range(m):
             if flags[e]:
                 last_step[e] = step
-        trace.append(
-            AscentStep(
-                step=step,
-                alpha_value=alpha_bar,
-                active_edges=count,
-                net_change=best_net,
-                objective=z,
-            )
-        )
-    steps = len(step_alphas)
+        trace.append((alpha_bar, best_net))
+    steps = len(trace)
     alpha = [0] * g.n
     suffix = 0
     for k in range(steps, 0, -1):
-        suffix += step_alphas[k - 1]
+        suffix += trace[k - 1][0]
         alpha[k - 1] = suffix
     solution = DualSolution(
-        n_labels=g.n,
         alpha=tuple(alpha),
         gamma=tuple(1 + last_step[e] for e in range(m)),
         edge_last_step=tuple(last_step),
@@ -452,7 +437,7 @@ class TestAgainstReferenceKernel:
         # edge at alpha 1, netting 6 - step.
         g = build_graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
         solution, z, trace = dual_ascent_extended(g)
-        assert [(s.alpha_value, s.net_change) for s in trace] == [(1, 6 - k) for k in range(1, 6)]
+        assert trace == [(1, 6 - k) for k in range(1, 6)]
         assert z == 6 + 15
         assert (solution, z, trace) == reference_dual_ascent_extended(g)
 
@@ -469,7 +454,7 @@ class TestAgainstReferenceKernel:
         # ranking holds every bucket.
         g = gen_gnm(6, 9, 8)
         solution, z, trace = dual_ascent_extended(g)
-        assert [s.alpha_value for s in trace] == [4, 1]
+        assert [alpha for alpha, _ in trace] == [4, 1]
         degrees = [0] * g.n
         for e, (u, v) in enumerate(g.edges):
             if solution.edge_last_step[e] >= 1:  # active when step 2 starts
@@ -527,9 +512,11 @@ class TestResidualMask:
                 solution, z, trace = dual_ascent_extended(g, residual, cutoff)
                 assert solution is None
                 assert trace == ref_trace[: len(trace)]
-                assert all(step.objective < cutoff for step in trace[:-1])
+                # The objective after each step: |residual| plus the nets so far.
+                objectives = list(accumulate((net for _, net in trace), initial=start))
+                assert all(objective < cutoff for objective in objectives[1:-1])
                 if len(trace) < len(ref_trace):
-                    assert z == trace[-1].objective >= cutoff
+                    assert z == objectives[-1] >= cutoff
                     stopped += 1
                 else:
                     assert z == ref_z

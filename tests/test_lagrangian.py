@@ -216,7 +216,7 @@ class TestStartingMultipliers:
                     for last in dual.edge_last_step]
         for m in (Multipliers.from_dual_ascent(g, with_triangles=True),
                   Multipliers.from_dual_ascent(g, True, dual)):
-            assert m.n == g.n and m.delta == expected
+            assert m.delta == expected
             assert m.triangles == tuple(enumerate_triangles(g))
             assert m.lam == [[0] * g.n for _ in m.triangles]
         edges_only = Multipliers.from_dual_ascent(g, dual=dual)
@@ -245,8 +245,8 @@ def reference_d_subproblem(g, m):
     """The d-subproblem as first written: every level of every edge."""
     tri_at_edge = {}
     for (_, edges), lam in zip(m.triangles, m.lam):
-        suffix = [0] * (m.n + 2)
-        for k in range(m.n, 0, -1):
+        suffix = [0] * (g.n + 2)
+        for k in range(g.n, 0, -1):
             suffix[k] = suffix[k + 1] + lam[k - 1]
         for e in edges:
             tri_at_edge.setdefault(e, []).append(suffix)
@@ -290,5 +290,5 @@ def test_d_subproblem_matches_full_scan(with_triangles):
                 delta.append(store(n, (k for k in range(1, n + 1) if rng.randrange(3) == 0)))
         tris = tuple(enumerate_triangles(g)) if with_triangles else ()
         lam = [store(n, (t for t in range(1, n) if rng.randrange(4) == 0)) for _ in tris]
-        m = Multipliers(n=n, delta=delta, triangles=tris, lam=lam)
+        m = Multipliers(delta=delta, triangles=tris, lam=lam)
         assert solve_d_subproblem(g, m) == reference_d_subproblem(g, m)
