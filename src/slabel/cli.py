@@ -22,19 +22,19 @@ this process.  A bench row's status is ``ok``, ``timeout`` (the method
 reached its time limit) or ``error`` (the file or the method failed;
 stderr gets ``error: <file> <method>: <reason>``).
 
-A B&B run of ``solve`` (``bnb``, or ``auto`` falling back to it) adds
-the ``search`` counters of ``exact.SearchStats`` to its report:
-``explored``, ``pruned`` (by bound), ``dominated`` (children skipped by
-neighbourhood domination), ``level_pruned`` (children cut by the
-per-level coverage bound before any dual ascent), ``bound_calls``,
-``cache_hits`` and ``open_bound``.  A ``dual-extended`` run of
-``bound`` reports ``alpha_values`` and ``net_changes``, the per-label
-amount and the net change of each committed ascent step; its
-``lower_bound`` is ``edges`` plus the sum of ``net_changes``.  A
-``lagrangian`` run of ``bound`` reports ``iterations``, ``incumbent``,
-``stop_reason`` and ``phase_ms``: the milliseconds its iterations spent
-in ``x_subproblem`` (the assignment), ``d_subproblem`` and
-``local_search``, each summed over the iterations.
+``solve`` and ``bound`` both add the method's own fields to the report.
+A B&B run (``bnb``, or ``auto`` falling back to it) adds the ``search``
+counters of ``exact.SearchStats``: ``explored`` (expanded nodes, each
+with residual edges), ``pruned`` (by bound), ``dominated`` (children
+skipped by neighbourhood domination), ``level_pruned`` (children cut by
+the per-level coverage bound before any dual ascent), ``bound_calls``,
+``cache_hits`` and ``open_bound``.  A ``dual-extended`` run reports
+``alpha_values`` and ``net_changes``, the per-label amount and the net
+change of each committed ascent step; its ``lower_bound`` is ``edges``
+plus the sum of ``net_changes``.  A ``lagrangian`` run reports
+``iterations``, ``incumbent``, ``stop_reason`` and ``phase_ms``: the
+milliseconds its iterations spent in ``x_subproblem`` (the assignment),
+``d_subproblem`` and ``local_search``, each summed over the iterations.
 
 Exit codes: 0 success, 2 usage or input error (including unreadable,
 malformed or non-ASCII instance files, and output files that cannot be
@@ -321,16 +321,15 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     g = _load(args.instance, read_instance)
     res, elapsed_ms = _run(args.method, g, args.time_limit)
     report = {
-        **_report_head(args, g, res.details.get("method", args.method)),
+        **_report_head(args, g, args.method),
         "primal_value": res.ub,
         "dual_bound": res.lb,
         "gap_percent": _gap_percent(res.lb, res.ub),
         "proven": res.lb is not None and res.lb == res.ub,
         "time_ms": elapsed_ms,
         "labeling": list(res.labeling.labels),
+        **res.details,
     }
-    if "search" in res.details:
-        report["search"] = res.details["search"]
     if args.labeling_out:
         _save(args.labeling_out, write_labeling(res.labeling))
     _emit_report(report, args.json)

@@ -11,8 +11,10 @@ at 0 and left out.  The constraints are
     -alpha_k + sum over edges e at node i of delta_e^k  <=  0
     gamma_e - delta_e^k                                 <=  k
 
-Delta is stored compactly: each edge records the last ascent step K_e in
-which it participated, and delta_e^k = max(0, K_e - k + 1).
+A solution stores per edge only the last ascent step K_e in which it took
+part (-1 if none); delta_e^k = max(0, K_e - k + 1) and gamma_e = 1 + K_e
+follow.  Then gamma_e - delta_e^k = min(k, 1 + K_e) <= k, so every row of
+the second kind holds; for K_e >= 0 no larger gamma_e would.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from .core import Graph, max_degree
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Feasible dual candidate with compact delta storage."""
+    """Feasible dual candidate: alpha and each edge's last step K_e."""
 
     alpha: tuple[int, ...]
-    gamma: tuple[int, ...]
     edge_last_step: tuple[int, ...]
 
     def objective(self) -> int:
-        return sum(self.gamma) - sum(self.alpha)
+        return sum(1 + k for k in self.edge_last_step) - sum(self.alpha)  # gamma_e = 1 + K_e
 
 
 def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
@@ -50,7 +51,7 @@ def dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
     steps = (m - 1) // delta_max if delta_max else 0
     z = m * (steps + 1) - delta_max * steps * (steps + 1) // 2
     alpha = tuple(delta_max * (steps - k) for k in range(steps)) + (0,) * (g.n - steps)
-    return DualSolution(alpha, (1 + steps,) * m, (steps,) * m), z
+    return DualSolution(alpha, (steps,) * m), z
 
 
 def dual_ascent_extended(
@@ -122,7 +123,7 @@ def dual_ascent_extended(
             deg[v] += 1
     active = residual.bit_count()
     # An edge dropped when step s commits was last active in step s - 1.
-    # An edge outside the residual was never active: its gamma is 0.
+    # An edge outside the residual was never active: K_e = -1, so gamma_e = 0.
     last_step = [0 if flag else -1 for flag in flags]
     trace: list[tuple[int, int]] = []
     z = active
@@ -201,17 +202,18 @@ def dual_ascent_extended(
     for k in range(steps, 0, -1):
         suffix += trace[k - 1][0]
         alpha[k - 1] = suffix
-    solution = DualSolution(tuple(alpha), tuple(1 + k for k in last), last)
-    return solution, z, trace
+    return DualSolution(tuple(alpha), last), z, trace
 
 
 def check_dual_feasible(g: Graph, d: DualSolution) -> tuple[bool, int]:
     """Exact feasibility check of a DualSolution against its graph.
 
-    Verifies the per-(label, node) and per-(edge, label) constraints for
-    every label 1..n and returns (feasible, recomputed objective).
+    Verifies the per-(label, node) rows for every label 1..n and returns
+    (feasible, recomputed objective).  The per-(edge, label) rows need no
+    check: with gamma_e = 1 + K_e, gamma_e - delta_e^k = min(k, 1 + K_e)
+    <= k (see the module docstring).
     """
-    if len(d.alpha) != g.n or len(d.gamma) != g.m or len(d.edge_last_step) != g.m:
+    if len(d.alpha) != g.n or len(d.edge_last_step) != g.m:
         raise ValueError("dual solution dimensions do not match the graph")
     feasible = True
     for k in range(1, g.n + 1):
@@ -220,8 +222,5 @@ def check_dual_feasible(g: Graph, d: DualSolution) -> tuple[bool, int]:
                 max(0, d.edge_last_step[e] - k + 1) for _, e in g.adjacency[i]
             )
             if -d.alpha[k - 1] + total > 0:
-                feasible = False
-        for e in range(g.m):
-            if d.gamma[e] - max(0, d.edge_last_step[e] - k + 1) > k:
                 feasible = False
     return feasible, d.objective()

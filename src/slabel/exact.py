@@ -220,10 +220,11 @@ def coverage_table(g: Graph, deadline: float = math.inf) -> list[int]:
 
 @dataclass
 class SearchStats:
-    """Counters of one search: ``dominated`` children skipped by
-    neighbourhood domination before any bound and ``level_pruned``
-    children cut by the coverage-table bound before any ascent (neither is
-    counted in ``pruned_by_bound``), ``bound_calls`` dual-ascent runs (a residual
+    """Counters of one search: ``explored`` expanded nodes (each has a
+    residual edge), ``dominated`` children skipped by neighbourhood
+    domination before any bound and ``level_pruned`` children cut by the
+    coverage-table bound before any ascent (neither is counted in
+    ``pruned_by_bound``), ``bound_calls`` dual-ascent runs (a residual
     bounded again under a higher cutoff counts again), ``cache_hits``
     residual bounds taken from the memo instead, and ``open_bound`` the
     smallest bound left open when a limit stopped the search."""
@@ -306,14 +307,16 @@ def branch_and_bound(
     Children of a depth-k node place label k+1 on an unlabeled vertex;
     candidates are restricted to vertices with residual degree >= 1,
     since moving the next label from a residual-isolated vertex onto a
-    residual-non-isolated one never increases the objective.  A candidate
-    that another unlabeled vertex dominates (see ``_dominated``) is
-    skipped too, before its bound or memo entry is looked at; the rule
-    only filters children, so the ones left keep their bounds and their
-    order in the heap.  The search stops after ``node_limit`` expansions
-    or at ``deadline``, a ``perf_counter`` value (``math.inf``, the default
-    for both, means no limit); hitting a limit yields a valid bracket
-    instead of a proof.
+    residual-non-isolated one never increases the objective.  A child
+    that leaves no residual edge is a finished labeling: it becomes the
+    incumbent if it beats it and is never pushed, so every open node has
+    a residual edge.  A candidate that another unlabeled vertex dominates
+    (see ``_dominated``) is skipped too, before its bound or memo entry
+    is looked at; the rule only filters children, so the ones left keep
+    their bounds and their order in the heap.  The search stops after
+    ``node_limit`` expansions or at ``deadline``, a ``perf_counter`` value
+    (``math.inf``, the default for both, means no limit); hitting a limit
+    yields a valid bracket instead of a proof.
 
     A residual edge set is an int bitmask over edge indices, and
     ``incident[v]`` masks the edges at v: labeling v leaves the residual
@@ -403,11 +406,6 @@ def branch_and_bound(
             stats.pruned_by_bound += 1
             continue
         stats.explored += 1
-        if not residual:
-            if fixed_cost < incumbent:
-                incumbent = fixed_cost
-                best_labeling = Labeling.from_order(g.n, partial)
-            continue
 
         # Labeled nodes have no residual edges, so they are never candidates;
         # an unlabeled v gains one residual edge per node of near[v].
@@ -431,8 +429,11 @@ def branch_and_bound(
             if child_lb >= incumbent:
                 stats.level_pruned += 1
                 continue
-            if child_residual:
-                child_lb = max(child_lb, base + dual_bound(child_residual, incumbent - base))
+            if not child_residual:  # a finished labeling worth child_fixed
+                incumbent = child_fixed
+                best_labeling = Labeling.from_order(g.n, partial + (v,))
+                continue
+            child_lb = max(child_lb, base + dual_bound(child_residual, incumbent - base))
             if child_lb >= incumbent:
                 stats.pruned_by_bound += 1
                 continue

@@ -224,11 +224,12 @@ def run_subgradient(
         phase_s["d_subproblem"] += time.perf_counter() - x_done
         z_r_scaled = d_scaled - x_scaled - sum(map(sum, mult.lam))
         z_r = z_r_scaled / SCALE
-        improved = False
         candidate = max(0, -(-z_r_scaled // SCALE))  # ceil(z_r), exactly
         if candidate > lower_bound:
             lower_bound = candidate
-            improved = True
+            non_improving = 0
+        else:
+            non_improving += 1
 
         started = time.perf_counter()
         ls_lab, ls_val = local_search(g, x_lab, deadline)
@@ -268,13 +269,9 @@ def run_subgradient(
         for row, index, gval in updates:
             row[index] = max(0, row[index] - step_scaled * gval)
 
-        if improved:
+        if non_improving >= TAU:
+            beta /= 2.0
             non_improving = 0
-        else:
-            non_improving += 1
-            if non_improving >= TAU:
-                beta /= 2.0
-                non_improving = 0
 
     return LagrangianResult(
         lower_bound=max(lower_bound, warm_start),
@@ -310,15 +307,14 @@ def _subgradient(
                 updates.append((row, k - 1, gval))
 
     for (nodes, edges), lam in zip(m.triangles, m.lam):
-        node_labels = sorted(labels[i] for i in nodes)
-        edge_levels = sorted(d_choice[e] for e in edges)
-        xi = di = 0
-        for t in range(1, g.n):
-            while xi < 3 and node_labels[xi] <= t:
-                xi += 1
-            while di < 3 and edge_levels[di] <= t:
-                di += 1
-            gval = 1 + xi - di
+        # Component t is 1 + (nodes labeled <= t) - (edges at levels <= t):
+        # 1 plus a running sum of +1 per node label and -1 per edge level.
+        counts = [1] + [0] * (g.n - 1)
+        for i in nodes:
+            counts[labels[i] - 1] += 1
+        for e in edges:
+            counts[d_choice[e] - 1] -= 1
+        for t, gval in zip(range(1, g.n), accumulate(counts)):
             if gval == 0:
                 continue
             norm2 += gval * gval

@@ -34,6 +34,7 @@ SOLVE_KEYS = {
 SEARCH_KEYS = {"explored", "pruned", "dominated", "level_pruned", "bound_calls", "cache_hits",
                "open_bound"}
 BOUND_KEYS = {"instance", "nodes", "edges", "method", "lower_bound", "time_ms"}
+LAGRANGIAN_KEYS = {"iterations", "incumbent", "stop_reason", "phase_ms"}
 BENCH_HEADER = [
     "name", "nodes", "edges", "method", "lb", "ub", "gap_percent", "time_ms", "status",
 ]
@@ -218,6 +219,9 @@ class TestJsonKeys:
             assert set(search) == SEARCH_KEYS
             assert search["bound_calls"] >= 1
             assert search["open_bound"] is None
+        elif method == "lagrangian":  # solve reports what bound reports
+            assert set(report) == SOLVE_KEYS | LAGRANGIAN_KEYS
+            assert report["incumbent"] == report["primal_value"]
         else:
             assert set(report) == SOLVE_KEYS
 
@@ -283,7 +287,7 @@ class TestJsonKeys:
         [
             ("dual-simple", set()),
             ("dual-extended", {"net_changes", "alpha_values"}),
-            ("lagrangian", {"iterations", "incumbent", "stop_reason", "phase_ms"}),
+            ("lagrangian", LAGRANGIAN_KEYS),
         ],
     )
     def test_bound_keys(self, gnm_file, capsys, method, extra):

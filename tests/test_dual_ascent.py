@@ -100,11 +100,7 @@ def reference_dual_ascent_simple(g: Graph) -> tuple[DualSolution, int]:
     alpha = [0] * g.n
     for k in range(1, steps + 1):
         alpha[k - 1] = delta_max * (steps - k + 1)
-    solution = DualSolution(
-        alpha=tuple(alpha),
-        gamma=(1 + steps,) * m,
-        edge_last_step=(steps,) * m,
-    )
+    solution = DualSolution(alpha=tuple(alpha), edge_last_step=(steps,) * m)
     return solution, z
 
 
@@ -188,42 +184,39 @@ class TestDeadline:
         assert z == full_z
 
 
+def gamma_rows_hold(g: Graph, sol: DualSolution) -> bool:
+    """The per-(edge, label) rows gamma_e - delta_e^k <= k, with gamma_e =
+    1 + K_e, which check_dual_feasible leaves out."""
+    return all(1 + last - max(0, last - k + 1) <= k
+               for last in sol.edge_last_step for k in range(1, g.n + 1))
+
+
 class TestFeasibility:
     def test_emitted_solutions_always_feasible(self):
+        # Every graph with at most 5 nodes, then 40 random ones.
+        graphs = []
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            graphs += [build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                       for mask in range(1 << len(pairs))]
         rng = SplitMix64(23)
         for _ in range(40):
             n = 3 + rng.below(10)
             m = 1 + rng.below(n * (n - 1) // 2)
-            g = gen_gnm(n, m, rng.next_u64())
+            graphs.append(gen_gnm(n, m, rng.next_u64()))
+        for g in graphs:
             sol, z = dual_ascent_simple(g)
             ok, obj = check_dual_feasible(g, sol)
-            assert ok and obj == z
+            assert ok and obj == z and gamma_rows_hold(g, sol)
             sol2, z2, _ = dual_ascent_extended(g)
             ok2, obj2 = check_dual_feasible(g, sol2)
-            assert ok2 and obj2 == z2
+            assert ok2 and obj2 == z2 and gamma_rows_hold(g, sol2)
 
     def test_all_zero_duals_with_unit_gamma(self):
         g = gen_grid(3, 3)
-        sol = DualSolution(
-            alpha=(0,) * g.n,
-            gamma=(1,) * g.m,
-            edge_last_step=(0,) * g.m,
-        )
+        sol = DualSolution(alpha=(0,) * g.n, edge_last_step=(0,) * g.m)
         feasible, objective = check_dual_feasible(g, sol)
         assert feasible and objective == g.m
-
-    def test_bumped_gamma_infeasible(self):
-        g = gen_grid(3, 3)
-        sol, _, _ = dual_ascent_extended(g)
-        gamma = list(sol.gamma)
-        gamma[0] += 1
-        bumped = DualSolution(
-            alpha=sol.alpha,
-            gamma=tuple(gamma),
-            edge_last_step=sol.edge_last_step,
-        )
-        feasible, _ = check_dual_feasible(g, bumped)
-        assert not feasible
 
     def test_dimension_mismatch(self):
         g = gen_path(3)
@@ -311,11 +304,7 @@ class TestMaxDegreeRefutation:
 
 
 def _zero_solution(g: Graph) -> DualSolution:
-    return DualSolution(
-        alpha=(0,) * g.n,
-        gamma=(),
-        edge_last_step=(),
-    )
+    return DualSolution(alpha=(0,) * g.n, edge_last_step=())
 
 
 def _enforce_degree_cap(
@@ -388,12 +377,7 @@ def reference_dual_ascent_extended(g: Graph) -> tuple[DualSolution, int, list[tu
     for k in range(steps, 0, -1):
         suffix += trace[k - 1][0]
         alpha[k - 1] = suffix
-    solution = DualSolution(
-        alpha=tuple(alpha),
-        gamma=tuple(1 + last_step[e] for e in range(m)),
-        edge_last_step=tuple(last_step),
-    )
-    return solution, z, trace
+    return DualSolution(alpha=tuple(alpha), edge_last_step=tuple(last_step)), z, trace
 
 
 @st.composite
@@ -498,8 +482,8 @@ class TestResidualMask:
             _, ref_z, ref_trace = subgraph_ascent(g, residual)
             solution, z, trace = dual_ascent_extended(g, residual)
             assert (z, trace) == (ref_z, ref_trace), residual
-            # Edges outside the mask get gamma 0, so the solution is a
-            # feasible dual of g itself with the residual's objective.
+            # Edges outside the mask get K_e = -1 and so gamma 0: the solution
+            # is a feasible dual of g itself with the residual's objective.
             assert check_dual_feasible(g, solution) == (True, z)
         assert dual_ascent_extended(g, (1 << g.m) - 1) == dual_ascent_extended(g)
 
