@@ -12,6 +12,11 @@ into a feasible labeling for the upper bound.
 Multipliers are held in fixed point with denominator SCALE = 2**20 so
 that all assignment costs stay integral and bounds stay exact; both
 subproblem solvers return their values times SCALE.
+
+``solve_x_subproblem`` and ``solve_d_subproblem`` build their costs from
+the multipliers.  ``run_subgradient`` builds them once and keeps them in a
+``Subproblems``: a step moves only some of the multipliers, and only the
+cost entries those reach are updated.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import add
-from typing import Iterator
+from operator import add, mul, sub
+from typing import Iterable, Iterator
 
 from .assignment import hungarian_min
 from .core import Graph, Labeling, count_triangles, enumerate_triangles
@@ -86,6 +91,51 @@ def _triangle_suffixes(m: Multipliers) -> Iterator[tuple[Triangle, list[int]]]:
             yield tri, list(accumulate(reversed(lam)))[::-1]
 
 
+def _x_costs(g: Graph, m: Multipliers) -> list[list[int]]:
+    """The x-subproblem's cost matrix built from scratch: row i, label k
+    holds minus the sum over node i's edges of their linking multipliers
+    for label k and over its triangles of their suffix sums at k (the
+    assignment solver minimizes)."""
+    terms: list[list[list[int]]] = [[] for _ in range(g.n)]  # rows per node
+    for (u, v), row in zip(g.edges, m.delta):
+        terms[u].append(row)
+        terms[v].append(row)
+    for (nodes, _), suffix in _triangle_suffixes(m):
+        for i in nodes:
+            terms[i].append(suffix)
+    return [[-c for c in map(sum, zip(*t))] if t else [0] * g.n for t in terms]
+
+
+def _level_rows(g: Graph, m: Multipliers) -> list[list[int]]:
+    """The d-subproblem's level costs built from scratch, one row per edge:
+    level k costs k * SCALE plus the edge's linking multiplier for label k
+    and, for every triangle at the edge, its suffix sum at k."""
+    scaled = [k * SCALE for k in range(1, g.n + 1)]
+    # Level costs before delta, per edge of a triangle with multipliers.
+    base: dict[int, list[int]] = {}
+    for (_, edges), suffix in _triangle_suffixes(m):
+        for e in edges:
+            base[e] = list(map(add, base.get(e, scaled), suffix))
+    return [list(map(add, base.get(e, scaled), row)) for e, row in enumerate(m.delta)]
+
+
+def _assign(
+    costs: list[list[int]], deadline: float, potentials: list[int] | None,
+) -> tuple[Labeling, int] | None:
+    solved = hungarian_min(costs, deadline, potentials)
+    if solved is None:
+        return None
+    perm, total = solved
+    return Labeling(labels=tuple(col + 1 for col in perm)), -total
+
+
+def _cheapest(levels: list[list[int]]) -> tuple[list[int], int]:
+    """Per row, its first level at the row's minimum; and the sum of the
+    minima."""
+    best = list(map(min, levels))
+    return [row.index(b) + 1 for row, b in zip(levels, best)], sum(best)
+
+
 def solve_x_subproblem(
     g: Graph, m: Multipliers, deadline: float = math.inf,
     potentials: list[int] | None = None,
@@ -96,42 +146,132 @@ def solve_x_subproblem(
     the default, means no limit), and then returns None.  ``potentials``
     (one per label) warm-starts the assignment solver and receives its
     final column potentials; None starts it from zeros.  See
-    ``hungarian_min``."""
-    terms: list[list[list[int]]] = [[] for _ in range(g.n)]  # rows per node
-    for (u, v), row in zip(g.edges, m.delta):
-        terms[u].append(row)
-        terms[v].append(row)
-    for (nodes, _), suffix in _triangle_suffixes(m):
-        for i in nodes:
-            terms[i].append(suffix)
-    # A node's costs are minus the sum of its rows: hungarian_min minimizes.
-    costs = [[-c for c in map(sum, zip(*t))] if t else [0] * g.n for t in terms]
-    solved = hungarian_min(costs, deadline, potentials)
-    if solved is None:
-        return None
-    perm, total = solved
-    return Labeling(labels=tuple(col + 1 for col in perm)), -total
+    ``hungarian_min``.  Builds its costs from scratch; ``run_subgradient``
+    keeps them across its steps in a ``Subproblems``."""
+    return _assign(_x_costs(g, m), deadline, potentials)
 
 
 def solve_d_subproblem(g: Graph, m: Multipliers) -> tuple[list[int], int]:
     """Per edge, the cheapest label level (smallest level on ties), and the
     total of the per-edge minima times SCALE.  Level k costs k * SCALE
     plus the edge's linking multiplier for label k and, for every triangle
-    at the edge, its multipliers over the prefixes t >= k."""
-    scaled = [k * SCALE for k in range(1, g.n + 1)]
-    # Level costs before delta, per edge of a triangle with multipliers.
-    base: dict[int, list[int]] = {}
-    for (_, edges), suffix in _triangle_suffixes(m):
-        for e in edges:
-            base[e] = list(map(add, base.get(e, scaled), suffix))
-    choices = []
-    total = 0
-    for e, row in enumerate(m.delta):  # one edge's costs at a time
-        costs = list(map(add, base.get(e, scaled), row))
-        best = min(costs)
-        choices.append(costs.index(best) + 1)
-        total += best
-    return choices, total
+    at the edge, its multipliers over the prefixes t >= k.  Builds the
+    level rows from scratch; ``run_subgradient`` keeps them across its
+    steps in a ``Subproblems``."""
+    return _cheapest(_level_rows(g, m))
+
+
+# Multiplier changes a subproblem's costs have yet to take: linking entries
+# as (edge, k - 1, change), triangle rows as (triangle, the suffix sums of
+# its drop).
+_Changes = tuple[list[tuple[int, int, int]], list[tuple[int, list[int]]]]
+
+
+class Subproblems:
+    """Both subproblems at the multipliers ``m``, with their costs kept
+    across subgradient steps instead of rebuilt: the x-subproblem's cost
+    matrix ``costs``, each edge's level-cost row in ``levels``, and
+    ``lam_total``, the sum of every triangle multiplier.
+
+    ``step`` moves the multipliers and queues what changed; each solve
+    first brings its own costs up to date, so that upkeep counts in its
+    subproblem's time.  A linking multiplier delta_e^k that moves by D
+    moves ``costs[u][k - 1]`` and ``costs[v][k - 1]`` by -D and
+    ``levels[e][k - 1]`` by +D.  A triangle's multipliers fall by a whole
+    row, its drop; the suffix sums of the drop are added to its three
+    nodes' cost rows, summed per node, and subtracted from its three
+    edges' level rows.  Each solve builds its costs from scratch at its
+    first call, as ``solve_x_subproblem`` and ``solve_d_subproblem`` do.
+    Everything is an integer, so the kept costs equal a fresh build
+    exactly."""
+
+    def __init__(self, g: Graph, m: Multipliers) -> None:
+        self.g = g
+        self.m = m
+        self.costs: list[list[int]] | None = None
+        self.levels: list[list[int]] | None = None
+        self.lam_total = sum(map(sum, m.lam))
+        self._tri_nodes = [nodes for nodes, _ in m.triangles]
+        self._tri_edges = [edges for _, edges in m.triangles]
+        # Per subproblem, the changes its costs have yet to take.
+        self._x_pending: _Changes = ([], [])
+        self._d_pending: _Changes = ([], [])
+
+    def solve_x(self, deadline: float, potentials: list[int]) -> tuple[Labeling, int] | None:
+        """As ``solve_x_subproblem`` on the kept costs."""
+        if self.costs is None:  # a fresh build has every step so far
+            self.costs = _x_costs(self.g, self.m)
+        else:
+            costs = self.costs
+            edges, triangles = self._x_pending
+            for e, k0, change in edges:
+                u, v = self.g.edges[e]
+                costs[u][k0] -= change
+                costs[v][k0] -= change
+            for i, drops in _rows_per_member(triangles, self._tri_nodes):
+                costs[i] = list(map(sum, zip(costs[i], *drops)))
+        self._x_pending = ([], [])
+        return _assign(self.costs, deadline, potentials)
+
+    def solve_d(self) -> tuple[list[int], int]:
+        """As ``solve_d_subproblem`` on the kept level rows."""
+        if self.levels is None:  # a fresh build has every step so far
+            self.levels = _level_rows(self.g, self.m)
+        else:
+            levels = self.levels
+            edges, triangles = self._d_pending
+            for e, k0, change in edges:
+                levels[e][k0] += change
+            for e, drops in _rows_per_member(triangles, self._tri_edges):
+                row: Iterable[int] = levels[e]
+                for drop in drops:
+                    row = map(sub, row, drop)
+                levels[e] = list(row)
+        self._d_pending = ([], [])
+        return _cheapest(self.levels)
+
+    def step(self, step_scaled: int, x_lab: Labeling, d_choice: list[int],
+             tri_rows: list[list[int]]) -> None:
+        """Moves every multiplier to max(0, value - step_scaled * its
+        subgradient component), with the components of ``_subgradient``,
+        and queues the changes for both solves."""
+        labels = x_lab.labels
+        edge_changes = []
+        for e, ((u, v), row, ke) in enumerate(zip(self.g.edges, self.m.delta, d_choice)):
+            lu, lv = labels[u], labels[v]
+            for k in (lu, lv):  # component +1, unless ke cancels it
+                if k != ke and row[k - 1]:
+                    old = row[k - 1]
+                    row[k - 1] = max(0, old - step_scaled)
+                    edge_changes.append((e, k - 1, row[k - 1] - old))
+            if ke != lu and ke != lv:  # component -1
+                row[ke - 1] += step_scaled
+                edge_changes.append((e, ke - 1, step_scaled))
+        tri_changes = []
+        for ti, (lam, gvals) in enumerate(zip(self.m.lam, tri_rows)):
+            # lam - min(lam, step * g) is max(0, lam - step * g).
+            drop = [x if x < y else y for x, y in zip(lam, map(step_scaled.__mul__, gvals))]
+            if any(drop):
+                lam[:] = map(sub, lam, drop)
+                suffix = list(accumulate(reversed(drop)))[::-1]
+                tri_changes.append((ti, suffix))
+                self.lam_total -= suffix[0]
+        for edges, triangles in (self._x_pending, self._d_pending):
+            edges += edge_changes
+            triangles += tri_changes
+
+
+def _rows_per_member(
+    changes: list[tuple[int, list[int]]], members: list[tuple[int, int, int]],
+) -> Iterable[tuple[int, list[list[int]]]]:
+    """For ``changes``, a list of (triangle, row), each node or edge in
+    ``members[triangle]`` (the triangle's nodes, or its edges) with the
+    rows of its triangles."""
+    rows: dict[int, list[list[int]]] = {}
+    for ti, row in changes:
+        for x in members[ti]:
+            rows.setdefault(x, []).append(row)
+    return rows.items()
 
 
 @dataclass(frozen=True)
@@ -179,6 +319,13 @@ def run_subgradient(
     solver re-augments only the rows whose tight labels moved; which of
     several optimal assignments comes back depends on them.
 
+    The subproblems' costs live in one ``Subproblems`` for the whole run:
+    the x-subproblem's cost matrix and each edge's level-cost row are built
+    at the first iteration and then updated by each step's multiplier
+    changes, and the sum of the triangle multipliers is a running total.
+    The time of that upkeep counts in the ``x_subproblem`` and
+    ``d_subproblem`` phases.
+
     Stops on the iteration limit, a closed gap, a zero subgradient, a step
     size below STOP_MU, or at ``deadline``, a ``perf_counter`` value
     (``math.inf``, the default, means no limit).  The warm-start ascent
@@ -202,6 +349,7 @@ def run_subgradient(
     if time.perf_counter() >= deadline:
         return LagrangianResult(warm_start, incumbent, best_labeling, 0, [], "time")
     mult = Multipliers.from_dual_ascent(g, with_triangles=True, dual=dual)
+    subproblems = Subproblems(g, mult)
 
     potentials = [0] * g.n  # the x-subproblem's column potentials, carried over
     lower_bound = 0
@@ -213,16 +361,16 @@ def run_subgradient(
 
     for t in range(1, params.max_iter + 1):
         started = time.perf_counter()
-        x_solved = solve_x_subproblem(g, mult, deadline, potentials)
+        x_solved = subproblems.solve_x(deadline, potentials)
         x_done = time.perf_counter()
         phase_s["x_subproblem"] += x_done - started
         if x_solved is None:
             stop_reason = "time"
             break
         x_lab, x_scaled = x_solved
-        d_choice, d_scaled = solve_d_subproblem(g, mult)
+        d_choice, d_scaled = subproblems.solve_d()
         phase_s["d_subproblem"] += time.perf_counter() - x_done
-        z_r_scaled = d_scaled - x_scaled - sum(map(sum, mult.lam))
+        z_r_scaled = d_scaled - x_scaled - subproblems.lam_total
         z_r = z_r_scaled / SCALE
         candidate = max(0, -(-z_r_scaled // SCALE))  # ceil(z_r), exactly
         if candidate > lower_bound:
@@ -238,7 +386,7 @@ def run_subgradient(
             incumbent = ls_val
             best_labeling = ls_lab
 
-        norm2, updates = _subgradient(g, mult, x_lab, d_choice)
+        norm2, tri_rows = _subgradient(g, mult, x_lab, d_choice)
 
         mu = 0.0
         stop = None
@@ -265,9 +413,7 @@ def run_subgradient(
             stop_reason = stop
             break
 
-        step_scaled = round(mu * SCALE)
-        for row, index, gval in updates:
-            row[index] = max(0, row[index] - step_scaled * gval)
+        subproblems.step(round(mu * SCALE), x_lab, d_choice, tri_rows)
 
         if non_improving >= TAU:
             beta /= 2.0
@@ -286,27 +432,22 @@ def run_subgradient(
 
 def _subgradient(
     g: Graph, m: Multipliers, x_lab: Labeling, d_choice: list[int]
-) -> tuple[int, list[tuple[list[int], int, int]]]:
+) -> tuple[int, list[list[int]]]:
     """Full subgradient (constraint slack) of the current relaxation.
 
-    Returns its squared norm plus the components that can actually move a
-    multiplier, positive entries and zero entries pushed upward, each as
-    (the multiplier's row in ``m``, its index, the component).
+    Returns its squared norm and the triangle components, one row per
+    triangle whose entry t - 1 is the component of prefix t (entry n - 1,
+    for the prefix that is never relaxed, is 0).  Edge e = (u, v) at level
+    k_e has components +1 at the labels of u and of v and -1 at k_e; the
+    labels differ, so k_e cancels at most one of them, and the edge adds
+    1 or 3 to the norm.
     """
     labels = x_lab.labels
-    norm2 = 0
-    updates: list[tuple[list[int], int, int]] = []
-    for (u, v), row, ke in zip(g.edges, m.delta, d_choice):
-        gvals = {labels[u]: 1, labels[v]: 1}  # a permutation: labels differ
-        gvals[ke] = gvals.get(ke, 0) - 1
-        for k, gval in gvals.items():
-            if gval == 0:
-                continue
-            norm2 += gval * gval
-            if gval < 0 or row[k - 1] > 0:
-                updates.append((row, k - 1, gval))
-
-    for (nodes, edges), lam in zip(m.triangles, m.lam):
+    cancelled = sum(ke == labels[u] or ke == labels[v]
+                    for (u, v), ke in zip(g.edges, d_choice))
+    norm2 = 3 * g.m - 2 * cancelled
+    rows = []
+    for nodes, edges in m.triangles:
         # Component t is 1 + (nodes labeled <= t) - (edges at levels <= t):
         # 1 plus a running sum of +1 per node label and -1 per edge level.
         counts = [1] + [0] * (g.n - 1)
@@ -314,10 +455,8 @@ def _subgradient(
             counts[labels[i] - 1] += 1
         for e in edges:
             counts[d_choice[e] - 1] -= 1
-        for t, gval in zip(range(1, g.n), accumulate(counts)):
-            if gval == 0:
-                continue
-            norm2 += gval * gval
-            if gval < 0 or lam[t - 1] > 0:
-                updates.append((lam, t - 1, gval))
-    return norm2, updates
+        row = list(accumulate(counts))
+        row[-1] = 0
+        norm2 += sum(map(mul, row, row))
+        rows.append(row)
+    return norm2, rows

@@ -15,17 +15,20 @@ ones: its total against brute force, its permutation, the certificate
 of its final potentials, and its exact output against the tests'
 reference kernel.  Next, local search against the tests' full-scan
 reference from every labeling of every graph with 0 to 5 nodes (124,470
-starts, about 10-13 s).  The tier-1 tests of B&B stop at 5 nodes and, for
-random graphs, at 16; this script takes about 45-65 s, and pytest does not
-collect it.
+starts, about 10-13 s).  Last, the Lagrangian's kept subproblem costs
+against a fresh build after every step of 40 iterations on each of 300
+seeded random graphs with 8 to 24 nodes, from sparse to complete.  The
+tier-1 tests of B&B stop at 5 nodes and, for random graphs, at 16; this
+script takes about 2.5 min, and pytest does not collect it.
 
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
 
-It prints the number of matrices, local search starts and graphs checked
-and exits 1 on the first mismatch.
+It prints the number of matrices, local search starts, graphs and
+Lagrangian runs checked and exits 1 on the first mismatch.
 """
 
 import math
+import random
 import sys
 from itertools import permutations, product
 
@@ -39,10 +42,14 @@ from test_assignment import brute_min, certifies, reference_hungarian_min  # thi
 from test_dual_ascent import reference_dual_ascent_extended
 from test_exact import all_graphs, brute_force, enumerated_table, no_starting_incumbent
 from test_heuristics import reference_local_search
+from test_lagrangian import kept_state_run
 
 # gnm(n, m, seed) and its optimum.
 LARGER_GNM = [((17, 40, 1), 143), ((18, 45, 2), 198), ((19, 50, 3), 246),
               ((20, 55, 4), 280), ((20, 40, 5), 156), ((20, 70, 6), 371)]
+
+# The kept-state corpus: this many gnm graphs, each at 40 iterations.
+KEPT_STATE_GRAPHS = 300
 
 # Starting column potentials of the kernel check, cut to n entries.
 KERNEL_POTENTIALS = [(0, 0, 0), (1, 0, 2), (-2, 3, -1), (10**12, -10**12, 3)]
@@ -91,6 +98,16 @@ def ascent_matches(g):
     print(f"dual ascent differs from its reference on n={g.n} edges={list(g.edges)}",
           file=sys.stderr)
     return False
+
+
+def kept_state_matches(g):
+    try:
+        kept_state_run(g, 40)
+    except AssertionError as err:
+        print(f"kept Lagrangian state differs from a fresh build on n={g.n} "
+              f"edges={list(g.edges)}: {err}", file=sys.stderr)
+        return False
+    return True
 
 
 def local_search_matches(g):
@@ -148,8 +165,16 @@ def main() -> int:
         exact.TABLE_NODE_LIMIT = limit
         checked += 1
     print(f"{checked} graphs checked")
+    rng = random.Random(0)
+    runs = 0
+    for seed in range(KEPT_STATE_GRAPHS):
+        n = rng.randint(8, 24)
+        if not kept_state_matches(gen_gnm(n, rng.randint(n, n * (n - 1) // 2), seed)):
+            return 1
+        runs += 1
+    print(f"{runs} Lagrangian runs checked")
     return 0 if (matrices == 19_767 and starts == 124_470
-                 and checked == 33_867 + len(LARGER_GNM)) else 1
+                 and checked == 33_867 + len(LARGER_GNM) and runs == KEPT_STATE_GRAPHS) else 1
 
 
 if __name__ == "__main__":

@@ -277,7 +277,7 @@ class TestAgainstReferenceKernel:
         def recording(costs, deadline, potentials):
             start = potentials[:]
             result = hungarian_min(costs, deadline, potentials)
-            seen.append((costs, start, result, potentials[:]))
+            seen.append(([row[:] for row in costs], start, result, potentials[:]))
             return result
 
         monkeypatch.setattr(lagrangian, "hungarian_min", recording)

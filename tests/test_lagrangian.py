@@ -1,11 +1,14 @@
 import hashlib
+import math
 import random
 import time
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slabel import lagrangian
-from slabel.core import enumerate_triangles, sl_value
+from slabel.core import build_graph, enumerate_triangles, sl_value
 from slabel.dual_ascent import check_dual_feasible, dual_ascent_extended
 from slabel.exact import branch_and_bound, subset_dp
 from slabel.heuristics import greedy_label
@@ -167,6 +170,90 @@ def test_pinned_trajectory(g, max_iter, expected, optimum):
     opt = optimum(g) if callable(optimum) else optimum
     assert res.lower_bound <= opt <= res.incumbent_value
     assert sl_value(g, res.best_labeling) == res.incumbent_value
+
+
+def kept_state_run(g, max_iter):
+    """``run_subgradient`` with its kept subproblem state checked against
+    fresh builds at every solve, that is after every step, and once more
+    after the run: the x costs against the matrix ``solve_x_subproblem``
+    builds, each edge's level row against the fresh one, the d choices and
+    total against ``solve_d_subproblem`` and the reference, and the
+    triangle total against the sum of the multipliers.  Returns the result
+    and the number of d-subproblem states checked."""
+    kept = []
+    checked = []
+
+    class Checked(lagrangian.Subproblems):
+        def __init__(self, g, m):
+            super().__init__(g, m)
+            kept.append(self)
+
+        def solve_x(self, deadline, potentials):
+            solved = super().solve_x(deadline, potentials)
+            assert self.costs == lagrangian._x_costs(self.g, self.m)
+            assert self.lam_total == sum(map(sum, self.m.lam))
+            return solved
+
+        def solve_d(self):
+            solved = super().solve_d()
+            assert self.levels == lagrangian._level_rows(self.g, self.m)
+            assert solved == solve_d_subproblem(self.g, self.m) \
+                == reference_d_subproblem(self.g, self.m)
+            assert self.lam_total == sum(map(sum, self.m.lam))
+            checked.append(solved)
+            return solved
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lagrangian, "Subproblems", Checked)
+        res = run_subgradient(g, SubgradientParams(max_iter=max_iter))
+    for sub in kept:  # the state after the last step
+        sub.solve_x(math.inf, [0] * g.n)
+        sub.solve_d()
+    return res, len(checked)
+
+
+# The pinned trajectories, and bound-mid's graph with 295 triangles at its
+# 25 iterations (its digest is pinned in test_assignment.py too).
+KEPT_STATE_RUNS = [(g, max_iter, digest) for g, max_iter, digest, _ in PINNED_TRAJECTORIES] + [
+    (gen_gnm(50, 300, 3), 25,
+     "b43ffec65c5e6b00a073efb9575ec53b53b6e997adcc6dc45ec26c6590817922"),
+]
+
+
+@pytest.mark.parametrize("g, max_iter, expected", KEPT_STATE_RUNS,
+                         ids=["gnm12", "gnm18", "gnm24", "bipartite", "gnm50-300"])
+def test_kept_state_equals_a_fresh_build(g, max_iter, expected):
+    res, checked = kept_state_run(g, max_iter)
+    assert _trajectory_digest(res) == expected
+    assert checked == res.iterations + 1
+
+
+def test_kept_state_without_triangles(monkeypatch):
+    # Above the cap only the linking multipliers move, and the triangle
+    # total stays 0.
+    monkeypatch.setattr(lagrangian, "TRIANGLE_CAP", 0)
+    g = gen_gnm(24, 60, 11)
+    with pytest.warns(UserWarning, match="triangle"):
+        res, checked = kept_state_run(g, 40)
+    assert checked == res.iterations + 1 > 2
+
+
+@st.composite
+def graphs_with_triangles(draw):
+    n = draw(st.integers(4, 14))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [pair for pair, k in zip(pairs, keep) if k])
+    assume(enumerate_triangles(g))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_triangles())
+def test_kept_state_equals_a_fresh_build_on_random_graphs(g):
+    res, checked = kept_state_run(g, 40)
+    assert checked == res.iterations + 1
+    assert res.incumbent_value == sl_value(g, res.best_labeling)
 
 
 def test_x_subproblem_warm_start_keeps_the_value():
