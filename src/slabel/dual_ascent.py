@@ -72,12 +72,23 @@ def dual_ascent_extended(
     trace holds each committed step's (alpha, net change); the bound is
     the residual's edge count plus the sum of the net changes.
 
+    A node's drops are integer keys ``e - deg[x] * m`` over its active
+    edges e to x: as 0 <= e < m, ascending keys sort exactly as the pairs
+    (-deg[x], e), the edge is ``key % m`` and x is its other end.  A single
+    drop takes the ``min`` of the keys; only more than one sorts them.
+
     Alpha runs downwards and a trial wins with a positive net change at
     least the best so far, so cheap trials set the best early and ties
     keep the smallest alpha.  An exact skip: alpha is passed over when
-    floor(sum over v of min(deg_v, alpha) / 2) - step * alpha cannot win
-    (after the cap no degree exceeds alpha).  Each trial is undone from
-    its removal log.
+    f(alpha) = floor(c(alpha) / 2) - step * alpha, with c(alpha) the sum
+    over v of min(deg_v, alpha), cannot win (after the cap no degree
+    exceeds alpha).  An exact exit: c(alpha - 1) = c(alpha) - A, where A
+    counts the nodes of degree >= alpha and only grows as alpha falls.
+    Once A >= 2 * step, (c - A) // 2 <= c // 2 - step gives f(alpha - 1)
+    <= f(alpha), so f never rises again; the least winning net change
+    never falls, so once f(alpha - 1) is below it no lower alpha passes
+    the skip test and the loop ends.  Each trial is undone from its
+    removal log.
 
     The visit order comes from degree buckets: ``bucket[d]`` holds the
     nodes of degree d >= 2, and only a committed step moves a node between
@@ -141,13 +152,12 @@ def dual_ascent_extended(
             top -= 1
         ranked: list[int] = []  # bucket[top], ..., bucket[filled], each sorted
         filled = top + 1
-        best_net = 0
+        need = 1  # a trial wins with a net change of at least this
         best: tuple[int, list[int]] | None = None
         capped = 2 * active  # sum over v of min(deg_v, alpha)
         above = 0  # nodes of degree >= alpha >= 2
         # The maximum degree, else 1 while an edge is active.
         for alpha in range(top if top > 1 else min(active, 1), 0, -1):
-            need = max(best_net, 1)
             if capped // 2 - step * alpha >= need:
                 while filled > alpha + 1:
                     filled -= 1
@@ -157,15 +167,17 @@ def dual_ascent_extended(
                     excess = deg[v] - alpha
                     if excess <= 0:
                         continue
-                    incident = sorted([(-deg[x], e, x) for x, e in adjacency[v] if flags[e]])
-                    for _, e, x in incident[:excess]:
+                    keys = [e - deg[x] * m for x, e in adjacency[v] if flags[e]]
+                    for key in (min(keys),) if excess == 1 else sorted(keys)[:excess]:
+                        e = key % m
+                        u, x = edges[e]
                         flags[e] = False
-                        deg[x] -= 1
+                        deg[u ^ x ^ v] -= 1
                         removed.append(e)
                     deg[v] = alpha
                 net = active - len(removed) - step * alpha
                 if net >= need:
-                    best_net = net
+                    need = net
                     best = (alpha, removed)
                 for e in removed:
                     flags[e] = True
@@ -175,6 +187,8 @@ def dual_ascent_extended(
             if alpha > 1:
                 above += len(bucket[alpha])
             capped -= above
+            if above >= 2 * step and capped // 2 - step * (alpha - 1) < need:
+                break
         if best is None:
             break
         alpha, removed = best
@@ -189,8 +203,8 @@ def dual_ascent_extended(
                     if d > 2:
                         bucket[d - 1].add(x)
         active -= len(removed)
-        z += best_net
-        trace.append((alpha, best_net))
+        z += need  # the winning net change
+        trace.append((alpha, need))
         if z >= cutoff:
             break
     if cutoff < math.inf:

@@ -24,7 +24,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, and_, getitem, mul
+from operator import add, and_
 
 from .core import Graph, Labeling, sl_value
 from .dual_ascent import dual_ascent_extended
@@ -96,13 +96,29 @@ def subset_dp(g: Graph, deadline: float = math.inf) -> tuple[int, Labeling, bool
 TABLE_NODE_LIMIT = 10_000  # children per level of coverage_table (prove-small needs 3,638)
 
 
+def _key_shift(n: int) -> int:
+    """The bit position of the key in ``_lightest_set``'s candidates on n nodes."""
+    return 2 * n.bit_length() + 1
+
+
+def _increment_rows(g: Graph) -> list[list[int]]:
+    """``_lightest_set``'s key increment rows of g: ``rows[v][u]`` is
+    ``1 << _key_shift(n)``, one added to a candidate's key, when u and v
+    are adjacent, else 0."""
+    unit = 1 << _key_shift(g.n)
+    rows = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        rows[u][v] = rows[v][u] = unit
+    return rows
+
+
 def _lightest_set(
-    rows: list[bytearray], cost: list[int], size: int, best: int, floor: int, deadline: float
+    rows: list[list[int]], cost: list[int], size: int, best: int, floor: int, deadline: float
 ) -> tuple[int, bool]:
     """A lower bound on the least w(X) = (sum of cost[v] over X) + e(X)
     over sets X of ``size`` >= 1 nodes, and whether it is that least value.
 
-    ``rows[v][u]`` is 1 when u and v are adjacent, else 0.  ``best`` is
+    ``rows`` are the key increment rows of ``_increment_rows``.  ``best`` is
     the w of a known set, and the result is at most ``best``.  ``floor``
     is a known lower bound on the least w: once the incumbent reaches it,
     the incumbent is the least value and the search stops.
@@ -116,11 +132,14 @@ def _lightest_set(
     candidate j and chooses among the candidates after it.
 
     A candidate is the single int ``(key << shift) + node``, with
-    ``shift = 2 * n.bit_length() + 1``.  Ints sort as the pairs (key,
-    node) would.  The node parts of any r <= n candidates sum to less than
-    n**2 < 2**shift, so the sum of r candidates shifted right by ``shift``
-    is exactly the sum of their keys, negative keys included.  A child's
-    list adds ``1 << shift`` to each candidate adjacent to the new node.
+    ``shift = 2 * n.bit_length() + 1`` (``_key_shift``).  Ints sort as the
+    pairs (key, node) would.  The node parts of any r <= n candidates sum
+    to less than n**2 < 2**shift, so the sum of r candidates shifted right
+    by ``shift`` is exactly the sum of their keys, negative keys included.
+    A child's list adds ``1 << shift`` to each candidate adjacent to the
+    new node: the new node's increment row, read at each candidate's node
+    part, is exactly what that candidate gains, so a child is one
+    ``map(add)`` of the candidates after it and their row entries, sorted.
 
     The search stops once it has made ``TABLE_NODE_LIMIT`` children or at
     ``deadline``, a ``perf_counter`` value read before the first child and
@@ -129,10 +148,9 @@ def _lightest_set(
     """
     if best <= floor:
         return best, True
-    shift = 2 * len(rows).bit_length() + 1
-    unit = 1 << shift  # adds 1 to a candidate's key
-    low = unit - 1  # candidate & low is its node
-    lows, units = repeat(low), repeat(unit)
+    shift = _key_shift(len(rows))
+    low = (1 << shift) - 1  # candidate & low is its node
+    lows = repeat(low)
     nodes = 0
     stopped = False
     open_bound = math.inf
@@ -154,9 +172,8 @@ def _lightest_set(
                 nodes += 1
                 candidate = keyed[j]
                 rest = keyed[j + 1:]
-                adjacent = map(getitem, repeat(rows[candidate & low]), map(and_, rest, lows))
-                search(weight + (candidate >> shift),
-                       sorted(map(add, rest, map(mul, adjacent, units))), r - 1)
+                increments = map(rows[candidate & low].__getitem__, map(and_, rest, lows))
+                search(weight + (candidate >> shift), sorted(map(add, rest, increments)), r - 1)
                 if best <= floor:
                     return
             if stopped:
@@ -191,14 +208,16 @@ def coverage_table(g: Graph, deadline: float = math.inf) -> list[int]:
     deadline enters as the larger of its open bound and the floor.
     ``deadline`` is a ``perf_counter`` value (``math.inf``, the default,
     means none).
+
+    Every level's search reads one set of key increment rows
+    (``_increment_rows``), built here once: n lists of n ints, where a
+    build per level would cost n**3 on large graphs.
     """
     n, m = g.n, g.m
     table = [0] * n
     if not m:
         return table
-    rows = [bytearray(n) for _ in range(n)]  # rows[v][u]: 1 when u and v are adjacent
-    for u, v in g.edges:
-        rows[u][v] = rows[v][u] = 1
+    rows = _increment_rows(g)
     labels = greedy_label(g)[0].labels
     first_covered = [0] * n  # edges whose smaller label is t + 1
     for u, v in g.edges:

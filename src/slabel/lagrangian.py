@@ -324,7 +324,8 @@ def run_subgradient(
     at the first iteration and then updated by each step's multiplier
     changes, and the sum of the triangle multipliers is a running total.
     The time of that upkeep counts in the ``x_subproblem`` and
-    ``d_subproblem`` phases.
+    ``d_subproblem`` phases.  The iteration at the limit records its step
+    size but makes no step, since no solve would read its moves.
 
     Stops on the iteration limit, a closed gap, a zero subgradient, a step
     size below STOP_MU, or at ``deadline``, a ``perf_counter`` value
@@ -411,6 +412,8 @@ def run_subgradient(
         )
         if stop is not None:
             stop_reason = stop
+            break
+        if t == params.max_iter:  # no solve would read the step's moves
             break
 
         subproblems.step(round(mu * SCALE), x_lab, d_choice, tri_rows)

@@ -15,16 +15,20 @@ ones: its total against brute force, its permutation, the certificate
 of its final potentials, and its exact output against the tests'
 reference kernel.  Next, local search against the tests' full-scan
 reference from every labeling of every graph with 0 to 5 nodes (124,470
-starts, about 10-13 s).  Last, the Lagrangian's kept subproblem costs
-against a fresh build after every step of 40 iterations on each of 300
-seeded random graphs with 8 to 24 nodes, from sparse to complete.  The
-tier-1 tests of B&B stop at 5 nodes and, for random graphs, at 16; this
-script takes about 2.5 min, and pytest does not collect it.
+starts, about 10-13 s).  Then every residual ascent that branch-and-bound
+runs on the benchmark's seven prove-small graphs (1,326, each with its
+cutoff) against the reference ascent on the residual subgraph, up to the
+step that reaches the cutoff (about 2 s).  Last, the Lagrangian's kept
+subproblem costs against a fresh build after every step of 40 iterations
+on each of 300 seeded random graphs with 8 to 24 nodes, from sparse to
+complete.  The tier-1 tests of B&B stop at 5 nodes and, for random
+graphs, at 16; this script takes about 2.5 min, and pytest does not
+collect it.
 
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
 
-It prints the number of matrices, local search starts, graphs and
-Lagrangian runs checked and exits 1 on the first mismatch.
+It prints the number of matrices, local search starts, residual ascents,
+graphs and Lagrangian runs checked and exits 1 on the first mismatch.
 """
 
 import math
@@ -39,7 +43,7 @@ from slabel.dual_ascent import dual_ascent_extended
 from slabel.heuristics import local_search
 from slabel.instances import gen_gnm
 from test_assignment import brute_min, certifies, reference_hungarian_min  # this script's directory
-from test_dual_ascent import reference_dual_ascent_extended
+from test_dual_ascent import is_cut_reference, reference_dual_ascent_extended, subgraph_ascent
 from test_exact import all_graphs, brute_force, enumerated_table, no_starting_incumbent
 from test_heuristics import reference_local_search
 from test_lagrangian import kept_state_run
@@ -47,6 +51,13 @@ from test_lagrangian import kept_state_run
 # gnm(n, m, seed) and its optimum.
 LARGER_GNM = [((17, 40, 1), 143), ((18, 45, 2), 198), ((19, 50, 3), 246),
               ((20, 55, 4), 280), ((20, 40, 5), 156), ((20, 70, 6), 371)]
+
+# The benchmark's prove-small graphs, gnm(n, m, seed), with B&B's node
+# limit on each, and the residual ascents B&B runs on them.
+PROVE_SMALL = [((18, 40, 1), 10_000), ((20, 45, 3), 10_000), ((22, 50, 5), 10_000),
+               ((24, 55, 2), 10_000), ((24, 60, 11), 10_000), ((26, 60, 4), 10_000),
+               ((30, 70, 9), 500)]
+PROVE_SMALL_ASCENTS = 1_326
 
 # The kept-state corpus: this many gnm graphs, each at 40 iterations.
 KEPT_STATE_GRAPHS = 300
@@ -100,6 +111,34 @@ def ascent_matches(g):
     return False
 
 
+def bnb_ascents_checked():
+    """Every residual ascent B&B runs on the prove-small graphs, each with
+    its cutoff, against the reference ascent on the residual subgraph: the
+    whole run, or its prefix up to the first step that reaches the cutoff.
+    Returns the number of ascents checked, or None at the first mismatch."""
+    calls = []
+
+    def recording(g, residual, cutoff):
+        result = dual_ascent_extended(g, residual, cutoff)
+        calls.append((g, residual, cutoff, result[1:]))
+        return result
+
+    exact.dual_ascent_extended = recording
+    try:
+        for args, node_limit in PROVE_SMALL:
+            exact.branch_and_bound(gen_gnm(*args), node_limit=node_limit)
+    finally:
+        exact.dual_ascent_extended = dual_ascent_extended
+    for g, residual, cutoff, (z, trace) in calls:
+        _, ref_z, ref_trace = subgraph_ascent(g, residual)
+        if not is_cut_reference(residual.bit_count(), cutoff, z, trace, ref_z, ref_trace):
+            print(f"residual ascent differs from the reference on n={g.n} edges={list(g.edges)} "
+                  f"residual {residual:#x} cutoff {cutoff}: {(z, trace)}, reference "
+                  f"{(ref_z, ref_trace)}", file=sys.stderr)
+            return None
+    return len(calls)
+
+
 def kept_state_matches(g):
     try:
         kept_state_run(g, 40)
@@ -133,6 +172,10 @@ def main() -> int:
             return 1
         starts += math.factorial(g.n)
     print(f"{starts} local search starts checked")
+    ascents = bnb_ascents_checked()
+    if ascents is None:
+        return 1
+    print(f"{ascents} residual ascents of branch-and-bound checked")
     exact.starting_heuristic = no_starting_incumbent
     checked = 0
     for g in all_graphs(6):
@@ -173,7 +216,7 @@ def main() -> int:
             return 1
         runs += 1
     print(f"{runs} Lagrangian runs checked")
-    return 0 if (matrices == 19_767 and starts == 124_470
+    return 0 if (matrices == 19_767 and starts == 124_470 and ascents == PROVE_SMALL_ASCENTS
                  and checked == 33_867 + len(LARGER_GNM) and runs == KEPT_STATE_GRAPHS) else 1
 
 

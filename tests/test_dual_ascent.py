@@ -433,6 +433,28 @@ class TestAgainstReferenceKernel:
         assert result[1:] == (20, [])
         assert result == reference_dual_ascent_extended(g)
 
+    def test_edge_index_breaks_ties_among_several_drops(self):
+        # A star with five leaves, all of degree 1, beside one other edge.
+        # Every alpha from 5 down nets 1, so alpha 1 wins: the centre drops
+        # four edges to ends of equal degree, and the edge index decides.
+        # The kept star edge is the one of highest index, 5 = (0, 3), not
+        # the one to the highest or lowest leaf (edges 0 and 4).
+        g = build_graph(8, [(0, 5), (0, 2), (6, 7), (0, 4), (0, 1), (0, 3)])
+        solution, z, trace = dual_ascent_extended(g)
+        assert trace == [(1, 1)] and z == 7
+        assert solution.edge_last_step == (0, 0, 1, 0, 0, 1)
+        assert (solution, z, trace) == reference_dual_ascent_extended(g)
+
+    def test_alpha_exit_waits_for_twice_the_step(self):
+        # A triangle with a pendant at each corner.  Step 2 starts with
+        # degrees 3, 3, 3, 1, 1, 1, so f(alpha) = c(alpha) // 2 - 2 * alpha
+        # is 0 at alpha 3 and 2 but 1 at alpha 1, which wins: the three
+        # nodes of degree >= 2 are fewer than 2 * step, and f may rise.
+        g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5)])
+        solution, z, trace = dual_ascent_extended(g)
+        assert trace == [(3, 3), (1, 1)] and z == 10
+        assert (solution, z, trace) == reference_dual_ascent_extended(g)
+
     def test_winning_alpha_one_reads_every_bucket(self):
         # Step 2 starts with degrees 2, 3 and 4 and wins at alpha 1, so its
         # ranking holds every bucket.
@@ -466,10 +488,26 @@ def residual_masks(g: Graph, seed: int, count: int) -> list[int]:
 
 
 def subgraph_ascent(g: Graph, residual: int):
-    """The ascent on the residual subgraph, built with g's node ids and its
-    edges in id order: the oracle of the masked call."""
-    chosen = [edge for e, edge in enumerate(g.edges) if residual >> e & 1]
-    return dual_ascent_extended(build_graph(g.n, chosen))
+    """The reference ascent on the residual subgraph, built with g's node
+    ids and its edges in id order: the oracle of the masked call.  The
+    production ascent on that subgraph must return the same."""
+    sub = build_graph(g.n, [edge for e, edge in enumerate(g.edges) if residual >> e & 1])
+    reference = reference_dual_ascent_extended(sub)
+    assert dual_ascent_extended(sub) == reference
+    return reference
+
+
+def is_cut_reference(start, cutoff, z, trace, ref_z, ref_trace) -> bool:
+    """Whether an ascent cut at ``cutoff`` from ``start`` residual edges,
+    which returned (z, trace), is the reference's (ref_z, ref_trace) up to
+    its first committed step whose objective reaches the cutoff, or all of
+    it when no step does."""
+    # The objective after each step: |residual| plus the nets so far.
+    objectives = list(accumulate((net for _, net in trace), initial=start))
+    if (trace != ref_trace[: len(trace)] or z != objectives[-1]
+            or any(objective >= cutoff for objective in objectives[1:-1])):
+        return False
+    return z >= cutoff if len(trace) < len(ref_trace) else z == ref_z
 
 
 RESIDUAL_GRAPHS = [gen_gnm(30, 70, 9), gen_gnm(24, 60, 11)]
@@ -495,13 +533,6 @@ class TestResidualMask:
             for cutoff in sorted({start, start + 1, (start + ref_z) // 2, ref_z, ref_z + 1}):
                 solution, z, trace = dual_ascent_extended(g, residual, cutoff)
                 assert solution is None
-                assert trace == ref_trace[: len(trace)]
-                # The objective after each step: |residual| plus the nets so far.
-                objectives = list(accumulate((net for _, net in trace), initial=start))
-                assert all(objective < cutoff for objective in objectives[1:-1])
-                if len(trace) < len(ref_trace):
-                    assert z == objectives[-1] >= cutoff
-                    stopped += 1
-                else:
-                    assert z == ref_z
+                assert is_cut_reference(start, cutoff, z, trace, ref_z, ref_trace)
+                stopped += len(trace) < len(ref_trace)
         assert stopped >= 100

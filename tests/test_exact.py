@@ -401,9 +401,7 @@ def test_a_floor_at_the_least_value_ends_the_search(monkeypatch):
     # its answer, and without one it stops at the node limit.  A floor
     # that the starting set already meets settles the level with no child.
     g = gen_gnm(30, 70, 9)
-    rows = [bytearray(g.n) for _ in range(g.n)]
-    for u, v in g.edges:
-        rows[u][v] = rows[v][u] = 1
+    rows = exact._increment_rows(g)
     zeros = [0] * g.n
     assert exact._lightest_set(rows, zeros, 13, g.m, -math.inf, math.inf) == (1, True)
     monkeypatch.setattr(exact, "TABLE_NODE_LIMIT", 100)

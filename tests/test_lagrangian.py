@@ -238,6 +238,24 @@ def test_kept_state_without_triangles(monkeypatch):
     assert checked == res.iterations + 1 > 2
 
 
+@pytest.mark.parametrize("max_iter", [1, 25])
+def test_the_last_iteration_makes_no_step(max_iter, monkeypatch):
+    # bound-mid's graph with 295 triangles runs to the limit: every
+    # iteration but the last steps, and the last records its step size.
+    steps = []
+
+    class Counted(lagrangian.Subproblems):
+        def step(self, *args):
+            steps.append(args[0])
+            super().step(*args)
+
+    monkeypatch.setattr(lagrangian, "Subproblems", Counted)
+    res = run_subgradient(gen_gnm(50, 300, 3), SubgradientParams(max_iter=max_iter))
+    assert res.stop_reason == "iterations" and res.iterations == max_iter
+    assert len(steps) == max_iter - 1
+    assert res.trace[-1].step_size > 0
+
+
 @st.composite
 def graphs_with_triangles(draw):
     n = draw(st.integers(4, 14))
