@@ -33,9 +33,10 @@ the per-level coverage bound before any dual ascent), ``bound_calls``,
 change of each committed ascent step; its ``lower_bound`` is ``edges``
 plus the sum of ``net_changes``.  A ``lagrangian`` run reports
 ``iterations``, ``incumbent``, ``stop_reason`` and ``phase_ms``: the
-milliseconds its iterations spent in ``x_subproblem`` (the assignment,
-with the upkeep of its costs), ``d_subproblem`` (with the upkeep of the
-level costs) and ``local_search``, each summed over the iterations.
+milliseconds its iterations spent in ``x_subproblem`` (the assignment),
+``d_subproblem`` (the cheapest level per edge), ``local_search`` and
+``step`` (the subgradient and the multiplier step, with the upkeep of
+both cost tables), each summed over the iterations.
 
 Exit codes: 0 success, 2 usage or input error (including unreadable,
 malformed or non-ASCII instance files, and output files that cannot be

@@ -15,8 +15,8 @@ subproblem solvers return their values times SCALE.
 
 ``solve_x_subproblem`` and ``solve_d_subproblem`` build their costs from
 the multipliers.  ``run_subgradient`` builds them once and keeps them in a
-``Subproblems``: a step moves only some of the multipliers, and only the
-cost entries those reach are updated.
+``Subproblems``: a step moves only some of the multipliers, and moves the
+cost entries those reach with them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .assignment import hungarian_min
 from .core import Graph, Labeling, count_triangles, enumerate_triangles
@@ -45,7 +45,7 @@ TRIANGLE_CAP = 10**6
 Triangle = tuple[tuple[int, int, int], tuple[int, int, int]]
 
 # The timed phases of a subgradient iteration; see LagrangianResult.phase_s.
-PHASES = ("x_subproblem", "d_subproblem", "local_search")
+PHASES = ("x_subproblem", "d_subproblem", "local_search", "step")
 
 
 @dataclass
@@ -147,7 +147,7 @@ def solve_x_subproblem(
     (one per label) warm-starts the assignment solver and receives its
     final column potentials; None starts it from zeros.  See
     ``hungarian_min``.  Builds its costs from scratch; ``run_subgradient``
-    keeps them across its steps in a ``Subproblems``."""
+    solves the costs a ``Subproblems`` keeps across its steps."""
     return _assign(_x_costs(g, m), deadline, potentials)
 
 
@@ -156,122 +156,76 @@ def solve_d_subproblem(g: Graph, m: Multipliers) -> tuple[list[int], int]:
     total of the per-edge minima times SCALE.  Level k costs k * SCALE
     plus the edge's linking multiplier for label k and, for every triangle
     at the edge, its multipliers over the prefixes t >= k.  Builds the
-    level rows from scratch; ``run_subgradient`` keeps them across its
-    steps in a ``Subproblems``."""
+    level rows from scratch; ``run_subgradient`` solves the rows a
+    ``Subproblems`` keeps across its steps."""
     return _cheapest(_level_rows(g, m))
 
 
-# Multiplier changes a subproblem's costs have yet to take: linking entries
-# as (edge, k - 1, change), triangle rows as (triangle, the suffix sums of
-# its drop).
-_Changes = tuple[list[tuple[int, int, int]], list[tuple[int, list[int]]]]
-
-
 class Subproblems:
-    """Both subproblems at the multipliers ``m``, with their costs kept
-    across subgradient steps instead of rebuilt: the x-subproblem's cost
-    matrix ``costs``, each edge's level-cost row in ``levels``, and
-    ``lam_total``, the sum of every triangle multiplier.
-
-    ``step`` moves the multipliers and queues what changed; each solve
-    first brings its own costs up to date, so that upkeep counts in its
-    subproblem's time.  A linking multiplier delta_e^k that moves by D
-    moves ``costs[u][k - 1]`` and ``costs[v][k - 1]`` by -D and
-    ``levels[e][k - 1]`` by +D.  A triangle's multipliers fall by a whole
-    row, its drop; the suffix sums of the drop are added to its three
-    nodes' cost rows, summed per node, and subtracted from its three
-    edges' level rows.  Each solve builds its costs from scratch at its
-    first call, as ``solve_x_subproblem`` and ``solve_d_subproblem`` do.
+    """The costs of both subproblems at the multipliers ``m``, kept across
+    subgradient steps instead of rebuilt: the x-subproblem's cost matrix
+    ``costs``, each edge's level-cost row in ``levels``, and ``lam_total``,
+    the sum of every triangle multiplier.  ``__init__`` builds them as
+    ``solve_x_subproblem`` and ``solve_d_subproblem`` do, and ``step``
+    moves the multipliers and the cost entries they reach at once.
     Everything is an integer, so the kept costs equal a fresh build
     exactly."""
 
     def __init__(self, g: Graph, m: Multipliers) -> None:
         self.g = g
         self.m = m
-        self.costs: list[list[int]] | None = None
-        self.levels: list[list[int]] | None = None
+        self.costs = _x_costs(g, m)
+        self.levels = _level_rows(g, m)
         self.lam_total = sum(map(sum, m.lam))
-        self._tri_nodes = [nodes for nodes, _ in m.triangles]
-        self._tri_edges = [edges for _, edges in m.triangles]
-        # Per subproblem, the changes its costs have yet to take.
-        self._x_pending: _Changes = ([], [])
-        self._d_pending: _Changes = ([], [])
-
-    def solve_x(self, deadline: float, potentials: list[int]) -> tuple[Labeling, int] | None:
-        """As ``solve_x_subproblem`` on the kept costs."""
-        if self.costs is None:  # a fresh build has every step so far
-            self.costs = _x_costs(self.g, self.m)
-        else:
-            costs = self.costs
-            edges, triangles = self._x_pending
-            for e, k0, change in edges:
-                u, v = self.g.edges[e]
-                costs[u][k0] -= change
-                costs[v][k0] -= change
-            for i, drops in _rows_per_member(triangles, self._tri_nodes):
-                costs[i] = list(map(sum, zip(costs[i], *drops)))
-        self._x_pending = ([], [])
-        return _assign(self.costs, deadline, potentials)
-
-    def solve_d(self) -> tuple[list[int], int]:
-        """As ``solve_d_subproblem`` on the kept level rows."""
-        if self.levels is None:  # a fresh build has every step so far
-            self.levels = _level_rows(self.g, self.m)
-        else:
-            levels = self.levels
-            edges, triangles = self._d_pending
-            for e, k0, change in edges:
-                levels[e][k0] += change
-            for e, drops in _rows_per_member(triangles, self._tri_edges):
-                row: Iterable[int] = levels[e]
-                for drop in drops:
-                    row = map(sub, row, drop)
-                levels[e] = list(row)
-        self._d_pending = ([], [])
-        return _cheapest(self.levels)
 
     def step(self, step_scaled: int, x_lab: Labeling, d_choice: list[int],
              tri_rows: list[list[int]]) -> None:
         """Moves every multiplier to max(0, value - step_scaled * its
         subgradient component), with the components of ``_subgradient``,
-        and queues the changes for both solves."""
+        and the costs with it.  A linking multiplier delta_e^k that moves
+        by D moves ``costs[u][k - 1]`` and ``costs[v][k - 1]`` by -D and
+        ``levels[e][k - 1]`` by +D.  A triangle's multipliers fall by a
+        whole row, its drop; the suffix sums of the drop are added to its
+        three nodes' cost rows and subtracted from its three edges' level
+        rows, each row rebuilt once with the suffixes of all its
+        triangles."""
         labels = x_lab.labels
-        edge_changes = []
-        for e, ((u, v), row, ke) in enumerate(zip(self.g.edges, self.m.delta, d_choice)):
+        costs, levels = self.costs, self.levels
+        for (u, v), row, level, ke in zip(self.g.edges, self.m.delta, levels, d_choice):
             lu, lv = labels[u], labels[v]
-            for k in (lu, lv):  # component +1, unless ke cancels it
-                if k != ke and row[k - 1]:
-                    old = row[k - 1]
-                    row[k - 1] = max(0, old - step_scaled)
-                    edge_changes.append((e, k - 1, row[k - 1] - old))
+            for k0 in (lu - 1, lv - 1):  # component +1, unless ke cancels it
+                if k0 != ke - 1 and row[k0]:
+                    drop = min(row[k0], step_scaled)
+                    row[k0] -= drop
+                    costs[u][k0] += drop
+                    costs[v][k0] += drop
+                    level[k0] -= drop
             if ke != lu and ke != lv:  # component -1
-                row[ke - 1] += step_scaled
-                edge_changes.append((e, ke - 1, step_scaled))
-        tri_changes = []
-        for ti, (lam, gvals) in enumerate(zip(self.m.lam, tri_rows)):
+                k0 = ke - 1
+                row[k0] += step_scaled
+                costs[u][k0] -= step_scaled
+                costs[v][k0] -= step_scaled
+                level[k0] += step_scaled
+        node_suffixes: dict[int, list[list[int]]] = {}
+        edge_suffixes: dict[int, list[list[int]]] = {}
+        for (nodes, edges), lam, gvals in zip(self.m.triangles, self.m.lam, tri_rows):
             # lam - min(lam, step * g) is max(0, lam - step * g).
             drop = [x if x < y else y for x, y in zip(lam, map(step_scaled.__mul__, gvals))]
             if any(drop):
                 lam[:] = map(sub, lam, drop)
                 suffix = list(accumulate(reversed(drop)))[::-1]
-                tri_changes.append((ti, suffix))
                 self.lam_total -= suffix[0]
-        for edges, triangles in (self._x_pending, self._d_pending):
-            edges += edge_changes
-            triangles += tri_changes
-
-
-def _rows_per_member(
-    changes: list[tuple[int, list[int]]], members: list[tuple[int, int, int]],
-) -> Iterable[tuple[int, list[list[int]]]]:
-    """For ``changes``, a list of (triangle, row), each node or edge in
-    ``members[triangle]`` (the triangle's nodes, or its edges) with the
-    rows of its triangles."""
-    rows: dict[int, list[list[int]]] = {}
-    for ti, row in changes:
-        for x in members[ti]:
-            rows.setdefault(x, []).append(row)
-    return rows.items()
+                for i in nodes:
+                    node_suffixes.setdefault(i, []).append(suffix)
+                for e in edges:
+                    edge_suffixes.setdefault(e, []).append(suffix)
+        for i, suffixes in node_suffixes.items():
+            costs[i] = list(map(sum, zip(costs[i], *suffixes)))
+        for e, suffixes in edge_suffixes.items():
+            level = iter(levels[e])
+            for suffix in suffixes:
+                level = map(sub, level, suffix)
+            levels[e] = list(level)
 
 
 @dataclass(frozen=True)
@@ -321,11 +275,13 @@ def run_subgradient(
 
     The subproblems' costs live in one ``Subproblems`` for the whole run:
     the x-subproblem's cost matrix and each edge's level-cost row are built
-    at the first iteration and then updated by each step's multiplier
-    changes, and the sum of the triangle multipliers is a running total.
-    The time of that upkeep counts in the ``x_subproblem`` and
-    ``d_subproblem`` phases.  The iteration at the limit records its step
-    size but makes no step, since no solve would read its moves.
+    before the first iteration, and each step updates them with the
+    multipliers it moves; the sum of the triangle multipliers is a running
+    total.  The ``x_subproblem`` and ``d_subproblem`` phases time the
+    solves alone, and the ``step`` phase times the subgradient and the
+    step with that upkeep.  The last iteration, whatever ends the run,
+    records its step size but makes no step, since no solve would read
+    its moves.
 
     Stops on the iteration limit, a closed gap, a zero subgradient, a step
     size below STOP_MU, or at ``deadline``, a ``perf_counter`` value
@@ -362,14 +318,14 @@ def run_subgradient(
 
     for t in range(1, params.max_iter + 1):
         started = time.perf_counter()
-        x_solved = subproblems.solve_x(deadline, potentials)
+        x_solved = _assign(subproblems.costs, deadline, potentials)
         x_done = time.perf_counter()
         phase_s["x_subproblem"] += x_done - started
         if x_solved is None:
             stop_reason = "time"
             break
         x_lab, x_scaled = x_solved
-        d_choice, d_scaled = subproblems.solve_d()
+        d_choice, d_scaled = _cheapest(subproblems.levels)
         phase_s["d_subproblem"] += time.perf_counter() - x_done
         z_r_scaled = d_scaled - x_scaled - subproblems.lam_total
         z_r = z_r_scaled / SCALE
@@ -387,8 +343,8 @@ def run_subgradient(
             incumbent = ls_val
             best_labeling = ls_lab
 
+        started = time.perf_counter()
         norm2, tri_rows = _subgradient(g, mult, x_lab, d_choice)
-
         mu = 0.0
         stop = None
         if lower_bound >= incumbent:
@@ -399,6 +355,9 @@ def run_subgradient(
             mu = beta * (incumbent - z_r) / norm2
             if mu < STOP_MU:
                 stop = "mu"
+        if stop is None and t < params.max_iter:  # else no solve would read the moves
+            subproblems.step(round(mu * SCALE), x_lab, d_choice, tri_rows)
+        phase_s["step"] += time.perf_counter() - started
 
         trace.append(
             IterationRecord(
@@ -413,10 +372,6 @@ def run_subgradient(
         if stop is not None:
             stop_reason = stop
             break
-        if t == params.max_iter:  # no solve would read the step's moves
-            break
-
-        subproblems.step(round(mu * SCALE), x_lab, d_choice, tri_rows)
 
         if non_improving >= TAU:
             beta /= 2.0

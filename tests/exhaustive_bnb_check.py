@@ -19,9 +19,9 @@ starts, about 10-13 s).  Then every residual ascent that branch-and-bound
 runs on the benchmark's seven prove-small graphs (1,326, each with its
 cutoff) against the reference ascent on the residual subgraph, up to the
 step that reaches the cutoff (about 2 s).  Last, the Lagrangian's kept
-subproblem costs against a fresh build after every step of 40 iterations
-on each of 300 seeded random graphs with 8 to 24 nodes, from sparse to
-complete.  The tier-1 tests of B&B stop at 5 nodes and, for random
+subproblem costs against a fresh build after they are first built and
+after every step of 40 iterations on each of 300 seeded random graphs
+with 8 to 24 nodes, from sparse to complete.  The tier-1 tests of B&B stop at 5 nodes and, for random
 graphs, at 16; this script takes about 2.5 min, and pytest does not
 collect it.
 

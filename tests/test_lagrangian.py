@@ -1,5 +1,4 @@
 import hashlib
-import math
 import random
 import time
 from itertools import combinations
@@ -174,41 +173,34 @@ def test_pinned_trajectory(g, max_iter, expected, optimum):
 
 def kept_state_run(g, max_iter):
     """``run_subgradient`` with its kept subproblem state checked against
-    fresh builds at every solve, that is after every step, and once more
-    after the run: the x costs against the matrix ``solve_x_subproblem``
-    builds, each edge's level row against the fresh one, the d choices and
-    total against ``solve_d_subproblem`` and the reference, and the
-    triangle total against the sum of the multipliers.  Returns the result
-    and the number of d-subproblem states checked."""
-    kept = []
+    fresh builds after the first build and after every step: the x costs
+    against ``_x_costs``, each edge's level row against ``_level_rows``,
+    the d choices and total on the kept rows against ``solve_d_subproblem``
+    and the reference, and the triangle total against the sum of the
+    multipliers.  Returns the result and the number of states checked,
+    one per iteration: the last iteration makes no step."""
     checked = []
+
+    def check(sub):
+        assert sub.costs == lagrangian._x_costs(sub.g, sub.m)
+        assert sub.levels == lagrangian._level_rows(sub.g, sub.m)
+        assert lagrangian._cheapest(sub.levels) == solve_d_subproblem(sub.g, sub.m) \
+            == reference_d_subproblem(sub.g, sub.m)
+        assert sub.lam_total == sum(map(sum, sub.m.lam))
+        checked.append(sub)
 
     class Checked(lagrangian.Subproblems):
         def __init__(self, g, m):
             super().__init__(g, m)
-            kept.append(self)
+            check(self)
 
-        def solve_x(self, deadline, potentials):
-            solved = super().solve_x(deadline, potentials)
-            assert self.costs == lagrangian._x_costs(self.g, self.m)
-            assert self.lam_total == sum(map(sum, self.m.lam))
-            return solved
-
-        def solve_d(self):
-            solved = super().solve_d()
-            assert self.levels == lagrangian._level_rows(self.g, self.m)
-            assert solved == solve_d_subproblem(self.g, self.m) \
-                == reference_d_subproblem(self.g, self.m)
-            assert self.lam_total == sum(map(sum, self.m.lam))
-            checked.append(solved)
-            return solved
+        def step(self, *args):
+            super().step(*args)
+            check(self)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lagrangian, "Subproblems", Checked)
         res = run_subgradient(g, SubgradientParams(max_iter=max_iter))
-    for sub in kept:  # the state after the last step
-        sub.solve_x(math.inf, [0] * g.n)
-        sub.solve_d()
     return res, len(checked)
 
 
@@ -225,7 +217,7 @@ KEPT_STATE_RUNS = [(g, max_iter, digest) for g, max_iter, digest, _ in PINNED_TR
 def test_kept_state_equals_a_fresh_build(g, max_iter, expected):
     res, checked = kept_state_run(g, max_iter)
     assert _trajectory_digest(res) == expected
-    assert checked == res.iterations + 1
+    assert checked == res.iterations
 
 
 def test_kept_state_without_triangles(monkeypatch):
@@ -235,7 +227,7 @@ def test_kept_state_without_triangles(monkeypatch):
     g = gen_gnm(24, 60, 11)
     with pytest.warns(UserWarning, match="triangle"):
         res, checked = kept_state_run(g, 40)
-    assert checked == res.iterations + 1 > 2
+    assert checked == res.iterations > 2
 
 
 @pytest.mark.parametrize("max_iter", [1, 25])
@@ -270,7 +262,7 @@ def graphs_with_triangles(draw):
 @given(graphs_with_triangles())
 def test_kept_state_equals_a_fresh_build_on_random_graphs(g):
     res, checked = kept_state_run(g, 40)
-    assert checked == res.iterations + 1
+    assert checked == res.iterations
     assert res.incumbent_value == sl_value(g, res.best_labeling)
 
 
