@@ -1,6 +1,7 @@
 """Ground-truth solvers: the exact oracle, a subset dynamic program for up
 to 20 nodes, and a combinatorial branch-and-bound with dual-ascent and
-per-level coverage lower bounds and neighbourhood domination.
+per-level coverage lower bounds, neighbourhood and state dominance, and
+primal dives.
 
 Both assign labels 1, 2, ... in order.  Once no edge has both ends
 unlabeled, every contribution is fixed and the rest can go in any order.
@@ -28,7 +29,7 @@ from operator import add, and_
 
 from .core import Graph, Labeling, sl_value
 from .dual_ascent import dual_ascent_extended
-from .heuristics import greedy_label, starting_heuristic
+from .heuristics import greedy_label, local_search, starting_heuristic
 
 
 ORACLE_LIMIT = 20  # the most nodes subset_dp accepts: 2**20 states
@@ -241,24 +242,35 @@ def coverage_table(g: Graph, deadline: float = math.inf) -> list[int]:
 class SearchStats:
     """Counters of one search: ``explored`` expanded nodes (each has a
     residual edge), ``dominated`` children skipped by neighbourhood
-    domination before any bound and ``level_pruned`` children cut by the
-    coverage-table bound before any ascent (neither is counted in
-    ``pruned_by_bound``), ``bound_calls`` dual-ascent runs (a residual
-    bounded again under a higher cutoff counts again), ``cache_hits``
-    residual bounds taken from the memo instead, and ``open_bound`` the
-    smallest bound left open when a limit stopped the search."""
+    domination before any bound, ``level_pruned`` children cut by the
+    coverage-table bound before any ascent and ``state_dominated``
+    children dropped because a node with the same residual and no larger
+    base was already generated (none of the three is counted in
+    ``pruned_by_bound``), ``stale`` popped nodes skipped because their
+    residual has since gained a node of smaller base (not counted in
+    ``explored``), ``bound_calls`` dual-ascent runs (a residual bounded
+    again under a higher cutoff counts again), ``cache_hits`` residual
+    bounds taken from the memo instead, ``dives`` primal dives and
+    ``dives_improved`` those that lowered the incumbent, and
+    ``open_bound`` the smallest bound left open when a limit stopped the
+    search."""
 
     explored: int = 0
     pruned_by_bound: int = 0
     dominated: int = 0
     level_pruned: int = 0
+    state_dominated: int = 0
+    stale: int = 0
     bound_calls: int = 0
     cache_hits: int = 0
+    dives: int = 0
+    dives_improved: int = 0
     open_bound: int | None = None
     proven_optimal: bool = False
 
 
 CACHE_LIMIT = 400_000  # residual bounds kept; the least recently used goes first
+DIVE_EVERY = 16  # expansions 1 + DIVE_EVERY, 1 + 2 * DIVE_EVERY, ... end in a primal dive; 0: none
 
 
 def _dominated(u: int, gained: int, near: list[int]) -> bool:
@@ -309,6 +321,18 @@ def _dominated(u: int, gained: int, near: list[int]) -> bool:
     return False
 
 
+def _dive_order(g: Graph, incident: list[int], partial: tuple[int, ...], residual: int) -> Labeling:
+    """``partial`` completed by greedy on the residual: the unlabeled node
+    with the most residual edges next (the lowest index on ties), until no
+    residual edge is left; the other nodes follow in index order."""
+    order = list(partial)
+    while residual:
+        v = max(range(g.n), key=lambda v: (residual & incident[v]).bit_count())
+        order.append(v)
+        residual &= ~incident[v]
+    return Labeling.from_order(g.n, order)
+
+
 @dataclass
 class BnBResult:
     lower_bound: int
@@ -353,6 +377,41 @@ def branch_and_bound(
     when it is exact or reaches the new cutoff, else the ascent runs again.
     The memo is built per call, holds ``CACHE_LIMIT`` entries (read at that
     time) and drops the least recently used first.
+
+    State dominance (Ibaraki 1977; A* with duplicate detection, Hart,
+    Nilsson & Raphael 1968).  A node at depth d with fixed cost F and
+    residual R has the base F + d|R|.  Each edge of R has both ends
+    unlabeled, so it contributes d plus the smaller of its ends' labels
+    counted from d + 1; the unlabeled nodes that touch no edge of R can go
+    last, so the best completion is worth base + opt(R), with opt(R) the
+    optimum of R's edges alone, which depends on R but not on d or on
+    which nodes are labeled.  So, of the nodes with one residual, one of
+    least base has the best completion.  ``least_base`` maps each residual
+    to the least base of a node generated with it; it is a dict beside the
+    memo, since the memo's evictions would change the search, and it
+    keeps one int per residual that passes the level bound (about 1 MB on
+    the 40-node graphs that take a few thousand expansions).  A child whose
+    residual already has a node of base <= its own is dropped before its
+    ascent or memo lookup (``state_dominated``), and a popped node whose
+    residual has since gained a node of smaller base is skipped
+    (``stale``) and not counted as explored.  Either way, a node with the
+    same residual and no larger base was generated earlier; the last one
+    generated for a residual has its least base, is never stale, and is
+    expanded unless a bound cuts it, so no completion below the incumbent
+    is lost.  All children of a node share one base: label d + 1 fixes
+    F + (d + 1) gained and leaves |R| - gained edges, so their base is
+    base + |R|.
+
+    Primal dives (Berthold 2006, "Primal heuristics for mixed integer
+    programs").  Best-first search meets leaves late, and without an early
+    incumbent state dominance keeps nodes that an ascent then has to cut.
+    So at expansions 1 + k ``DIVE_EVERY`` for k >= 1 (``DIVE_EVERY`` 0
+    turns dives off; the root's dive would only repeat the starting
+    heuristic), once its children are generated, the popped node's order
+    is completed by greedy on its residual (``_dive_order``) and improved
+    by ``local_search`` up to ``deadline``; a lower value becomes the
+    incumbent.  ``dives`` counts the dives, ``dives_improved`` those that
+    lowered the incumbent.
 
     The coverage table gives a second bound.  A child at depth d (its
     label) with fixed cost F and residual R has its labels <= d fixed, so
@@ -411,8 +470,9 @@ def branch_and_bound(
     table = coverage_table(g, now + (deadline - now) / 2)
     suffix = list(accumulate(reversed(table), initial=0))[::-1]
     root_residual = (1 << g.m) - 1
-    # (lb, -depth, insertion counter, labeled nodes in label order, fixed cost, residual)
+    # (lb, -depth, insertion counter, labeled nodes in label order, base, residual)
     heap = [(max(suffix[0], dual_bound(root_residual, math.inf)), 0, 0, (), 0, root_residual)]
+    least_base = {root_residual: 0}  # residual -> the least base of a node generated with it
     best_labeling, incumbent = starting_heuristic(g, deadline)
     counter = 0
 
@@ -420,15 +480,20 @@ def branch_and_bound(
     while heap:
         if stats.explored >= node_limit or time.perf_counter() >= deadline:
             break
-        lb, neg_depth, _, partial, fixed_cost, residual = heapq.heappop(heap)
+        lb, neg_depth, _, partial, base, residual = heapq.heappop(heap)
         if lb >= incumbent:
             stats.pruned_by_bound += 1
+            continue
+        if base > least_base[residual]:
+            stats.stale += 1
             continue
         stats.explored += 1
 
         # Labeled nodes have no residual edges, so they are never candidates;
         # an unlabeled v gains one residual edge per node of near[v].
         label = 1 - neg_depth
+        edges_left = residual.bit_count()
+        child_base = base + edges_left
         unlabeled = (1 << g.n) - 1
         for v in partial:
             unlabeled ^= 1 << v
@@ -441,26 +506,37 @@ def branch_and_bound(
                 stats.dominated += 1
                 continue
             child_residual = residual & ~incident[v]
-            child_fixed = fixed_cost + label * gained
-            size = child_residual.bit_count()
-            base = child_fixed + label * size
-            child_lb = base + size + suffix[label + 1]
+            size = edges_left - gained
+            child_lb = child_base + size + suffix[label + 1]
             if child_lb >= incumbent:
                 stats.level_pruned += 1
                 continue
-            if not child_residual:  # a finished labeling worth child_fixed
-                incumbent = child_fixed
+            if not child_residual:  # a finished labeling worth child_base
+                incumbent = child_base
                 best_labeling = Labeling.from_order(g.n, partial + (v,))
                 continue
-            child_lb = max(child_lb, base + dual_bound(child_residual, incumbent - base))
+            if least_base.get(child_residual, math.inf) <= child_base:
+                stats.state_dominated += 1
+                continue
+            least_base[child_residual] = child_base
+            cutoff = incumbent - child_base
+            child_lb = max(child_lb, child_base + dual_bound(child_residual, cutoff))
             if child_lb >= incumbent:
                 stats.pruned_by_bound += 1
                 continue
             counter += 1
             heapq.heappush(
                 heap,
-                (child_lb, neg_depth - 1, counter, partial + (v,), child_fixed, child_residual),
+                (child_lb, neg_depth - 1, counter, partial + (v,), child_base, child_residual),
             )
+
+        # The root's dive would only repeat the starting heuristic.
+        if DIVE_EVERY and partial and (stats.explored - 1) % DIVE_EVERY == 0:
+            stats.dives += 1
+            labeling, value = local_search(g, _dive_order(g, incident, partial, residual), deadline)
+            if value < incumbent:
+                stats.dives_improved += 1
+                best_labeling, incumbent = labeling, value
 
     stats.open_bound = heap[0][0] if heap else None
     lower = incumbent if stats.open_bound is None else min(incumbent, stats.open_bound)

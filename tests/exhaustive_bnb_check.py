@@ -16,19 +16,21 @@ of its final potentials, and its exact output against the tests'
 reference kernel.  Next, local search against the tests' full-scan
 reference from every labeling of every graph with 0 to 5 nodes (124,470
 starts, about 10-13 s).  Then every residual ascent that branch-and-bound
-runs on the benchmark's seven prove-small graphs (1,326, each with its
+runs on the benchmark's seven prove-small graphs (1,618, each with its
 cutoff) against the reference ascent on the residual subgraph, up to the
-step that reaches the cutoff (about 2 s).  Last, the Lagrangian's kept
+step that reaches the cutoff (about 2 s), and B&B's proofs of two
+40-node graphs within its node limit (about 5 s).  Last, the Lagrangian's kept
 subproblem costs against a fresh build after they are first built and
 after every step of 40 iterations on each of 300 seeded random graphs
 with 8 to 24 nodes, from sparse to complete.  The tier-1 tests of B&B stop at 5 nodes and, for random
-graphs, at 16; this script takes about 2.5 min, and pytest does not
+graphs, at 16; this script takes about 3 min, and pytest does not
 collect it.
 
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
 
 It prints the number of matrices, local search starts, residual ascents,
-graphs and Lagrangian runs checked and exits 1 on the first mismatch.
+40-node proofs, graphs and Lagrangian runs checked and exits 1 on the
+first mismatch.
 """
 
 import math
@@ -41,7 +43,7 @@ from slabel.assignment import hungarian_min
 from slabel.core import Labeling, build_graph, sl_value
 from slabel.dual_ascent import dual_ascent_extended
 from slabel.heuristics import local_search
-from slabel.instances import gen_gnm
+from slabel.instances import gen_gnm, gen_lobster
 from test_assignment import brute_min, certifies, reference_hungarian_min  # this script's directory
 from test_dual_ascent import is_cut_reference, reference_dual_ascent_extended, subgraph_ascent
 from test_exact import all_graphs, brute_force, enumerated_table, no_starting_incumbent
@@ -57,7 +59,15 @@ LARGER_GNM = [((17, 40, 1), 143), ((18, 45, 2), 198), ((19, 50, 3), 246),
 PROVE_SMALL = [((18, 40, 1), 10_000), ((20, 45, 3), 10_000), ((22, 50, 5), 10_000),
                ((24, 55, 2), 10_000), ((24, 60, 11), 10_000), ((26, 60, 4), 10_000),
                ((30, 70, 9), 500)]
-PROVE_SMALL_ASCENTS = 1_326
+PROVE_SMALL_ASCENTS = 1_618
+
+# Graphs beyond the program's 20 nodes, their optima and B&B's node limit
+# for each proof.  gnm(40, 90, 5) = 742 is what B&B proved before it had
+# state dominance and dives, in 791,184 expansions; the 40-node lobster's
+# 304 is the MIP optimum that HiGHS finds with triangle cuts.
+PROVEN_40 = [("gnm(40, 90, 5)", lambda: gen_gnm(40, 90, 5), 742),
+             ("lobster(8, 0.7, 0.5, 4)", lambda: gen_lobster(8, 0.7, 0.5, 4), 304)]
+PROOF_NODE_LIMIT = 10_000
 
 # The kept-state corpus: this many gnm graphs, each at 40 iterations.
 KEPT_STATE_GRAPHS = 300
@@ -100,6 +110,16 @@ def bnb_finds(g, opt):
     print(f"mismatch on n={g.n} edges={list(g.edges)}: optimum {opt}, B&B "
           f"[{res.lower_bound}, {res.upper_bound}] at table node limit "
           f"{exact.TABLE_NODE_LIMIT}", file=sys.stderr)
+    return False
+
+
+def bnb_proves(name, g, opt):
+    res = exact.branch_and_bound(g, node_limit=PROOF_NODE_LIMIT)
+    if (res.stats.proven_optimal
+            and res.lower_bound == res.upper_bound == sl_value(g, res.labeling) == opt):
+        return True
+    print(f"B&B does not prove {name} = {opt} within {PROOF_NODE_LIMIT} expansions: "
+          f"[{res.lower_bound}, {res.upper_bound}] after {res.stats.explored}", file=sys.stderr)
     return False
 
 
@@ -176,6 +196,10 @@ def main() -> int:
     if ascents is None:
         return 1
     print(f"{ascents} residual ascents of branch-and-bound checked")
+    for name, make, opt in PROVEN_40:
+        if not bnb_proves(name, make(), opt):
+            return 1
+    print(f"{len(PROVEN_40)} proofs of 40-node graphs checked")
     exact.starting_heuristic = no_starting_incumbent
     checked = 0
     for g in all_graphs(6):

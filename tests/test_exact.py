@@ -24,7 +24,7 @@ from slabel.instances import gen_gnm, gen_random_tree
 
 # sha256 over every result of the exhaustive loop below: the labeling and
 # the search counters, so a refactor that changes either one fails.
-EXHAUSTIVE_DIGEST = "8b3b5ffa7b636fcff9f8aba6f0a345225c47abec84a02336fb745838a262d7f9"
+EXHAUSTIVE_DIGEST = "d12d4e22dcd11563a1f0483ca1d03fa55f7f0a7796cd42a557121b50a130b387"
 
 
 def test_proves_optimum_on_every_graph_up_to_five_nodes():
@@ -41,8 +41,9 @@ def test_proves_optimum_on_every_graph_up_to_five_nodes():
             assert sl_value(g, res.labeling) == opt
             s = res.stats
             digest.update(repr((res.labeling.labels, s.explored, s.pruned_by_bound,
-                                s.dominated, s.level_pruned, s.bound_calls,
-                                s.cache_hits)).encode())
+                                s.dominated, s.level_pruned, s.state_dominated, s.stale,
+                                s.bound_calls, s.cache_hits, s.dives,
+                                s.dives_improved)).encode())
             checked += 1
     assert checked == 1 + 2 + 8 + 64 + 1024
     assert digest.hexdigest() == EXHAUSTIVE_DIGEST
@@ -70,29 +71,30 @@ def test_proves_every_graph_up_to_five_nodes_without_a_starting_incumbent(monkey
     assert checked == 1 + 2 + 8 + 64 + 1024
 
 
-# n, m, seed, explored, pruned + level-pruned + dominated, dominated, level-pruned
+# n, m, seed, then explored, pruned by bound, dominated, level-pruned,
+# state-dominated, stale, dives and dives that improved the incumbent.
 PINNED_COUNTERS = [
-    (18, 40, 1, 16, 187, 66, 6),
-    (20, 45, 3, 0, 1, 0, 0),  # the table's sum is the optimum: proven at the root
-    (22, 50, 5, 0, 1, 0, 0),
-    (24, 55, 2, 0, 1, 0, 0),
-    (24, 60, 11, 17, 252, 75, 0),
-    (26, 60, 4, 1493, 19483, 8032, 5689),
+    (18, 40, 1, (15, 102, 62, 5, 4, 0, 0, 0)),
+    (20, 45, 3, (0, 1, 0, 0, 0, 0, 0, 0)),  # the table's sum is the optimum: proven at the root
+    (22, 50, 5, (0, 1, 0, 0, 0, 0, 0, 0)),
+    (24, 55, 2, (0, 1, 0, 0, 0, 0, 0, 0)),
+    (24, 60, 11, (17, 175, 75, 0, 2, 0, 1, 0)),
+    (26, 60, 4, (89, 232, 365, 871, 155, 0, 5, 0)),
 ]
 
 
-@pytest.mark.parametrize("n, m, seed, explored, cut, dominated, level_pruned", PINNED_COUNTERS,
+@pytest.mark.parametrize("n, m, seed, counters", PINNED_COUNTERS,
                          ids=["-".join(map(str, row[:3])) for row in PINNED_COUNTERS])
-def test_search_counters_are_pinned(n, m, seed, explored, cut, dominated, level_pruned):
+def test_search_counters_are_pinned(n, m, seed, counters):
     # Residual bounds stop at the pruning cutoff; the search they steer
     # must equal the one with full bounds.  On these graphs every child
-    # that domination skips would have been cut by a bound, so the
-    # explored nodes and the children cut either way are those of the
-    # search without the rule.
+    # that neighbourhood domination skips would have been cut by a bound
+    # or by state dominance, so the explored nodes and the sum of the
+    # children cut either way are those of the search without the rule.
     s = branch_and_bound(gen_gnm(n, m, seed)).stats
     assert s.proven_optimal
-    assert (s.explored, s.pruned_by_bound + s.level_pruned + s.dominated) == (explored, cut)
-    assert (s.dominated, s.level_pruned) == (dominated, level_pruned)
+    assert (s.explored, s.pruned_by_bound, s.dominated, s.level_pruned, s.state_dominated,
+            s.stale, s.dives, s.dives_improved) == counters
 
 
 def test_every_ascent_goes_through_the_module_name(monkeypatch):
@@ -603,3 +605,51 @@ def test_every_pushed_child_is_undominated_in_its_parent_state(monkeypatch):
             assert res.stats.proven_optimal
             for order in pushed:
                 assert order[-1] in undominated_candidates(g, order[:-1]), (g, order)
+
+
+def label_order_base(g, order):
+    """F + d|R| for the node that labels ``order``: its fixed cost F, its
+    depth d and its residual edges R, from the definition."""
+    labels = {v: k for k, v in enumerate(order, 1)}
+    fixed = sum(min(labels.get(u, math.inf), labels.get(v, math.inf))
+                for u, v in g.edges if u in labels or v in labels)
+    residual = sum(1 for u, v in g.edges if u not in labels and v not in labels)
+    return fixed + len(order) * residual
+
+
+def test_a_residual_reached_by_two_label_orders_is_expanded_once(monkeypatch):
+    # Labeling 0 then 7, or 7 then 0, leaves one residual edge set, and
+    # every completion of either is worth its base plus the residual's own
+    # optimum.  Node 0 has four edges and node 7 three, so (0, 7) fixes
+    # 4 * 1 + 3 * 2 and (7, 0) fixes 3 * 1 + 4 * 2: only the cheaper is
+    # expanded.  Every expansion dives, so recording the dives records the
+    # expanded nodes; the dives never improve and there is no starting
+    # incumbent, so that no bound cuts either child first.
+    g = build_graph(10, [(0, 1), (0, 2), (0, 4), (0, 6), (1, 5), (1, 7), (2, 6), (3, 4),
+                         (4, 7), (6, 9), (7, 8), (8, 9)])
+    assert label_order_base(g, (0, 7)) == 20 < label_order_base(g, (7, 0)) == 21
+    expanded = []
+
+    def recording(g, incident, partial, residual):
+        expanded.append(partial)
+        return Labeling.from_order(g.n, partial)
+
+    monkeypatch.setattr(exact, "DIVE_EVERY", 1)
+    monkeypatch.setattr(exact, "_dive_order", recording)
+    monkeypatch.setattr(exact, "local_search", lambda g, phi, deadline: (phi, math.inf))
+    monkeypatch.setattr(exact, "starting_heuristic", no_starting_incumbent)
+    res = branch_and_bound(g)
+    assert res.stats.proven_optimal and res.upper_bound == subset_dp(g)[0]
+    assert {(0,), (7,), (0, 7)} <= set(expanded) and (7, 0) not in expanded
+    assert res.stats.state_dominated >= 1
+
+
+def test_a_node_whose_residual_gains_a_cheaper_node_is_skipped():
+    # Here some residuals are first reached at a higher base and then at a
+    # lower one while the first node is still open: that node is skipped
+    # when popped, and the proof still meets the program's optimum.
+    g = gen_gnm(15, 44, 724364)
+    res = branch_and_bound(g)
+    assert res.stats.stale >= 1
+    assert res.stats.proven_optimal
+    assert res.lower_bound == res.upper_bound == subset_dp(g)[0] == sl_value(g, res.labeling)

@@ -33,3 +33,15 @@ def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
     )
     lines = run.stdout.strip().splitlines()
     assert lines and "1 failed, 1 passed" in lines[-1], run.stdout + run.stderr
+
+
+def test_the_report_header_names_the_tested_package():
+    # A parent/change comparison run from one checkout tests that
+    # checkout's src/ whatever PYTHONPATH says; the header shows it.
+    repo = PYPROJECT.parent
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "--co", "-p", "no:cacheprovider",
+         "tests/test_stdlib_only.py"],
+        cwd=repo, capture_output=True, text=True, timeout=120,
+    )
+    assert f"slabel: {repo / 'src' / 'slabel'}" in run.stdout.splitlines(), run.stdout
