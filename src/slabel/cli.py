@@ -37,7 +37,10 @@ and ``open_bound``.  A ``dual-extended`` run reports
 ``alpha_values`` and ``net_changes``, the per-label amount and the net
 change of each committed ascent step; its ``lower_bound`` is ``edges``
 plus the sum of ``net_changes``.  A ``lagrangian`` run reports
-``iterations``, ``incumbent``, ``stop_reason`` and ``phase_ms``: the
+``iterations``, ``incumbent``, ``stop_reason``, ``level_floor`` (the
+exact level bound sum(g_t) of a forest, ``null`` on a graph with a cycle
+or when the time limit passed first; a run whose incumbent meets it stops
+with ``gap``) and ``phase_ms``: the
 milliseconds its iterations spent in ``x_subproblem`` (the assignment),
 ``d_subproblem`` (the cheapest level per edge), ``local_search`` and
 ``step`` (the subgradient and the multiplier step, with the upkeep of
@@ -137,7 +140,7 @@ def _lagrangian(g: Graph, deadline: float) -> _Result:
     lb, ub = res.lower_bound, res.incumbent_value
     return _Result(lb, ub, res.best_labeling, timed_out=res.stop_reason == "time",
                    details={"iterations": res.iterations, "incumbent": ub,
-                            "stop_reason": res.stop_reason,
+                            "stop_reason": res.stop_reason, "level_floor": res.level_floor,
                             "phase_ms": {name: round(1000.0 * seconds, 3)
                                          for name, seconds in res.phase_s.items()}})
 

@@ -1,7 +1,7 @@
 """Ground-truth solvers: the exact oracle, a subset dynamic program for up
 to 20 nodes, and a combinatorial branch-and-bound with dual-ascent and
 per-level coverage lower bounds, neighbourhood and state dominance, and
-primal dives.
+primal dives; and the exact level table of a forest by a tree knapsack.
 
 Both assign labels 1, 2, ... in order.  Once no edge has both ends
 unlabeled, every contribution is fixed and the rest can go in any order.
@@ -13,7 +13,8 @@ With L_t the nodes labeled <= t and e(X) the number of edges with both
 ends in X, an edge of smallest label k is uncovered at exactly the k steps
 t = 0..k-1, so a labeling's value is the sum over t = 0..n-1 of
 e(V - L_t).  ``coverage_table`` bounds each term from below by g_t, the
-fewest edges any t nodes leave uncovered.
+fewest edges any t nodes leave uncovered, and ``forest_levels`` computes
+every g_t exactly when the graph is a forest.
 """
 
 from __future__ import annotations
@@ -236,6 +237,85 @@ def coverage_table(g: Graph, deadline: float = math.inf) -> list[int]:
             low = _lightest_set(rows, zeros, k, greedy[t], floor, deadline)[0]
         table[t] = max(low, floor)
     return table
+
+
+def _max_plus(a: list[int], b: list[int]) -> list[int]:
+    """The max-plus convolution: entry k is the max of a[i] + b[j] over
+    i + j = k, one row per entry of the shorter list.  The rows take the
+    larger entry by a conditional, which is about twice as fast here as
+    ``map(max)``."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(b[0].__add__, a))
+    for j, y in enumerate(b[1:], 1):
+        # The row's last entry is new.
+        out[j:] = [x if x > z else z for x, z in zip(out[j:], map(y.__add__, a))]
+        out.append(y + a[-1])
+    return out
+
+
+def _best(chosen: list[int], free: list[int], gain: int) -> list[int]:
+    """Entry b = 0..s, for a subtree of s nodes and b of them chosen, is
+    max(chosen[b - 1] + gain, free[b]) over the entries that exist."""
+    return [free[0], *map(max, map(gain.__add__, chosen), free[1:]), chosen[-1] + gain]
+
+
+def forest_levels(g: Graph, deadline: float = math.inf) -> list[int] | None:
+    """g_t for t = 0..n, exactly, when g is a forest; None when g has a
+    cycle or at ``deadline``, a ``perf_counter`` value (``math.inf``, the
+    default, means none) read once before each component.
+
+    g_t = m - (the most edges t nodes cover), and on a forest the most is a
+    tree knapsack.  Each component is rooted at its lowest node and
+    searched breadth first, a visited neighbour other than the parent
+    being a cycle.  For the subtree of v with s nodes, ``chosen[v][k - 1]``
+    is the most of its edges that k of its nodes cover with v among them
+    (k = 1..s), and ``free[v][k]`` the most with v not among them (k =
+    0..s-1); both start at [0] and take in v's children one at a time, in
+    reverse breadth-first order.  Every edge joins a child c to its parent
+    v, so it is counted exactly once, when c is taken in: it is covered
+    whenever v is chosen, and otherwise exactly when c is.  So chosen_v
+    becomes chosen_v (+) (1 + max(chosen_c[b - 1], free_c[b])) and free_v
+    becomes free_v (+) max(chosen_c[b - 1] + 1, free_c[b]), over b =
+    0..|c| and the entries that exist (``_best``), where (+) is the
+    max-plus convolution.  Every subset of the subtree splits into its
+    part at v and its parts in the children's subtrees, which the
+    convolution ranges over, so both lists are exact.  The components are
+    combined by the same convolution of their roots' best lists.  All the
+    merges together take O(n**2) steps and give every t at once.
+
+    As ``coverage_table`` says, no order leaves fewer than g_t edges
+    uncovered at step t, so sum(g_t over t < n) bounds the optimum from
+    below, and it is at least the table's sum, whose entries bound the g_t
+    from below.
+    """
+    parent = [-1] * g.n
+    seen = bytearray(g.n)
+    covered = [0]  # the most edges t nodes of the finished components cover
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        if time.perf_counter() >= deadline:
+            return None
+        seen[root] = 1
+        order = [root]
+        for v in order:  # grows while it is read
+            for w, _ in g.adjacency[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    parent[w] = v
+                    order.append(w)
+                elif w != parent[v]:
+                    return None
+        chosen = {v: [0] for v in order}
+        free = {v: [0] for v in order}
+        for c in reversed(order[1:]):
+            inside, outside = chosen.pop(c), free.pop(c)
+            v = parent[c]
+            chosen[v] = _max_plus(chosen[v], list(map((1).__add__, _best(inside, outside, 0))))
+            free[v] = _max_plus(free[v], _best(inside, outside, 1))
+        covered = _max_plus(covered, _best(chosen[root], free[root], 0))
+    return [g.m - c for c in covered]
 
 
 @dataclass

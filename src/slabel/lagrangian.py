@@ -17,6 +17,11 @@ subproblem solvers return their values times SCALE.
 the multipliers.  ``run_subgradient`` builds them once and keeps them in a
 ``Subproblems``: a step moves only some of the multipliers, and moves the
 cost entries those reach with them.
+
+On a forest ``run_subgradient`` also has an exact bound that needs no
+multipliers: sum(g_t) from the tree-knapsack DP ``exact.forest_levels``.
+It closes the gap once the incumbent comes down to it and joins the
+returned bound; the iterations themselves never read it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import Iterator
 from .assignment import hungarian_min
 from .core import Graph, Labeling, count_triangles, enumerate_triangles
 from .dual_ascent import DualSolution, dual_ascent_extended
+from .exact import forest_levels
 from .heuristics import local_search, starting_heuristic
 
 SCALE = 1 << 20
@@ -246,7 +252,10 @@ class IterationRecord:
 @dataclass
 class LagrangianResult:
     """``phase_s`` holds the seconds spent in each of PHASES, summed over
-    the iterations (a call the deadline stopped included)."""
+    the iterations (a call the deadline stopped included).  ``level_floor``
+    is the exact level bound of a forest, sum(g_t) from
+    ``exact.forest_levels``: None when g has a cycle or the deadline
+    passed before the bound was done."""
 
     lower_bound: int
     incumbent_value: int
@@ -255,6 +264,7 @@ class LagrangianResult:
     trace: list[IterationRecord]
     stop_reason: str
     phase_s: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    level_floor: int | None = None
 
 
 def run_subgradient(
@@ -283,6 +293,18 @@ def run_subgradient(
     records its step size but makes no step, since no solve would read
     its moves.
 
+    On a forest, once the warm start and the starting heuristic are done
+    and the deadline has not passed, ``exact.forest_levels`` gives the
+    exact level bound sum(g_t), the ``level_floor`` of the result (None on
+    a graph with a cycle, where the run is the same as without it).  Only
+    the gap test, max(subgradient bound, floor) >= incumbent, and the
+    returned bound read the floor; the records, the count of non-improving
+    iterations and beta read the subgradient's own bound, so the
+    multipliers move as they would without it until the run stops.  A
+    floor that already meets the starting heuristic stops the run with
+    ``gap`` before any iteration, and otherwise ``gap`` fires at the first
+    iteration whose local search brings the incumbent down to it.
+
     Stops on the iteration limit, a closed gap, a zero subgradient, a step
     size below STOP_MU, or at ``deadline``, a ``perf_counter`` value
     (``math.inf``, the default, means no limit).  The warm-start ascent
@@ -293,18 +315,27 @@ def run_subgradient(
     assignment solver reads the clock before each of its rows, so a
     passed deadline stops the run inside an iteration, and that
     iteration is dropped.  Local search reads it
-    before each sweep and keeps the labeling it has reached.  Whatever the
-    stop, the bound is the best of the finished iterations and the
-    warm-start dual-ascent value, and the bracket is valid.
+    before each sweep and keeps the labeling it has reached, and the forest
+    DP before each component, giving no floor once it has passed.
+    Whatever the stop, the bound is the best of the finished iterations,
+    the warm-start dual-ascent value and the floor, and the bracket is
+    valid.
     """
     params = params or SubgradientParams()
     if g.m == 0:
-        return LagrangianResult(0, 0, Labeling.from_order(g.n, ()), 0, [], "edgeless")
+        return LagrangianResult(0, 0, Labeling.from_order(g.n, ()), 0, [], "edgeless",
+                                level_floor=0)
 
     dual, warm_start, _ = dual_ascent_extended(g, deadline=deadline)
     best_labeling, incumbent = starting_heuristic(g, deadline)
     if time.perf_counter() >= deadline:
         return LagrangianResult(warm_start, incumbent, best_labeling, 0, [], "time")
+    levels = forest_levels(g, deadline)
+    level_floor = None if levels is None else sum(levels)
+    floor = level_floor or 0
+    if floor >= incumbent:
+        return LagrangianResult(max(warm_start, floor), incumbent, best_labeling, 0, [], "gap",
+                                level_floor=level_floor)
     mult = Multipliers.from_dual_ascent(g, with_triangles=True, dual=dual)
     subproblems = Subproblems(g, mult)
 
@@ -347,7 +378,7 @@ def run_subgradient(
         norm2, tri_rows = _subgradient(g, mult, x_lab, d_choice)
         mu = 0.0
         stop = None
-        if lower_bound >= incumbent:
+        if max(lower_bound, floor) >= incumbent:
             stop = "gap"
         elif norm2 == 0:
             stop = "gnorm"
@@ -378,13 +409,14 @@ def run_subgradient(
             non_improving = 0
 
     return LagrangianResult(
-        lower_bound=max(lower_bound, warm_start),
+        lower_bound=max(lower_bound, warm_start, floor),
         incumbent_value=incumbent,
         best_labeling=best_labeling,
         iterations=len(trace),
         trace=trace,
         stop_reason=stop_reason,
         phase_s=phase_s,
+        level_floor=level_floor,
     )
 
 

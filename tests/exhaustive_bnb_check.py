@@ -4,7 +4,11 @@ reference, the coverage table entry by entry against enumeration of
 every node set and its sum (a lower bound) against the program,
 branch-and-bound, with no starting incumbent so that the search must
 find each optimum itself, against the program, and the extended dual
-ascent against its reference kernel.  Then the ascent against its
+ascent against its reference kernel.  On the 3,271 of those graphs that
+are forests, the forest level table entry by entry against enumeration,
+its sum (a lower bound) against the program, and the Lagrangian's
+bracket, which reads that sum, against the program; on the others, that
+the forest table refuses them.  Then the ascent against its
 reference on gnm(500, 1500, 7), and the program against
 its pinned optimum, and B&B against the program, on six random graphs
 with 17 to 20 nodes, once with the coverage table's node limit and once
@@ -29,8 +33,8 @@ collect it.
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
 
 It prints the number of matrices, local search starts, residual ascents,
-40-node proofs, graphs and Lagrangian runs checked and exits 1 on the
-first mismatch.
+40-node proofs, graphs, forests and Lagrangian runs checked and exits 1
+on the first mismatch.
 """
 
 import math
@@ -44,9 +48,10 @@ from slabel.core import Labeling, build_graph, sl_value
 from slabel.dual_ascent import dual_ascent_extended
 from slabel.heuristics import local_search
 from slabel.instances import gen_gnm, gen_lobster
+from slabel.lagrangian import run_subgradient
 from test_assignment import brute_min, certifies, reference_hungarian_min  # this script's directory
 from test_dual_ascent import is_cut_reference, reference_dual_ascent_extended, subgraph_ascent
-from test_exact import all_graphs, brute_force, enumerated_table, no_starting_incumbent
+from test_exact import all_graphs, brute_force, enumerated_table, is_forest, no_starting_incumbent
 from test_heuristics import reference_local_search
 from test_lagrangian import kept_state_run
 
@@ -68,6 +73,9 @@ PROVE_SMALL_ASCENTS = 1_618
 PROVEN_40 = [("gnm(40, 90, 5)", lambda: gen_gnm(40, 90, 5), 742),
              ("lobster(8, 0.7, 0.5, 4)", lambda: gen_lobster(8, 0.7, 0.5, 4), 304)]
 PROOF_NODE_LIMIT = 10_000
+
+# The labeled forests on 1 to 6 nodes.
+FORESTS_6 = 1 + 2 + 7 + 38 + 291 + 2932
 
 # The kept-state corpus: this many gnm graphs, each at 40 iterations.
 KEPT_STATE_GRAPHS = 300
@@ -159,6 +167,27 @@ def bnb_ascents_checked():
     return len(calls)
 
 
+def forest_matches(g, opt):
+    """On a forest, the level table against enumeration, its sum against
+    the optimum and the Lagrangian bracket around it; on any other graph,
+    that the table refuses it."""
+    levels = exact.forest_levels(g)
+    if not is_forest(g):
+        if levels is None:
+            return True
+        print(f"forest levels {levels} on n={g.n} edges={list(g.edges)}, which has a cycle",
+              file=sys.stderr)
+        return False
+    res = run_subgradient(g)
+    if (levels == enumerated_table(g) + [0] and sum(levels) <= opt
+            and res.lower_bound <= opt <= res.incumbent_value == sl_value(g, res.best_labeling)):
+        return True
+    print(f"forest levels {levels} on n={g.n} edges={list(g.edges)}: enumeration "
+          f"{enumerated_table(g)}, optimum {opt}, Lagrangian [{res.lower_bound}, "
+          f"{res.incumbent_value}]", file=sys.stderr)
+    return False
+
+
 def kept_state_matches(g):
     try:
         kept_state_run(g, 40)
@@ -201,7 +230,7 @@ def main() -> int:
             return 1
     print(f"{len(PROVEN_40)} proofs of 40-node graphs checked")
     exact.starting_heuristic = no_starting_incumbent
-    checked = 0
+    checked = forests = 0
     for g in all_graphs(6):
         opt, labeling, finished = exact.subset_dp(g)
         if not (finished and opt == sl_value(g, labeling) == brute_force(g)[0]):
@@ -213,8 +242,9 @@ def main() -> int:
             print(f"coverage table {table} on n={g.n} edges={list(g.edges)}: enumeration "
                   f"{enumerated_table(g)}, optimum {opt}", file=sys.stderr)
             return 1
-        if not (bnb_finds(g, opt) and ascent_matches(g)):
+        if not (bnb_finds(g, opt) and ascent_matches(g) and forest_matches(g, opt)):
             return 1
+        forests += is_forest(g)
         checked += 1
     if not ascent_matches(gen_gnm(500, 1500, 7)):
         return 1
@@ -231,7 +261,7 @@ def main() -> int:
                 return 1
         exact.TABLE_NODE_LIMIT = limit
         checked += 1
-    print(f"{checked} graphs checked")
+    print(f"{checked} graphs checked, {forests} of them forests")
     rng = random.Random(0)
     runs = 0
     for seed in range(KEPT_STATE_GRAPHS):
@@ -241,7 +271,8 @@ def main() -> int:
         runs += 1
     print(f"{runs} Lagrangian runs checked")
     return 0 if (matrices == 19_767 and starts == 124_470 and ascents == PROVE_SMALL_ASCENTS
-                 and checked == 33_867 + len(LARGER_GNM) and runs == KEPT_STATE_GRAPHS) else 1
+                 and checked == 33_867 + len(LARGER_GNM) and forests == FORESTS_6
+                 and runs == KEPT_STATE_GRAPHS) else 1
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ SOLVE_KEYS = {
 SEARCH_KEYS = {"explored", "pruned", "dominated", "level_pruned", "state_dominated", "stale",
                "bound_calls", "cache_hits", "dives", "dives_improved", "open_bound"}
 BOUND_KEYS = {"instance", "nodes", "edges", "method", "lower_bound", "time_ms"}
-LAGRANGIAN_KEYS = {"iterations", "incumbent", "stop_reason", "phase_ms"}
+LAGRANGIAN_KEYS = {"iterations", "incumbent", "stop_reason", "level_floor", "phase_ms"}
 BENCH_HEADER = [
     "name", "nodes", "edges", "method", "lb", "ub", "gap_percent", "time_ms", "status",
 ]

@@ -3,7 +3,9 @@ coverage table against enumeration, and branch-and-bound against the
 program: every small graph is proven at its optimum, neighbourhood
 domination skips exactly the children its definition names, and a search
 stopped by its node budget, a table stopped by its node limit, or an
-oracle stopped by its deadline still returns a valid bound."""
+oracle stopped by its deadline still returns a valid bound.  Last, the
+forest level table against enumeration, the closed forms and the
+program."""
 
 import hashlib
 import heapq
@@ -14,13 +16,15 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slabel import exact
 from slabel.core import Labeling, build_graph, sl_value
 from slabel.dual_ascent import dual_ascent_extended
-from slabel.exact import branch_and_bound, coverage_table, subset_dp
+from slabel.exact import branch_and_bound, coverage_table, forest_levels, subset_dp
 from slabel.heuristics import greedy_label, starting_heuristic
-from slabel.instances import gen_gnm, gen_random_tree
+from slabel.instances import gen_gnm, gen_path, gen_perfect_nary, gen_random_tree
+from slabel.special_graphs import formula_path_cycle, solve_perfect_nary
 
 # sha256 over every result of the exhaustive loop below: the labeling and
 # the search counters, so a refactor that changes either one fails.
@@ -653,3 +657,89 @@ def test_a_node_whose_residual_gains_a_cheaper_node_is_skipped():
     assert res.stats.stale >= 1
     assert res.stats.proven_optimal
     assert res.lower_bound == res.upper_bound == subset_dp(g)[0] == sl_value(g, res.labeling)
+
+
+def random_forest(rng, n):
+    """A forest on n nodes: node v > 0 hangs from an earlier node with
+    probability 4/5, and the nodes are then renumbered at random."""
+    names = list(range(n))
+    rng.shuffle(names)
+    return build_graph(n, [(names[rng.randrange(v)], names[v])
+                           for v in range(1, n) if rng.random() < 0.8])
+
+
+def is_forest(g):
+    """Whether g has no cycle, by union-find: an edge whose ends are
+    already joined closes one."""
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        root[ru] = rv
+    return True
+
+
+def test_forest_levels_equal_enumeration_on_random_forests():
+    # Isolated nodes come from the nodes that hang from nothing; the empty
+    # graph has g_0 = 0 and nothing else.
+    rng = random.Random(33)
+    graphs = [build_graph(0, []), build_graph(1, []), build_graph(4, [])]
+    graphs += [random_forest(rng, rng.randint(1, 10)) for _ in range(300)]
+    assert sum(g.m < g.n - 1 for g in graphs) > 100
+    for g in graphs:
+        assert forest_levels(g) == enumerated_table(g) + [0], g
+
+
+def test_forest_levels_refuse_every_graph_with_a_cycle():
+    forests = 0
+    for g in all_graphs(5):
+        levels = forest_levels(g)
+        if is_forest(g):
+            forests += 1
+            assert levels == enumerated_table(g) + [0], g
+        else:
+            assert levels is None, g
+    assert forests == 1 + 2 + 7 + 38 + 291  # the labeled forests on 1 to 5 nodes
+    assert forest_levels(gen_gnm(100, 250, 2)) is None
+
+
+def test_forest_levels_stop_at_a_passed_deadline():
+    g = gen_random_tree(100, 1)
+    assert forest_levels(g, time.perf_counter()) is None
+    assert forest_levels(g, time.perf_counter() + 3600.0) == forest_levels(g)
+    assert sum(forest_levels(g)) == 1715
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_forest_levels_meet_the_path_formula(n):
+    assert sum(forest_levels(gen_path(n))) == formula_path_cycle("path", n)
+
+
+@pytest.mark.parametrize("arity, depth", [(a, d) for a in (2, 3, 4) for d in (1, 2, 3, 4)])
+def test_forest_levels_meet_the_perfect_nary_optimum(arity, depth):
+    assert sum(forest_levels(gen_perfect_nary(arity, depth))) \
+        == solve_perfect_nary(arity, depth)[1]
+
+
+@st.composite
+def forests(draw, max_nodes=12):
+    n = draw(st.integers(1, max_nodes))
+    names = draw(st.permutations(range(n)))
+    parents = [draw(st.one_of(st.none(), st.integers(0, v - 1))) for v in range(1, n)]
+    return build_graph(n, [(names[p], names[v]) for v, p in enumerate(parents, 1)
+                           if p is not None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests())
+def test_forest_levels_sum_bounds_the_optimum(g):
+    levels = forest_levels(g)
+    assert len(levels) == g.n + 1 and levels[0] == g.m and levels[-1] == 0
+    assert sum(coverage_table(g)) <= sum(levels) <= subset_dp(g)[0]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import time
 from itertools import combinations
@@ -10,7 +11,7 @@ from slabel import lagrangian
 from slabel.core import build_graph, enumerate_triangles, sl_value
 from slabel.dual_ascent import check_dual_feasible, dual_ascent_extended
 from slabel.exact import branch_and_bound, subset_dp
-from slabel.heuristics import greedy_label
+from slabel.heuristics import greedy_label, starting_heuristic
 from slabel.instances import gen_bipartite, gen_cycle, gen_gnm, gen_path, gen_random_tree
 from slabel.lagrangian import (
     SCALE,
@@ -169,6 +170,54 @@ def test_pinned_trajectory(g, max_iter, expected, optimum):
     opt = optimum(g) if callable(optimum) else optimum
     assert res.lower_bound <= opt <= res.incumbent_value
     assert sl_value(g, res.best_labeling) == res.incumbent_value
+
+
+def _records_digest(trace) -> str:
+    """sha256 of the trace records, each with every field but the last
+    record's step size: a gap stop records step size 0."""
+    lines = [f"{r.iteration} {r.relaxation_value!r} {r.lower_bound} {r.incumbent} {r.beta!r}"
+             + ("" if r is trace[-1] else f" {r.step_size!r}") for r in trace]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_a_forest_stops_once_local_search_meets_its_level_floor():
+    # bound-mid's tree: the subgradient's own bound stays at 1660 for all
+    # 25 iterations, while local search finds the optimum 1715 = sum(g_t)
+    # at iteration 4.  The floor ends the run there, and the four records
+    # are those of the run without the floor (digest recorded before the
+    # floor was added), but for the step size of the stopping iteration.
+    res = run_subgradient(gen_random_tree(100, 1), SubgradientParams(max_iter=25))
+    assert res.stop_reason == "gap" and res.iterations == 4
+    assert res.lower_bound == res.incumbent_value == res.level_floor == 1715
+    assert [r.lower_bound for r in res.trace] == [1660] * 4
+    assert _records_digest(res.trace) == \
+        "58021e208d4c96d7e1e0c1135ac39ee360fc741deb4253e94cba4e6ffdfd0582"
+    assert res.trace[-1].step_size == 0.0
+
+
+def test_a_forest_whose_heuristic_meets_the_floor_runs_no_iteration(monkeypatch):
+    built = []
+    monkeypatch.setattr(lagrangian, "Subproblems", lambda *args: built.append(args))
+    g = gen_random_tree(20, 1)
+    res = run_subgradient(g)
+    assert res.iterations == 0 and res.trace == [] and res.stop_reason == "gap"
+    assert res.lower_bound == res.level_floor == 71 == starting_heuristic(g, math.inf)[1]
+    assert res.incumbent_value == 71 == sl_value(g, res.best_labeling)
+    assert built == []
+
+
+def test_the_floor_is_none_off_forests_and_after_the_deadline(monkeypatch):
+    assert run_subgradient(gen_gnm(12, 30, 5), SubgradientParams(max_iter=2)).level_floor is None
+    assert run_subgradient(gen_random_tree(300, 1), deadline=time.perf_counter()).level_floor \
+        is None
+    assert run_subgradient(build_graph(3, [])).level_floor == 0  # edgeless
+    # The DP gets the run's deadline, and a DP that gives up leaves no floor.
+    deadlines = []
+    monkeypatch.setattr(lagrangian, "forest_levels", lambda g, deadline: deadlines.append(deadline))
+    deadline = time.perf_counter() + 600.0
+    res = run_subgradient(gen_random_tree(20, 1), deadline=deadline)
+    assert deadlines == [deadline] and res.level_floor is None
+    assert res.iterations == 1 and res.stop_reason == "gap"  # as before the floor
 
 
 def kept_state_run(g, max_iter):
