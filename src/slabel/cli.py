@@ -27,16 +27,17 @@ A B&B run (``bnb``, or ``auto`` falling back to it) adds the ``search``
 counters of ``exact.SearchStats``: ``explored`` (expanded nodes, each
 with residual edges), ``pruned`` (by bound), ``dominated`` (children
 skipped by neighbourhood domination), ``level_pruned`` (children cut by
-the per-level coverage bound before any dual ascent), ``state_dominated``
-(children dropped because a node with the same residual edges and no
-larger base came first), ``stale`` (popped nodes skipped because their
-residual has since gained a cheaper node), ``bound_calls``,
-``cache_hits``, ``dives`` (primal dives: greedy plus local search from an
-expanded node), ``dives_improved`` (dives that lowered the upper bound)
-and ``open_bound``.  A ``dual-extended`` run reports
-``alpha_values`` and ``net_changes``, the per-label amount and the net
-change of each committed ascent step; its ``lower_bound`` is ``edges``
-plus the sum of ``net_changes``.  A ``lagrangian`` run reports
+the per-level coverage bound before any dual ascent), ``degree_pruned``
+(children cut by that bound's residual-degree refinement, also before
+any dual ascent), ``state_dominated`` (children dropped because a node
+with the same residual edges and no larger base came first), ``stale``
+(popped nodes skipped because their residual has since gained a cheaper
+node), ``bound_calls`` (dual ascents run), ``dives`` (primal dives:
+greedy plus local search from an expanded node), ``dives_improved``
+(dives that lowered the upper bound) and ``open_bound``.  A
+``dual-extended`` run reports ``alpha_values`` and ``net_changes``, the
+per-label amount and the net change of each committed ascent step; its
+``lower_bound`` is ``edges`` plus the sum of ``net_changes``.  A ``lagrangian`` run reports
 ``iterations``, ``incumbent``, ``stop_reason``, ``level_floor`` (the
 exact level bound sum(g_t) of a forest, ``null`` on a graph with a cycle
 or when the time limit passed first; a run whose incumbent meets it stops
@@ -149,9 +150,10 @@ def _bnb(g: Graph, deadline: float) -> _Result:
     res = branch_and_bound(g, deadline=deadline)
     s = res.stats
     search = {"explored": s.explored, "pruned": s.pruned_by_bound, "dominated": s.dominated,
-              "level_pruned": s.level_pruned, "state_dominated": s.state_dominated,
-              "stale": s.stale, "bound_calls": s.bound_calls, "cache_hits": s.cache_hits,
-              "dives": s.dives, "dives_improved": s.dives_improved, "open_bound": s.open_bound}
+              "level_pruned": s.level_pruned, "degree_pruned": s.degree_pruned,
+              "state_dominated": s.state_dominated, "stale": s.stale,
+              "bound_calls": s.bound_calls, "dives": s.dives,
+              "dives_improved": s.dives_improved, "open_bound": s.open_bound}
     return _Result(res.lower_bound, res.upper_bound, res.labeling,
                    timed_out=not s.proven_optimal, details={"search": search})
 

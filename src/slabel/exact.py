@@ -1,7 +1,8 @@
 """Ground-truth solvers: the exact oracle, a subset dynamic program for up
 to 20 nodes, and a combinatorial branch-and-bound with dual-ascent and
-per-level coverage lower bounds, neighbourhood and state dominance, and
-primal dives; and the exact level table of a forest by a tree knapsack.
+per-level coverage lower bounds (the latter refined by residual degrees),
+neighbourhood and state dominance, and primal dives; and the exact level
+table of a forest by a tree knapsack.
 
 Both assign labels 1, 2, ... in order.  Once no edge has both ends
 unlabeled, every contribution is fixed and the rest can go in any order.
@@ -23,7 +24,6 @@ import heapq
 import math
 import time
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, and_
@@ -323,15 +323,15 @@ class SearchStats:
     """Counters of one search: ``explored`` expanded nodes (each has a
     residual edge), ``dominated`` children skipped by neighbourhood
     domination before any bound, ``level_pruned`` children cut by the
-    coverage-table bound before any ascent and ``state_dominated``
-    children dropped because a node with the same residual and no larger
-    base was already generated (none of the three is counted in
-    ``pruned_by_bound``), ``stale`` popped nodes skipped because their
-    residual has since gained a node of smaller base (not counted in
-    ``explored``), ``bound_calls`` dual-ascent runs (a residual bounded
-    again under a higher cutoff counts again), ``cache_hits`` residual
-    bounds taken from the memo instead, ``dives`` primal dives and
-    ``dives_improved`` those that lowered the incumbent, and
+    coverage-table bound and ``degree_pruned`` children cut by its
+    residual-degree refinement, both before any ascent, and
+    ``state_dominated`` children dropped because a node with the same
+    residual and no larger base was already generated (none of the four
+    is counted in ``pruned_by_bound``), ``stale`` popped nodes skipped
+    because their residual has since gained a node of smaller base (not
+    counted in ``explored``), ``bound_calls`` dual-ascent runs (a residual
+    bounded again under a higher cutoff counts again), ``dives`` primal
+    dives and ``dives_improved`` those that lowered the incumbent, and
     ``open_bound`` the smallest bound left open when a limit stopped the
     search."""
 
@@ -339,17 +339,16 @@ class SearchStats:
     pruned_by_bound: int = 0
     dominated: int = 0
     level_pruned: int = 0
+    degree_pruned: int = 0
     state_dominated: int = 0
     stale: int = 0
     bound_calls: int = 0
-    cache_hits: int = 0
     dives: int = 0
     dives_improved: int = 0
     open_bound: int | None = None
     proven_optimal: bool = False
 
 
-CACHE_LIMIT = 400_000  # residual bounds kept; the least recently used goes first
 DIVE_EVERY = 16  # expansions 1 + DIVE_EVERY, 1 + 2 * DIVE_EVERY, ... end in a primal dive; 0: none
 
 
@@ -401,6 +400,25 @@ def _dominated(u: int, gained: int, near: list[int]) -> bool:
     return False
 
 
+def _degree_excess(degrees: list[int], size: int, table: list[int], depth: int) -> int:
+    """How far residual degrees raise the level bound of a child at
+    ``depth`` with ``size`` >= 1 residual edges: the sum over s >= 1 of
+    max(0, size - D_s - table[depth + s]), with D_s the sum of the s
+    largest ``degrees`` (the child's residual degree of each node), which
+    are sorted here in place, largest first.  The walk stops once
+    D_s >= size, so it never reads past the table: the n - depth unlabeled
+    nodes' degrees sum to 2 size."""
+    degrees.sort(reverse=True)
+    excess = 0
+    for degree, level in zip(degrees, table[depth + 1:]):
+        size -= degree
+        if size <= 0:
+            break
+        if size > level:
+            excess += size - level
+    return excess
+
+
 def _dive_order(g: Graph, incident: list[int], partial: tuple[int, ...], residual: int) -> Labeling:
     """``partial`` completed by greedy on the residual: the unlabeled node
     with the most residual edges next (the lowest index on ties), until no
@@ -434,12 +452,15 @@ def branch_and_bound(
     that leaves no residual edge is a finished labeling: it becomes the
     incumbent if it beats it and is never pushed, so every open node has
     a residual edge.  A candidate that another unlabeled vertex dominates
-    (see ``_dominated``) is skipped too, before its bound or memo entry
-    is looked at; the rule only filters children, so the ones left keep
-    their bounds and their order in the heap.  The search stops after
-    ``node_limit`` expansions or at ``deadline``, a ``perf_counter`` value
-    (``math.inf``, the default for both, means no limit); hitting a limit
-    yields a valid bracket instead of a proof.
+    (see ``_dominated``) is skipped too, before any bound is looked at;
+    the rule only filters children, so the ones left keep their bounds
+    and their order in the heap.  After it, each child meets the level
+    bound, then (unless it is a finished labeling) the degree bound, state
+    dominance and last the ascent, each described below; the first that
+    cuts it ends its turn.  The search stops after ``node_limit``
+    expansions or at ``deadline``, a ``perf_counter`` value (``math.inf``,
+    the default for both, means no limit); hitting a limit yields a valid
+    bracket instead of a proof.
 
     A residual edge set is an int bitmask over edge indices, and
     ``incident[v]`` masks the edges at v: labeling v leaves the residual
@@ -452,11 +473,7 @@ def branch_and_bound(
     A child is pruned once its fixed cost, ``label`` per residual edge and
     the residual's dual bound reach the incumbent, so the ascent stops at
     that cutoff: every pushed child carries the full ascent's bound, and
-    the search is the one uncut ascents give.  The memo maps a residual to
-    (bound, exact), exact when the bound is below its cutoff; a hit is used
-    when it is exact or reaches the new cutoff, else the ascent runs again.
-    The memo is built per call, holds ``CACHE_LIMIT`` entries (read at that
-    time) and drops the least recently used first.
+    the search is the one uncut ascents give.
 
     State dominance (Ibaraki 1977; A* with duplicate detection, Hart,
     Nilsson & Raphael 1968).  A node at depth d with fixed cost F and
@@ -467,14 +484,13 @@ def branch_and_bound(
     optimum of R's edges alone, which depends on R but not on d or on
     which nodes are labeled.  So, of the nodes with one residual, one of
     least base has the best completion.  ``least_base`` maps each residual
-    to the least base of a node generated with it; it is a dict beside the
-    memo, since the memo's evictions would change the search, and it
-    keeps one int per residual that passes the level bound (about 1 MB on
-    the 40-node graphs that take a few thousand expansions).  A child whose
+    to the least base of a node generated with it, one int per residual
+    that passes the level and degree bounds (0.3-0.9 MB on the 40- and
+    45-node graphs that take a few thousand expansions).  A child whose
     residual already has a node of base <= its own is dropped before its
-    ascent or memo lookup (``state_dominated``), and a popped node whose
-    residual has since gained a node of smaller base is skipped
-    (``stale``) and not counted as explored.  Either way, a node with the
+    ascent (``state_dominated``), and a popped node whose residual has
+    since gained a node of smaller base is skipped (``stale``) and not
+    counted as explored.  Either way, a node with the
     same residual and no larger base was generated earlier; the last one
     generated for a residual has its least base, is never stale, and is
     expanded unless a bound cuts it, so no completion below the incumbent
@@ -503,9 +519,10 @@ def branch_and_bound(
     F + d|R| + max(|R|, g_d) + (the sum of g_t over t > d) bounds every
     completion, one lookup in the table's suffix sums.  A child it cuts is
     counted in ``level_pruned`` and runs no ascent; the others carry the
-    larger of the two bounds, and the root the larger of its ascent and the
-    table's sum.  Any lower bounds on the g_t keep this valid, which lets
-    a level whose search stopped early enter the table with its open bound.
+    larger of this bound, refined by residual degrees as below, and the
+    ascent's, and the root the larger of its ascent and the table's sum.
+    Any lower bounds on the g_t keep this valid, which lets a level whose
+    search stopped early enter the table with its open bound.
     The chain inequality g_t >= ceil(g_{t+1} (n-t) / (n-t-2)) for
     n - t >= 3 gives ``coverage_table`` each level's floor from the level
     above it: an optimal set S of k = n - t nodes with g_t edges inside
@@ -513,6 +530,20 @@ def branch_and_bound(
     without it has k - 1 nodes and at most g_t (k-2) / k edges inside, so
     g_{t+1} <= g_t (k-2) / k.  It holds with any lower bound in place of
     g_{t+1}.
+
+    Residual degrees refine the level bound (the min-sum vertex cover
+    reading of the module docstring).  With D_s the sum of the s largest
+    residual degrees after the child, s more labels cover at most D_s
+    edges of R, so the term at t = d + s is at least |R| - D_s as well as
+    g_{d+s}, and every completion is worth at least
+    F + d|R| + |R| + (the sum over s >= 1 of max(g_{d+s}, |R| - D_s)):
+    the level bound plus ``_degree_excess``, the sum of
+    max(0, |R| - D_s - g_{d+s}), whose walk stops once D_s >= |R|.  The
+    child's degrees come from the parent's, computed once per expansion:
+    the labeled v drops to 0 and each unlabeled neighbour of v loses one.
+    A child it cuts is counted in ``degree_pruned`` and reaches neither
+    ``least_base`` nor the ascent; the others carry the larger of this
+    bound and base + ascent.
 
     The table, then the uncut root bound, precede the starting heuristic.
     The table gets at most half the time left before ``deadline``: its
@@ -524,21 +555,9 @@ def branch_and_bound(
         return BnBResult(0, 0, Labeling.from_order(g.n, ()), SearchStats(proven_optimal=True))
     stats = SearchStats()
 
-    memo: OrderedDict[int, tuple[int, bool]] = OrderedDict()  # residual -> (bound, exact)
-
     def dual_bound(residual: int, cutoff: float) -> int:
-        hit = memo.get(residual)
-        if hit is not None and (hit[1] or hit[0] >= cutoff):
-            memo.move_to_end(residual)
-            stats.cache_hits += 1
-            return hit[0]
         stats.bound_calls += 1
-        z = dual_ascent_extended(g, residual, cutoff)[1]
-        memo[residual] = (z, z < cutoff)
-        memo.move_to_end(residual)
-        if len(memo) > CACHE_LIMIT:
-            memo.popitem(last=False)
-        return z
+        return dual_ascent_extended(g, residual, cutoff)[1]
 
     incident = [0] * g.n
     for e, (u, v) in enumerate(g.edges):
@@ -578,8 +597,8 @@ def branch_and_bound(
         for v in partial:
             unlabeled ^= 1 << v
         near = [mask & unlabeled for mask in nbr]
-        for v in range(g.n):
-            gained = (residual & incident[v]).bit_count()
+        gains = [(residual & mask).bit_count() for mask in incident]
+        for v, gained in enumerate(gains):
             if not gained:
                 continue
             if _dominated(v, gained, near):
@@ -594,6 +613,17 @@ def branch_and_bound(
             if not child_residual:  # a finished labeling worth child_base
                 incumbent = child_base
                 best_labeling = Labeling.from_order(g.n, partial + (v,))
+                continue
+            degrees = gains.copy()
+            degrees[v] = 0
+            rest = near[v]
+            while rest:
+                low = rest & -rest
+                degrees[low.bit_length() - 1] -= 1
+                rest ^= low
+            child_lb += _degree_excess(degrees, size, table, label)
+            if child_lb >= incumbent:
+                stats.degree_pruned += 1
                 continue
             if least_base.get(child_residual, math.inf) <= child_base:
                 stats.state_dominated += 1

@@ -20,20 +20,20 @@ of its final potentials, and its exact output against the tests'
 reference kernel.  Next, local search against the tests' full-scan
 reference from every labeling of every graph with 0 to 5 nodes (124,470
 starts, about 10-13 s).  Then every residual ascent that branch-and-bound
-runs on the benchmark's seven prove-small graphs (1,618, each with its
+runs on the benchmark's seven prove-small graphs (913, each with its
 cutoff) against the reference ascent on the residual subgraph, up to the
-step that reaches the cutoff (about 2 s), and B&B's proofs of two
-40-node graphs within its node limit (about 5 s).  Last, the Lagrangian's kept
+step that reaches the cutoff (about 1 s), and B&B's proofs of three
+graphs with 40 to 45 nodes within its node limit (about 5 s).  Last, the Lagrangian's kept
 subproblem costs against a fresh build after they are first built and
 after every step of 40 iterations on each of 300 seeded random graphs
 with 8 to 24 nodes, from sparse to complete.  The tier-1 tests of B&B stop at 5 nodes and, for random
-graphs, at 16; this script takes about 3 min, and pytest does not
+graphs, at 16; this script takes about 2 min, and pytest does not
 collect it.
 
     PYTHONPATH=src python tests/exhaustive_bnb_check.py
 
 It prints the number of matrices, local search starts, residual ascents,
-40-node proofs, graphs, forests and Lagrangian runs checked and exits 1
+proofs of 40- to 45-node graphs, graphs, forests and Lagrangian runs checked and exits 1
 on the first mismatch.
 """
 
@@ -64,14 +64,17 @@ LARGER_GNM = [((17, 40, 1), 143), ((18, 45, 2), 198), ((19, 50, 3), 246),
 PROVE_SMALL = [((18, 40, 1), 10_000), ((20, 45, 3), 10_000), ((22, 50, 5), 10_000),
                ((24, 55, 2), 10_000), ((24, 60, 11), 10_000), ((26, 60, 4), 10_000),
                ((30, 70, 9), 500)]
-PROVE_SMALL_ASCENTS = 1_618
+PROVE_SMALL_ASCENTS = 913
 
 # Graphs beyond the program's 20 nodes, their optima and B&B's node limit
 # for each proof.  gnm(40, 90, 5) = 742 is what B&B proved before it had
 # state dominance and dives, in 791,184 expansions; the 40-node lobster's
-# 304 is the MIP optimum that HiGHS finds with triangle cuts.
+# 304 is the MIP optimum that HiGHS finds with triangle cuts; gnm(45, 110,
+# 2) = 974 is what B&B proved before its residual degree bound, in 5,782
+# expansions.
 PROVEN_40 = [("gnm(40, 90, 5)", lambda: gen_gnm(40, 90, 5), 742),
-             ("lobster(8, 0.7, 0.5, 4)", lambda: gen_lobster(8, 0.7, 0.5, 4), 304)]
+             ("lobster(8, 0.7, 0.5, 4)", lambda: gen_lobster(8, 0.7, 0.5, 4), 304),
+             ("gnm(45, 110, 2)", lambda: gen_gnm(45, 110, 2), 974)]
 PROOF_NODE_LIMIT = 10_000
 
 # The labeled forests on 1 to 6 nodes.
@@ -228,7 +231,7 @@ def main() -> int:
     for name, make, opt in PROVEN_40:
         if not bnb_proves(name, make(), opt):
             return 1
-    print(f"{len(PROVEN_40)} proofs of 40-node graphs checked")
+    print(f"{len(PROVEN_40)} proofs of 40- to 45-node graphs checked")
     exact.starting_heuristic = no_starting_incumbent
     checked = forests = 0
     for g in all_graphs(6):

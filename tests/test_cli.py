@@ -31,8 +31,9 @@ SOLVE_KEYS = {
     "instance", "nodes", "edges", "method", "primal_value", "dual_bound",
     "gap_percent", "proven", "time_ms", "labeling",
 }
-SEARCH_KEYS = {"explored", "pruned", "dominated", "level_pruned", "state_dominated", "stale",
-               "bound_calls", "cache_hits", "dives", "dives_improved", "open_bound"}
+SEARCH_KEYS = {"explored", "pruned", "dominated", "level_pruned", "degree_pruned",
+               "state_dominated", "stale", "bound_calls", "dives", "dives_improved",
+               "open_bound"}
 BOUND_KEYS = {"instance", "nodes", "edges", "method", "lower_bound", "time_ms"}
 LAGRANGIAN_KEYS = {"iterations", "incumbent", "stop_reason", "level_floor", "phase_ms"}
 BENCH_HEADER = [
