@@ -25,16 +25,18 @@ stderr gets ``error: <file> <method>: <reason>``).
 ``solve`` and ``bound`` both add the method's own fields to the report.
 A B&B run (``bnb``, or ``auto`` falling back to it) adds the ``search``
 counters of ``exact.SearchStats``: ``explored`` (expanded nodes, each
-with residual edges), ``pruned`` (by bound), ``dominated`` (children
+with residual edges), ``pruned`` (queued nodes cut by bound when popped,
+before or after their dual ascent), ``dominated`` (children
 skipped by neighbourhood domination), ``level_pruned`` (children cut by
 the per-level coverage bound before any dual ascent), ``degree_pruned``
 (children cut by that bound's residual-degree refinement, also before
 any dual ascent), ``state_dominated`` (children dropped because a node
 with the same residual edges and no larger base came first), ``stale``
 (popped nodes skipped because their residual has since gained a cheaper
-node), ``bound_calls`` (dual ascents run), ``dives`` (primal dives:
-greedy plus local search from an expanded node), ``dives_improved``
-(dives that lowered the upper bound) and ``open_bound``.  A
+node), ``bound_calls`` (dual ascents run, one per queued node on its
+first pop), ``dives`` (primal dives: greedy plus local search from an
+expanded node), ``dives_improved`` (dives that lowered the upper bound),
+``max_open`` (the most nodes queued at once) and ``open_bound``.  A
 ``dual-extended`` run reports ``alpha_values`` and ``net_changes``, the
 per-label amount and the net change of each committed ascent step; its
 ``lower_bound`` is ``edges`` plus the sum of ``net_changes``.  A ``lagrangian`` run reports
@@ -153,7 +155,8 @@ def _bnb(g: Graph, deadline: float) -> _Result:
               "level_pruned": s.level_pruned, "degree_pruned": s.degree_pruned,
               "state_dominated": s.state_dominated, "stale": s.stale,
               "bound_calls": s.bound_calls, "dives": s.dives,
-              "dives_improved": s.dives_improved, "open_bound": s.open_bound}
+              "dives_improved": s.dives_improved, "max_open": s.max_open,
+              "open_bound": s.open_bound}
     return _Result(res.lower_bound, res.upper_bound, res.labeling,
                    timed_out=not s.proven_optimal, details={"search": search})
 

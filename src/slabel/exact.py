@@ -327,13 +327,15 @@ class SearchStats:
     residual-degree refinement, both before any ascent, and
     ``state_dominated`` children dropped because a node with the same
     residual and no larger base was already generated (none of the four
-    is counted in ``pruned_by_bound``), ``stale`` popped nodes skipped
-    because their residual has since gained a node of smaller base (not
-    counted in ``explored``), ``bound_calls`` dual-ascent runs (a residual
-    bounded again under a higher cutoff counts again), ``dives`` primal
-    dives and ``dives_improved`` those that lowered the incumbent, and
-    ``open_bound`` the smallest bound left open when a limit stopped the
-    search."""
+    is counted in ``pruned_by_bound``), ``pruned_by_bound`` popped nodes
+    whose key, or whose bound after their first pop's ascent, reaches the
+    incumbent, ``stale`` popped nodes skipped because their residual has
+    since gained a node of smaller base (not counted in ``explored``),
+    ``bound_calls`` dual-ascent runs (the root's, and one per queued node
+    on its first pop), ``dives`` primal dives and ``dives_improved`` those
+    that lowered the incumbent, ``max_open`` the most nodes queued at
+    once, and ``open_bound`` the smallest key left open when a limit
+    stopped the search."""
 
     explored: int = 0
     pruned_by_bound: int = 0
@@ -345,6 +347,7 @@ class SearchStats:
     bound_calls: int = 0
     dives: int = 0
     dives_improved: int = 0
+    max_open: int = 0
     open_bound: int | None = None
     proven_optimal: bool = False
 
@@ -442,8 +445,9 @@ class BnBResult:
 def branch_and_bound(
     g: Graph, deadline: float = math.inf, node_limit: float = math.inf
 ) -> BnBResult:
-    """Best-first branch-and-bound (lowest bound first, deeper first on
-    ties, then insertion order).
+    """Best-first branch-and-bound (lowest key first, deeper first on
+    ties, then insertion order), with lazy node evaluation: a child's dual
+    ascent runs when it is first popped, not when it is generated.
 
     Children of a depth-k node place label k+1 on an unlabeled vertex;
     candidates are restricted to vertices with residual degree >= 1,
@@ -455,12 +459,12 @@ def branch_and_bound(
     (see ``_dominated``) is skipped too, before any bound is looked at;
     the rule only filters children, so the ones left keep their bounds
     and their order in the heap.  After it, each child meets the level
-    bound, then (unless it is a finished labeling) the degree bound, state
-    dominance and last the ascent, each described below; the first that
-    cuts it ends its turn.  The search stops after ``node_limit``
-    expansions or at ``deadline``, a ``perf_counter`` value (``math.inf``,
-    the default for both, means no limit); hitting a limit yields a valid
-    bracket instead of a proof.
+    bound, then (unless it is a finished labeling) the degree bound and
+    state dominance, each described below; the first that cuts it ends its
+    turn, and a child that passes all three is queued with no ascent.
+    The search stops after ``node_limit`` expansions or at ``deadline``, a
+    ``perf_counter`` value (``math.inf``, the default for both, means no
+    limit); hitting a limit yields a valid bracket instead of a proof.
 
     A residual edge set is an int bitmask over edge indices, and
     ``incident[v]`` masks the edges at v: labeling v leaves the residual
@@ -470,10 +474,31 @@ def branch_and_bound(
     looked up in this module so that a wrapper installed here sees every
     call; no subgraph is built, and the bound depends on the edge set alone.
 
-    A child is pruned once its fixed cost, ``label`` per residual edge and
-    the residual's dual bound reach the incumbent, so the ascent stops at
-    that cutoff: every pushed child carries the full ascent's bound, and
-    the search is the one uncut ascents give.
+    Lazy evaluation (Morrison, Jacobson, Sauppe & Sewell 2016,
+    "Branch-and-bound algorithms: a survey of recent advances in
+    searching, branching, and pruning").  A queued child's key is the
+    larger of its level bound, refined by residual degrees, and the key of
+    the parent that was popped to expand it.  Both are lower bounds on
+    every completion of the child: the first by the paragraphs below, the
+    second because the parent's key bounds every completion of the parent,
+    and the child's completions are among them.  So every key in the heap
+    is a valid bound, and since the popped key is the least in the heap,
+    no key pushed after it falls below it: the least open key never falls,
+    and ``open_bound``, the least key left when a limit stops the search,
+    is a lower bound on every completion still open.  On its first pop, a
+    node whose key is below the incumbent and which is not stale (below)
+    runs the ascent of its residual with the cutoff ``incumbent - base``,
+    read at that moment, and its bound becomes the larger of its key and
+    base + ascent.  If that reaches the incumbent, the node is cut
+    (``pruned_by_bound``); otherwise it is pushed again, marked evaluated,
+    under that bound, with a new insertion number.  Only an evaluated node
+    is expanded, and only an expansion counts toward ``node_limit`` and
+    the dives.  The ascent stops once its bound reaches the cutoff, where
+    the node is cut whatever the uncut ascent would give.  Its bound only
+    rises from step to step, and the incumbent only falls, so an ascent
+    that would have cut a child when it was generated cuts it when it is
+    popped too; a node that is never popped runs none.  The root is
+    evaluated before the loop, with no cutoff.
 
     State dominance (Ibaraki 1977; A* with duplicate detection, Hart,
     Nilsson & Raphael 1968).  A node at depth d with fixed cost F and
@@ -487,14 +512,14 @@ def branch_and_bound(
     to the least base of a node generated with it, one int per residual
     that passes the level and degree bounds (0.3-0.9 MB on the 40- and
     45-node graphs that take a few thousand expansions).  A child whose
-    residual already has a node of base <= its own is dropped before its
-    ascent (``state_dominated``), and a popped node whose residual has
-    since gained a node of smaller base is skipped (``stale``) and not
-    counted as explored.  Either way, a node with the
-    same residual and no larger base was generated earlier; the last one
-    generated for a residual has its least base, is never stale, and is
-    expanded unless a bound cuts it, so no completion below the incumbent
-    is lost.  All children of a node share one base: label d + 1 fixes
+    residual already has a node of base <= its own is dropped
+    (``state_dominated``), and a popped node whose residual has since
+    gained a node of smaller base is skipped (``stale``), before its ascent
+    if that has not run, and not counted as explored.  Either way, a node
+    with the same residual and no larger base was generated earlier; the
+    last one generated for a residual has its least base, is never stale,
+    and is expanded unless a bound cuts it, so no completion below the
+    incumbent is lost.  All children of a node share one base: label d + 1 fixes
     F + (d + 1) gained and leaves |R| - gained edges, so their base is
     base + |R|.
 
@@ -518,9 +543,9 @@ def branch_and_bound(
     is max(|R|, g_d), and each later term is at least g_t.  So
     F + d|R| + max(|R|, g_d) + (the sum of g_t over t > d) bounds every
     completion, one lookup in the table's suffix sums.  A child it cuts is
-    counted in ``level_pruned`` and runs no ascent; the others carry the
-    larger of this bound, refined by residual degrees as below, and the
-    ascent's, and the root the larger of its ascent and the table's sum.
+    counted in ``level_pruned``; the others are keyed by this bound,
+    refined by residual degrees as below, and their parent's key, and the
+    root by the larger of its ascent and the table's sum.
     Any lower bounds on the g_t keep this valid, which lets a level whose
     search stopped early enter the table with its open bound.
     The chain inequality g_t >= ceil(g_{t+1} (n-t) / (n-t-2)) for
@@ -541,9 +566,8 @@ def branch_and_bound(
     max(0, |R| - D_s - g_{d+s}), whose walk stops once D_s >= |R|.  The
     child's degrees come from the parent's, computed once per expansion:
     the labeled v drops to 0 and each unlabeled neighbour of v loses one.
-    A child it cuts is counted in ``degree_pruned`` and reaches neither
-    ``least_base`` nor the ascent; the others carry the larger of this
-    bound and base + ascent.
+    A child it cuts is counted in ``degree_pruned`` and never reaches
+    ``least_base``.
 
     The table, then the uncut root bound, precede the starting heuristic.
     The table gets at most half the time left before ``deadline``: its
@@ -553,7 +577,7 @@ def branch_and_bound(
     """
     if g.m == 0:
         return BnBResult(0, 0, Labeling.from_order(g.n, ()), SearchStats(proven_optimal=True))
-    stats = SearchStats()
+    stats = SearchStats(max_open=1)  # the root's
 
     def dual_bound(residual: int, cutoff: float) -> int:
         stats.bound_calls += 1
@@ -569,8 +593,8 @@ def branch_and_bound(
     table = coverage_table(g, now + (deadline - now) / 2)
     suffix = list(accumulate(reversed(table), initial=0))[::-1]
     root_residual = (1 << g.m) - 1
-    # (lb, -depth, insertion counter, labeled nodes in label order, base, residual)
-    heap = [(max(suffix[0], dual_bound(root_residual, math.inf)), 0, 0, (), 0, root_residual)]
+    # (lb, -depth, insertion counter, labeled nodes in label order, base, residual, evaluated)
+    heap = [(max(suffix[0], dual_bound(root_residual, math.inf)), 0, 0, (), 0, root_residual, True)]
     least_base = {root_residual: 0}  # residual -> the least base of a node generated with it
     best_labeling, incumbent = starting_heuristic(g, deadline)
     counter = 0
@@ -579,12 +603,20 @@ def branch_and_bound(
     while heap:
         if stats.explored >= node_limit or time.perf_counter() >= deadline:
             break
-        lb, neg_depth, _, partial, base, residual = heapq.heappop(heap)
+        lb, neg_depth, _, partial, base, residual, evaluated = heapq.heappop(heap)
         if lb >= incumbent:
             stats.pruned_by_bound += 1
             continue
         if base > least_base[residual]:
             stats.stale += 1
+            continue
+        if not evaluated:  # its first pop: bound it, then queue it again
+            lb = max(lb, base + dual_bound(residual, incumbent - base))
+            if lb >= incumbent:
+                stats.pruned_by_bound += 1
+                continue
+            counter += 1
+            heapq.heappush(heap, (lb, neg_depth, counter, partial, base, residual, True))
             continue
         stats.explored += 1
 
@@ -629,16 +661,10 @@ def branch_and_bound(
                 stats.state_dominated += 1
                 continue
             least_base[child_residual] = child_base
-            cutoff = incumbent - child_base
-            child_lb = max(child_lb, child_base + dual_bound(child_residual, cutoff))
-            if child_lb >= incumbent:
-                stats.pruned_by_bound += 1
-                continue
-            counter += 1
-            heapq.heappush(
-                heap,
-                (child_lb, neg_depth - 1, counter, partial + (v,), child_base, child_residual),
-            )
+            counter += 1  # the parent's key bounds the child too, and keys never fall
+            heapq.heappush(heap, (max(child_lb, lb), neg_depth - 1, counter,
+                                  partial + (v,), child_base, child_residual, False))
+        stats.max_open = max(stats.max_open, len(heap))
 
         # The root's dive would only repeat the starting heuristic.
         if DIVE_EVERY and partial and (stats.explored - 1) % DIVE_EVERY == 0:

@@ -20,7 +20,7 @@ of its final potentials, and its exact output against the tests'
 reference kernel.  Next, local search against the tests' full-scan
 reference from every labeling of every graph with 0 to 5 nodes (124,470
 starts, about 10-13 s).  Then every residual ascent that branch-and-bound
-runs on the benchmark's seven prove-small graphs (913, each with its
+runs on the benchmark's seven prove-small graphs (267, each with its
 cutoff) against the reference ascent on the residual subgraph, up to the
 step that reaches the cutoff (about 1 s), and B&B's proofs of three
 graphs with 40 to 45 nodes within its node limit (about 5 s).  Last, the Lagrangian's kept
@@ -64,7 +64,7 @@ LARGER_GNM = [((17, 40, 1), 143), ((18, 45, 2), 198), ((19, 50, 3), 246),
 PROVE_SMALL = [((18, 40, 1), 10_000), ((20, 45, 3), 10_000), ((22, 50, 5), 10_000),
                ((24, 55, 2), 10_000), ((24, 60, 11), 10_000), ((26, 60, 4), 10_000),
                ((30, 70, 9), 500)]
-PROVE_SMALL_ASCENTS = 913
+PROVE_SMALL_ASCENTS = 267
 
 # Graphs beyond the program's 20 nodes, their optima and B&B's node limit
 # for each proof.  gnm(40, 90, 5) = 742 is what B&B proved before it had

@@ -33,7 +33,7 @@ SOLVE_KEYS = {
 }
 SEARCH_KEYS = {"explored", "pruned", "dominated", "level_pruned", "degree_pruned",
                "state_dominated", "stale", "bound_calls", "dives", "dives_improved",
-               "open_bound"}
+               "max_open", "open_bound"}
 BOUND_KEYS = {"instance", "nodes", "edges", "method", "lower_bound", "time_ms"}
 LAGRANGIAN_KEYS = {"iterations", "incumbent", "stop_reason", "level_floor", "phase_ms"}
 BENCH_HEADER = [
@@ -218,7 +218,7 @@ class TestJsonKeys:
             assert set(report) == SOLVE_KEYS | {"search"}
             search = report["search"]
             assert set(search) == SEARCH_KEYS
-            assert search["bound_calls"] >= 1
+            assert search["bound_calls"] >= 1 and search["max_open"] >= 1
             assert search["open_bound"] is None
         elif method == "lagrangian":  # solve reports what bound reports
             assert set(report) == SOLVE_KEYS | LAGRANGIAN_KEYS

@@ -76,30 +76,35 @@ def test_proves_every_graph_up_to_five_nodes_without_a_starting_incumbent(monkey
 
 
 # n, m, seed, then explored, pruned by bound, dominated, level-pruned,
-# degree-pruned, state-dominated, stale, dives and dives that improved the
-# incumbent.
+# degree-pruned, state-dominated, stale, dual ascents, dives and dives
+# that improved the incumbent.  These are the benchmark's seven prove-small
+# graphs, each proven within 500 expansions, gnm(30, 70, 9)'s limit there.
 PINNED_COUNTERS = [
-    (18, 40, 1, (14, 43, 57, 4, 52, 2, 0, 0, 0)),
-    (20, 45, 3, (0, 1, 0, 0, 0, 0, 0, 0, 0)),  # the table's sum is the optimum: proven at the root
-    (22, 50, 5, (0, 1, 0, 0, 0, 0, 0, 0, 0)),
-    (24, 55, 2, (0, 1, 0, 0, 0, 0, 0, 0, 0)),
-    (24, 60, 11, (17, 158, 75, 0, 17, 2, 0, 1, 0)),
-    (26, 60, 4, (53, 44, 240, 372, 173, 43, 0, 3, 0)),
+    (18, 40, 1, (14, 42, 57, 4, 52, 3, 0, 20, 0, 0)),
+    (20, 45, 3, (0, 1, 0, 0, 0, 0, 0, 1, 0, 0)),  # the table's sum proves it at the root
+    (22, 50, 5, (0, 1, 0, 0, 0, 0, 0, 1, 0, 0)),
+    (24, 55, 2, (0, 1, 0, 0, 0, 0, 0, 1, 0, 0)),
+    (24, 60, 11, (17, 158, 75, 0, 17, 2, 0, 33, 1, 0)),
+    (26, 60, 4, (53, 44, 240, 372, 173, 43, 0, 74, 3, 0)),
+    (30, 70, 9, (79, 502, 387, 97, 552, 128, 0, 137, 4, 0)),
 ]
 
 
 @pytest.mark.parametrize("n, m, seed, counters", PINNED_COUNTERS,
                          ids=["-".join(map(str, row[:3])) for row in PINNED_COUNTERS])
 def test_search_counters_are_pinned(n, m, seed, counters):
-    # Residual bounds stop at the pruning cutoff; the search they steer
-    # must equal the one with full bounds.  On these graphs every child
+    # Children are queued under their level and degree bounds and their
+    # parent's key, and a node runs its ascent on its first pop, against
+    # the incumbent of that moment: the ascents are those of the popped
+    # nodes only, and a child that a lower incumbent cuts after its
+    # generation counts as pruned by bound.  On these graphs every child
     # that neighbourhood domination skips would have been cut by a bound
     # or by state dominance, so the explored nodes and the sum of the
     # children cut either way are those of the search without the rule.
-    s = branch_and_bound(gen_gnm(n, m, seed)).stats
+    s = branch_and_bound(gen_gnm(n, m, seed), node_limit=500).stats
     assert s.proven_optimal
     assert (s.explored, s.pruned_by_bound, s.dominated, s.level_pruned, s.degree_pruned,
-            s.state_dominated, s.stale, s.dives, s.dives_improved) == counters
+            s.state_dominated, s.stale, s.bound_calls, s.dives, s.dives_improved) == counters
 
 
 def test_every_ascent_goes_through_the_module_name(monkeypatch):
@@ -137,9 +142,55 @@ def test_node_limit_returns_bracket():
     assert res.lower_bound == min(res.stats.open_bound, res.upper_bound)
 
 
+def heap_events(monkeypatch, g):
+    """Search g and return its heap operations in order, each ("push" or
+    "pop", key)."""
+    events = []
+
+    def recording_push(heap, item):
+        events.append(("push", item[0]))
+        heapq.heappush(heap, item)
+
+    def recording_pop(heap):
+        item = heapq.heappop(heap)
+        events.append(("pop", item[0]))
+        return item
+
+    monkeypatch.setattr(exact, "heapq", SimpleNamespace(heappush=recording_push,
+                                                         heappop=recording_pop))
+    branch_and_bound(g)
+    return events
+
+
+def test_queued_keys_never_fall(monkeypatch):
+    # A child is keyed by at least its parent's key and a node popped
+    # once is queued again under at least its key, so no key pushed falls
+    # below the key popped just before it, and the least open key, the
+    # search's lower bound, never falls as the search goes on.  On
+    # gnm(20, 46, 1) and gnm(24, 55, 1), the level and degree bounds of
+    # some children fall below their parent's key.
+    falls = [gen_gnm(20, 46, 1), gen_gnm(24, 55, 1)]
+    graphs = [gen_gnm(30, 70, 9), gen_gnm(26, 60, 4), *falls, *all_graphs(5)]
+    pushes = 0
+    for g in graphs:
+        popped = -math.inf
+        for kind, key in heap_events(monkeypatch, g):
+            if kind == "pop":
+                popped = key
+            else:
+                assert key >= popped, g
+                pushes += 1
+    assert pushes > 500
+    monkeypatch.undo()
+    for g, limit, optimum in [(gen_gnm(30, 70, 9), 40, 472), (falls[1], 63, 297)]:
+        lower = [branch_and_bound(g, node_limit=k).lower_bound for k in range(limit + 1)]
+        assert lower == sorted(lower) and lower[0] < lower[-1] <= optimum, g
+
+
 def test_time_limit_is_checked_before_every_expansion():
-    # One expansion here runs up to 100 residual bounds; checking the clock
-    # only every 64 expansions overran a 0.5 s limit by about 14 s.
+    # The clock is read before every pop, and a pop runs at most one
+    # residual bound; checking it only every 64 expansions, each of which
+    # bounded up to 100 children, overran a 0.5 s limit by about 14 s.
     # The node limit is a backstop: a search that ignored its deadline
     # fails the time check here instead of running for minutes.
     g = gen_gnm(100, 250, 2)
@@ -153,8 +204,8 @@ def test_time_limit_is_checked_before_every_expansion():
 def test_table_leaves_the_starting_heuristic_half_the_time():
     # Unlimited, this graph's table takes about 27 s; one that took the
     # whole limit would leave local search no sweep and the incumbent at
-    # greedy's value.  No node is expanded: one expansion here runs up to
-    # 150 residual bounds.
+    # greedy's value.  No node is expanded, so the search spends no time
+    # of its own.
     g = gen_gnm(150, 400, 1)
     res = branch_and_bound(g, deadline=time.perf_counter() + 0.4, node_limit=0)
     assert res.upper_bound <= starting_heuristic(g)[1] < greedy_label(g)[1]
@@ -502,13 +553,15 @@ def undominated_candidates(g, labeled):
 def pushed_children(monkeypatch, g, node_limit=math.inf):
     """Search g with no starting incumbent, so that no child is pruned
     before an incumbent is found, and return the result and the label
-    order of every child pushed onto the heap.  A child with no residual
-    edge is a finished labeling and must never be pushed."""
+    order of every child pushed onto the heap (not the pushes that queue
+    a node again after its ascent).  A child with no residual edge is a
+    finished labeling and must never be pushed."""
     pushed = []
 
     def recording_push(heap, item):
         assert item[5], item  # the child's residual edges
-        pushed.append(item[3])  # the child's labeled nodes in label order
+        if not item[6]:  # a child, not yet bounded by its ascent
+            pushed.append(item[3])  # its labeled nodes in label order
         heapq.heappush(heap, item)
 
     monkeypatch.setattr(exact, "starting_heuristic", no_starting_incumbent)
